@@ -52,7 +52,11 @@ struct ScenarioArena {
     std::size_t begin = 0;
     std::size_t count = 0;
   };
-  std::vector<sched::ExecBounds> base;   ///< all-critical template
+  // Per-task tables, built once per candidate; scenario classification
+  // reads only these and the normal-state windows.
+  std::vector<sched::ExecBounds> nominal;  ///< normal-state bounds
+  std::vector<sched::ExecBounds> base;     ///< all-critical template
+  std::vector<std::uint8_t> dropped;       ///< task's graph is in T_d
   std::vector<ScenarioEdit> edits;       ///< slices of per-scenario edits
   std::vector<Slice> slices;             ///< one per unique scenario
   std::unordered_map<std::uint64_t, std::vector<std::size_t>> index_by_hash;
@@ -142,6 +146,15 @@ void merge_wcrt(std::vector<model::Time>& wcrt,
     wcrt[i] = std::max(wcrt[i], result.windows[i].max_finish);
 }
 
+/// Naive bounds: every hardened task at its critical bounds, and every task
+/// of a dropped application with a zero BCET (it may vanish at any point).
+const std::vector<sched::ExecBounds>& naive_bounds(ScenarioArena& arena) {
+  arena.naive_bounds.assign(arena.base.begin(), arena.base.end());
+  for (std::size_t i = 0; i < arena.naive_bounds.size(); ++i)
+    if (arena.dropped[i]) arena.naive_bounds[i].bcet = 0;
+  return arena.naive_bounds;
+}
+
 }  // namespace
 
 McAnalysisResult McAnalysis::analyze(const model::Architecture& arch,
@@ -152,6 +165,8 @@ McAnalysisResult McAnalysis::analyze(const model::Architecture& arch,
   validate_drop_set(apps, drop);
   const std::size_t n = apps.task_count();
   const auto priorities = sched::assign_priorities(apps, policy_);
+  ArenaLease lease;
+  ScenarioArena& arena = *lease;
 
   // Every backend run below analyzes the same candidate (mapping +
   // priorities) against a different bounds vector, so the problem build is
@@ -167,12 +182,21 @@ McAnalysisResult McAnalysis::analyze(const model::Architecture& arch,
   auto task_of = [&](std::size_t i) -> const model::Task& {
     return apps.task(apps.task_ref(i));
   };
+  arena.nominal.resize(n);
+  arena.base.resize(n);
+  arena.dropped.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const model::TaskRef ref = apps.task_ref(i);
+    const model::Task& task = apps.task(ref);
+    arena.nominal[i] = nominal_bounds(task, system.info[i]);
+    arena.base[i] = critical_bounds(task, system.info[i]);
+    arena.dropped[i] = drop[ref.graph] ? 1 : 0;
+  }
 
   McAnalysisResult result;
 
   // --- Normal state (lines 2-9): passive standbys at [0,0], no faults. ---
-  const std::vector<sched::ExecBounds> nominal = nominal_bounds_of(system);
-  result.normal = prepared->solve(nominal);
+  result.normal = prepared->solve(arena.nominal);
   result.scenario_solves = 1;
   // Divergent tasks carry kUnschedulable finishes, so the deadline check
   // subsumes the global schedulability flag per graph.
@@ -185,12 +209,7 @@ McAnalysisResult McAnalysis::analyze(const model::Architecture& arch,
     // zero BCET (it may silently vanish at any point of the hyperperiod),
     // every hardened task its full critical bounds.  No chronological
     // reasoning — this is the estimator Table 2 calls "Naive".
-    std::vector<sched::ExecBounds> bounds(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      bounds[i] = critical_bounds(task_of(i), system.info[i]);
-      if (drop[apps.task_ref(i).graph]) bounds[i].bcet = 0;
-    }
-    const auto run = prepared->solve(bounds);
+    const auto run = prepared->solve(naive_bounds(arena));
     merge_wcrt(result.wcrt, run);
     result.critical_schedulable = non_dropped_meet_deadlines(apps, run, drop);
     result.scenario_count = 1;
@@ -218,12 +237,12 @@ McAnalysisResult McAnalysis::analyze(const model::Architecture& arch,
   //     byte-identical backend invocations.  The backend is a deterministic
   //     pure function, so each distinct bounds vector is analyzed once and
   //     its result stands in for all its triggers.
-  //  2. Parallelism + batching: the Naive pass runs first (it doubles as
-  //     the warm-start base, see below), then the unique scenarios are
-  //     chunked into solve_many() batches fanned out over the pool.  Each
-  //     chunk writes into its own result slots and the merge below is a
-  //     pointwise max over integers applied in a fixed order, so chunk
-  //     width and thread count are bitwise irrelevant.
+  //  2. Parallelism + batching: the Naive pass runs first, then the
+  //     unique scenarios go to solve_many() — all of them in one batch, or
+  //     one chunk per worker when a pool is given.  Each chunk writes into
+  //     its own result slots and the merge below is a pointwise max over
+  //     integers applied in a fixed order, so chunk width and thread count
+  //     are bitwise irrelevant.
   std::vector<std::size_t> triggers;
   for (std::size_t v = 0; v < n; ++v)
     if (system.info[v].triggers_critical_state) triggers.push_back(v);
@@ -235,7 +254,8 @@ McAnalysisResult McAnalysis::analyze(const model::Architecture& arch,
   if (triggers.empty()) return result;
 
   // Classification of task w in the scenario triggered by v (Algorithm 1
-  // lines 12-27), shared verbatim by both construction paths below.
+  // lines 12-27), as the rebuild reference path computes it; the arena
+  // path applies the same rules to its per-task tables.
   auto classify = [&](std::size_t w, std::size_t v, model::Time v_min_start,
                       model::Time v_max_finish) -> sched::ExecBounds {
     if (w == v) {
@@ -267,8 +287,6 @@ McAnalysisResult McAnalysis::analyze(const model::Architecture& arch,
     return critical_bounds(task_of(w), system.info[w]);
   };
 
-  ArenaLease lease;
-  ScenarioArena& arena = *lease;
   arena.lane_views.clear();
   // Backing storage of the rebuild reference path (unused by the arena
   // path); declared here so the views stay valid through the solves.
@@ -282,9 +300,13 @@ McAnalysisResult McAnalysis::analyze(const model::Architecture& arch,
     // bounds vectors exactly when their edit lists are equal — dedup over
     // edit lists is equivalent to dedup over full vectors, at a fraction
     // of the bytes hashed and compared.
-    arena.base.resize(n);
-    for (std::size_t i = 0; i < n; ++i)
-      arena.base[i] = critical_bounds(task_of(i), system.info[i]);
+    //
+    // Classification reads the per-task tables: the trigger keeps its
+    // critical bounds (trigger_bounds == critical_bounds, no edit); a task
+    // finished before the trigger's window opens takes its nominal bounds;
+    // a dropped task is certainly dropped after the transition completed
+    // and may run or vanish inside it (release cutoff at the transition's
+    // end); every other task keeps its critical bounds (no edit).
     arena.edits.clear();
     arena.slices.clear();
     arena.index_by_hash.clear();
@@ -293,25 +315,30 @@ McAnalysisResult McAnalysis::analyze(const model::Architecture& arch,
       const model::Time v_min_start = result.normal.windows[v].min_start;
       const model::Time v_max_finish = result.normal.windows[v].max_finish;
       const std::size_t begin = arena.edits.size();
+      util::WordHasher hasher;
+      auto edit = [&](std::size_t w, const sched::ExecBounds& bounds) {
+        if (bounds == arena.base[w]) return;
+        arena.edits.push_back({static_cast<std::uint32_t>(w), bounds});
+        hasher.feed(w);
+        hasher.feed(bounds.bcet);
+        hasher.feed(bounds.wcet);
+        hasher.feed(bounds.release_cutoff);
+      };
       for (std::size_t w = 0; w < n; ++w) {
-        const sched::ExecBounds bounds =
-            classify(w, v, v_min_start, v_max_finish);
-        if (bounds != arena.base[w])
-          arena.edits.push_back({static_cast<std::uint32_t>(w), bounds});
+        if (w == v) continue;
+        const sched::TaskWindow& window = result.normal.windows[w];
+        if (window.max_finish < v_min_start)
+          edit(w, arena.nominal[w]);
+        else if (arena.dropped[w] && window.min_start > v_max_finish)
+          edit(w, {0, 0});
+        else if (arena.dropped[w])
+          edit(w, {0, arena.base[w].wcet, v_max_finish});
       }
       const std::size_t count = arena.edits.size() - begin;
       // Hash-keyed dedup, first-occurrence order preserved; exact equality
       // is verified against every same-hash entry (degrade-to-miss, same
       // contract as EvaluationCache).
-      const std::uint64_t digest = util::fnv1a_stream(
-          count, [&](util::Fnv1aHasher& hasher, std::size_t i) {
-            const ScenarioEdit& edit = arena.edits[begin + i];
-            hasher.feed(edit.index);
-            hasher.feed(edit.bounds.bcet);
-            hasher.feed(edit.bounds.wcet);
-            hasher.feed(edit.bounds.release_cutoff);
-          });
-      std::vector<std::size_t>& slots = arena.index_by_hash[digest];
+      std::vector<std::size_t>& slots = arena.index_by_hash[hasher.digest()];
       bool seen = false;
       for (const std::size_t slot : slots) {
         const ScenarioArena::Slice& slice = arena.slices[slot];
@@ -439,38 +466,24 @@ McAnalysisResult McAnalysis::analyze(const model::Architecture& arch,
   analysis_counters().dedup_hits.add(triggers.size() - unique);
   result.scenario_solves = 2 + unique;
 
-  // The Naive pass runs first and doubles as the warm-start base: every
-  // scenario is the all-critical bounds vector plus a small delta (drop-set
-  // zeroing, release cutoffs, tasks finishing before the trigger), so a
-  // backend with warm-start support replays most of the Naive trajectory
-  // instead of re-solving it.  solve_capture falls back to a plain solve
-  // (null base) on backends without support — observationally identical.
   arena.naive_part.assign(n, 0);
-  std::unique_ptr<sched::PreparedAnalysis::WarmBase> warm_base;
   {
     obs::Span span("analysis.solve");
     analysis_counters().solves.add(1);
-    arena.naive_bounds.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      arena.naive_bounds[i] = critical_bounds(task_of(i), system.info[i]);
-      if (drop[apps.task_ref(i).graph]) arena.naive_bounds[i].bcet = 0;
-    }
-    const auto run = prepared->solve_capture(arena.naive_bounds, warm_base);
+    const auto run = prepared->solve(naive_bounds(arena));
     for (std::size_t i = 0; i < n; ++i)
       arena.naive_part[i] = run.windows[i].max_finish;
   }
 
-  // Chunked scenario fan-out: the backend's preferred lane width, narrowed
-  // so a thread pool still gets one chunk per worker.  Each chunk solves
-  // against the shared immutable prepared problem on this worker's
-  // thread-local arenas, so the fan-out allocates nothing per scenario in
-  // the kernel; the result slots come from this arena too (the batched
-  // driver finalizes in place, so warmed slots keep their capacity).
-  std::size_t width = std::max<std::size_t>(1, prepared->preferred_batch());
+  // Scenario fan-out: every unique scenario in one solve_many() batch, or
+  // one chunk per worker when a pool is given.  Each chunk solves against
+  // the shared immutable prepared problem on this worker's thread-local
+  // arenas, so the fan-out allocates nothing per scenario in the kernel;
+  // the result slots come from this arena too (the batched solver
+  // finalizes in place, so warmed slots keep their capacity).
   const std::size_t workers =
       pool != nullptr ? std::max<std::size_t>(1, pool->thread_count()) : 1;
-  if (workers > 1)
-    width = std::min(width, (unique + workers - 1) / workers);
+  const std::size_t width = (unique + workers - 1) / workers;
   const std::size_t chunks = (unique + width - 1) / width;
   arena.results.resize(unique);
   auto run_chunk = [&](std::size_t chunk) {
@@ -481,7 +494,6 @@ McAnalysisResult McAnalysis::analyze(const model::Architecture& arch,
     prepared->solve_many(
         std::span<const std::span<const sched::ExecBounds>>(arena.lane_views)
             .subspan(begin, count),
-        warm_base.get(),
         std::span<sched::AnalysisResult>(arena.results)
             .subspan(begin, count));
   };

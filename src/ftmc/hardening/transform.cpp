@@ -8,6 +8,7 @@
 // primaries have produced (disagreeing) results".
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 #include "ftmc/hardening/hardening.hpp"
 
@@ -25,36 +26,39 @@ std::uint64_t vote_payload(const model::TaskGraph& graph, std::uint32_t task) {
   return payload == 0 ? kSinkVotePayload : payload;
 }
 
+/// Validation runs on every candidate evaluation, so the task's name is
+/// only spliced into a message on the way out.
+[[noreturn]] void reject(const model::Task& task, const std::string& why) {
+  throw std::invalid_argument("task '" + task.name + "': " + why);
+}
+
 void validate_one(const model::Task& task, const TaskHardening& decision,
-                  std::size_t processor_count, const std::string& where) {
+                  std::size_t processor_count) {
   switch (decision.technique) {
     case Technique::kNone:
       return;
     case Technique::kReexecution:
       if (decision.reexecutions < 1 || decision.reexecutions > kMaxReexecutions)
-        throw std::invalid_argument(where + ": re-execution count must be in [1," +
-                                    std::to_string(kMaxReexecutions) + "]");
+        reject(task, "re-execution count must be in [1," +
+                         std::to_string(kMaxReexecutions) + "]");
       return;
     case Technique::kActiveReplication:
       if (decision.replica_pes.size() < 2)
-        throw std::invalid_argument(where +
-                                    ": active replication needs >= 2 replicas");
+        reject(task, "active replication needs >= 2 replicas");
       break;
     case Technique::kPassiveReplication:
       if (decision.replica_pes.size() != 3)
-        throw std::invalid_argument(
-            where + ": passive replication needs exactly 3 replicas "
-                    "(2 primaries + 1 standby)");
+        reject(task,
+               "passive replication needs exactly 3 replicas "
+               "(2 primaries + 1 standby)");
       break;
   }
   for (model::ProcessorId pe : decision.replica_pes)
-    if (pe.value >= processor_count)
-      throw std::invalid_argument(where + ": replica PE out of range");
+    if (pe.value >= processor_count) reject(task, "replica PE out of range");
   if (decision.voter_pe.value >= processor_count)
-    throw std::invalid_argument(where + ": voter PE out of range");
+    reject(task, "voter PE out of range");
   if (task.voting_overhead <= 0)
-    throw std::invalid_argument(where +
-                                ": replicated task needs voting_overhead > 0");
+    reject(task, "replicated task needs voting_overhead > 0");
 }
 
 }  // namespace
@@ -84,12 +88,8 @@ void validate_plan(const model::ApplicationSet& apps, const HardeningPlan& plan,
   if (plan.size() != apps.task_count())
     throw std::invalid_argument(
         "validate_plan: plan size does not match task count");
-  for (std::size_t i = 0; i < plan.size(); ++i) {
-    const model::TaskRef ref = apps.task_ref(i);
-    const model::Task& task = apps.task(ref);
-    validate_one(task, plan[i], processor_count,
-                 "task '" + task.name + "'");
-  }
+  for (std::size_t i = 0; i < plan.size(); ++i)
+    validate_one(apps.task(apps.task_ref(i)), plan[i], processor_count);
 }
 
 HardenedSystem apply_hardening(

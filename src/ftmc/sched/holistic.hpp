@@ -6,9 +6,13 @@
 // fixed point over the precedence graph: a task's latest ready time is the
 // latest finish of its predecessors plus communication delay, and interferer
 // jitters are their latest ready times.  Iteration starts from the best-case
-// solution, and all operators are monotone, so the least fixed point is
-// reached; it is a safe upper bound on any concrete schedule in which every
-// task's execution time lies within its ExecBounds.
+// solution and only ever raises a stored window (guarded max).  The
+// offset-aware operator is not monotone in a task's arrival (a later window
+// start can exclude whole interfering jobs), so which fixed point the
+// iteration reaches depends on the evaluation order; every solver therefore
+// replays the reference sweep's flat order (see prepared_problem.hpp).  The
+// fixed point reached is a safe upper bound on any concrete schedule in
+// which every task's execution time lies within its ExecBounds.
 //
 // Best case: interference-free longest-path lower bound on ready/finish
 // times (earliest possible start/completion).
@@ -51,26 +55,15 @@ class HolisticAnalysis final : public SchedulingAnalysis {
     /// identical, only slower; exposed for the differential tests and the
     /// prepare-vs-rebuild arm of bench_sched_kernel.
     bool prepared_kernel = true;
-    /// Worst-case global fixed point: change-driven worklist in topological
-    /// order (default) vs. the original full sweep over all nodes until
-    /// stable.  Bit-identical results either way (the operator is monotone,
-    /// so the least fixed point is iteration-order independent); exposed
-    /// for the differential tests and the worklist-vs-sweep bench.
+    /// Worst-case global fixed point: change-driven worklist (default) vs.
+    /// the original full sweep over all nodes in flat order until stable.
+    /// Bit-identical results either way, though not because the fixed point
+    /// is order independent — it is not (the operator is non-monotone, see
+    /// above).  The worklist visits dirty nodes in the sweep's flat order
+    /// and skips only evaluations that are provably no-ops, so both solvers
+    /// follow the same trajectory.  Exposed for the differential tests and
+    /// the worklist-vs-sweep bench.
     bool worklist_fixed_point = true;
-    /// Warm-start scenario solves: solve_capture() records the base solve's
-    /// Gauss-Seidel trajectory and solve_many() replays it for every node
-    /// outside the delta's dependency closure, evaluating only the nodes a
-    /// changed bound can actually reach.  Bit-identical to cold solving by
-    /// construction (trajectory replay, not fixed-point reuse — see
-    /// prepared_problem.hpp).  Requires worklist_fixed_point; exposed for
-    /// the differential tests and the warm-start bench arm.
-    bool warm_start = true;
-    /// Lane count for batched scenario solving: solve_many() solves up to
-    /// this many scenarios simultaneously in a structure-of-arrays layout,
-    /// streaming the shared problem structure (interferer lists, relation
-    /// rows, periods) once per node across all lanes.  1 disables batching.
-    /// Lanes are fully independent, so any width is bit-identical.
-    std::size_t scenario_batch = 8;
   };
 
   HolisticAnalysis() : options_() {}

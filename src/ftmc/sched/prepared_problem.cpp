@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <limits>
-#include <memory>
 #include <stdexcept>
+#include <tuple>
 
 #include "ftmc/hardening/reliability.hpp"  // scaled_time
 #include "ftmc/obs/metrics.hpp"
@@ -23,7 +23,7 @@ constexpr model::Time ceil_div(model::Time a, model::Time b) noexcept {
 /// and no release lies strictly between the fold result and the raw value,
 /// so every probe answers identically — the fold is behavior-preserving.
 /// It maps all cutoffs within one inter-release gap onto one value, which
-/// is what lets the batch driver's sharing tests recognize scenarios with
+/// is what lets the batch solver's sharing tests recognize scenarios with
 /// different trigger windows as equivalent inputs.  Cutoffs before the
 /// first release (nothing ever runs) all fold to -1.
 constexpr model::Time canonical_cutoff(model::Time cutoff,
@@ -50,26 +50,19 @@ constexpr model::Time canonical_cutoff(model::Time cutoff,
 struct KernelCounters {
   obs::Counter solves{"sched.solves"};
   obs::Counter diverged{"sched.solve_divergences"};
+  // Operator evaluations of the scalar worklist solver only; skipped
+  // positions and sticky hits include the batched solver's lanes.
   obs::Counter worklist_evals{"sched.worklist.node_evals"};
   obs::Counter worklist_skips{"sched.worklist.skipped_evals"};
   obs::Counter sticky_hits{"sched.worklist.sticky_hits"};
   obs::Counter sweep_evals{"sched.sweep.node_evals"};
-  // Warm-start: recorded bases, records dropped for size, warm lanes
-  // solved, byte-identical-to-base shortcuts, initially-differing nodes
-  // across warm lanes, and evaluations answered by memo copy instead of a
-  // recompute.
-  obs::Counter warm_bases{"sched.warmstart.bases"};
-  obs::Counter warm_overflows{"sched.warmstart.record_overflows"};
-  obs::Counter warm_solves{"sched.warmstart.solves"};
-  obs::Counter warm_identical{"sched.warmstart.identical_hits"};
-  obs::Counter warm_affected{"sched.warmstart.affected_nodes"};
-  obs::Counter warm_replayed{"sched.warmstart.replayed_nodes"};
-  // Batched driver: invocations, total lanes, node evaluations run through
-  // the SoA scan (also included in sched.worklist.node_evals), and lanes
+  // Batched solver: invocations, total lanes, operator evaluations it ran,
+  // evaluations answered by copying a sibling lane's outcome, and lanes
   // retired by the post-fold dedup (solved by copying a sibling lane).
   obs::Counter batch_solves{"sched.batch.solves"};
   obs::Counter batch_lanes{"sched.batch.lanes"};
   obs::Counter batch_evals{"sched.batch.node_evals"};
+  obs::Counter batch_shared{"sched.batch.shared_evals"};
   obs::Counter batch_dups{"sched.batch.dup_lanes"};
 };
 
@@ -77,42 +70,6 @@ KernelCounters& kernel_counters() {
   static KernelCounters counters;
   return counters;
 }
-
-/// State views plugged into update_node_t: the scalar Scratch path and one
-/// lane of the batched SoA path share the exact operator code.
-struct ScalarState {
-  PreparedProblem::Scratch& s;
-  model::Time c_max(std::size_t u) const { return s.c_max[u]; }
-  model::Time release_cutoff(std::size_t u) const {
-    return s.release_cutoff[u];
-  }
-  model::Time min_start(std::size_t u) const { return s.min_start[u]; }
-  model::Time max_arrival(std::size_t u) const { return s.max_arrival[u]; }
-  model::Time max_finish(std::size_t u) const { return s.max_finish[u]; }
-  void store(std::size_t u, model::Time arrival, model::Time finish) {
-    s.max_arrival[u] = arrival;
-    s.max_finish[u] = finish;
-  }
-};
-
-struct LaneState {
-  PreparedProblem::BatchScratch& b;
-  std::size_t off;  // lane * total — each lane's cells are contiguous
-  std::size_t at(std::size_t u) const { return off + u; }
-  model::Time c_max(std::size_t u) const { return b.c_max[at(u)]; }
-  model::Time release_cutoff(std::size_t u) const {
-    return b.release_cutoff[at(u)];
-  }
-  model::Time min_start(std::size_t u) const { return b.min_start[at(u)]; }
-  model::Time max_arrival(std::size_t u) const {
-    return b.max_arrival[at(u)];
-  }
-  model::Time max_finish(std::size_t u) const { return b.max_finish[at(u)]; }
-  void store(std::size_t u, model::Time arrival, model::Time finish) {
-    b.max_arrival[at(u)] = arrival;
-    b.max_finish[at(u)] = finish;
-  }
-};
 
 }  // namespace
 
@@ -130,28 +87,27 @@ PreparedProblem::PreparedProblem(const model::Architecture& arch,
 
   // Remote channels: plain added latency by default, or explicit message
   // nodes scheduled on a shared-bus pseudo-PE when contention is modeled.
-  struct Message {
-    std::size_t src, dst;
-    model::Time transfer;
+  struct Edge {
+    std::uint32_t src, dst;
+    model::Time delay;
   };
-  std::vector<Message> messages;
-  std::vector<std::vector<InEdge>> in_edges(n_);
+  std::vector<Edge> edges;
+  std::vector<Edge> messages;  // delay = transfer time on the bus
   for (std::uint32_t g = 0; g < apps.graph_count(); ++g) {
     const model::TaskGraph& graph = apps.graph(model::GraphId{g});
     for (const model::Channel& channel : graph.channels()) {
-      const std::size_t src = apps.flat_index({g, channel.src});
-      const std::size_t dst = apps.flat_index({g, channel.dst});
+      const auto src =
+          static_cast<std::uint32_t>(apps.flat_index({g, channel.src}));
+      const auto dst =
+          static_cast<std::uint32_t>(apps.flat_index({g, channel.dst}));
       const bool remote =
           mapping.processor_of_flat(src) != mapping.processor_of_flat(dst);
-      if (remote && options_.bus_contention &&
-          arch.transfer_time(channel.size_bytes) > 0) {
-        messages.push_back(
-            {src, dst, arch.transfer_time(channel.size_bytes)});
-      } else {
-        const model::Time delay =
-            remote ? arch.transfer_time(channel.size_bytes) : 0;
-        in_edges[dst].push_back(InEdge{src, delay});
-      }
+      const model::Time transfer =
+          remote ? arch.transfer_time(channel.size_bytes) : 0;
+      if (remote && options_.bus_contention && transfer > 0)
+        messages.push_back({src, dst, transfer});
+      else
+        edges.push_back({src, dst, transfer});
     }
   }
 
@@ -161,189 +117,199 @@ PreparedProblem::PreparedProblem(const model::Architecture& arch,
 
   pe_ref_.resize(n_);
   period_.resize(total_);
-  graph_of_.resize(total_);
-  in_edges.resize(total_);
   std::vector<std::uint32_t> pe_of(total_);
   std::vector<std::uint64_t> rank(total_);
 
   for (std::size_t i = 0; i < n_; ++i) {
-    const model::TaskRef ref = apps.task_ref(i);
-    pe_ref_[i] = &arch.processor(mapping.processor_of_flat(i));
-    period_[i] = apps.graph(ref.graph_id()).period();
-    graph_of_[i] = ref.graph;
-    pe_of[i] = mapping.processor_of_flat(i).value;
+    const model::ProcessorId pe = mapping.processor_of_flat(i);
+    pe_ref_[i] = &arch.processor(pe);
+    period_[i] = apps.graph(apps.task_ref(i).graph_id()).period();
+    pe_of[i] = pe.value;
     rank[i] = priorities[i];
   }
   message_src_.resize(messages.size());
   message_transfer_.resize(messages.size());
   for (std::size_t q = 0; q < messages.size(); ++q) {
-    const std::size_t node = n_ + q;
-    const Message& message = messages[q];
+    const auto node = static_cast<std::uint32_t>(n_ + q);
+    const Edge& message = messages[q];
     message_src_[q] = message.src;
-    message_transfer_[q] = message.transfer;
+    message_transfer_[q] = message.delay;
     period_[node] = period_[message.src];
-    graph_of_[node] = graph_of_[message.src];
     pe_of[node] = bus_pe;
     // Messages inherit the producer's priority; the edge index keeps bus
     // ranks unique (only bus nodes are ever compared with each other).
     rank[node] = (static_cast<std::uint64_t>(priorities[message.src]) << 16) |
                  q;
-    in_edges[node].push_back(InEdge{message.src, 0});
-    in_edges[message.dst].push_back(InEdge{node, 0});
+    edges.push_back({message.src, node, 0});
+    edges.push_back({node, message.dst, 0});
   }
-  in_edges_ = std::move(in_edges);
 
-  interferers_.resize(total_);
-  for (std::size_t i = 0; i < total_; ++i)
-    for (std::size_t u = 0; u < total_; ++u)
-      if (u != i && pe_of[u] == pe_of[i] && rank[u] < rank[i])
-        interferers_[i].push_back(u);
-
-  // Successor lists drive the relation DFS, the topological sort, and the
-  // worklist dependency edges.
-  std::vector<std::vector<std::size_t>> succs(total_);
-  for (std::size_t i = 0; i < total_; ++i)
-    for (const InEdge& edge : in_edges_[i]) succs[edge.src].push_back(i);
-
-  // Transitive reachability over the precedence edges (u ~ i iff u reaches
-  // i or i reaches u), packed as one bitset row per node.  Edges only exist
-  // within a graph, so this is the same-graph relation the interference
-  // refinement needs; it also covers message nodes under bus contention.
-  words_ = (total_ + 63) / 64;
-  related_bits_.assign(total_ * words_, 0);
-  auto set_related = [&](std::size_t a, std::size_t b) {
-    related_bits_[a * words_ + (b >> 6)] |= std::uint64_t{1} << (b & 63);
-  };
-  std::vector<std::size_t> stack;
-  std::vector<std::uint8_t> seen(total_, 0);
-  for (std::size_t s = 0; s < total_; ++s) {
-    std::fill(seen.begin(), seen.end(), 0);
-    stack.assign(1, s);
-    seen[s] = 1;
-    while (!stack.empty()) {
-      const std::size_t v = stack.back();
-      stack.pop_back();
-      for (const std::size_t w : succs[v]) {
-        if (seen[w]) continue;
-        seen[w] = 1;
-        set_related(s, w);
-        set_related(w, s);
-        stack.push_back(w);
-      }
+  // Precedence edges as CSR, both directions.
+  in_offsets_.assign(total_ + 1, 0);
+  succ_offsets_.assign(total_ + 1, 0);
+  for (const Edge& edge : edges) {
+    ++in_offsets_[edge.dst + 1];
+    ++succ_offsets_[edge.src + 1];
+  }
+  for (std::size_t i = 0; i < total_; ++i) {
+    in_offsets_[i + 1] += in_offsets_[i];
+    succ_offsets_[i + 1] += succ_offsets_[i];
+  }
+  in_edges_.resize(edges.size());
+  succ_nodes_.resize(edges.size());
+  {
+    std::vector<std::uint32_t> in_fill(in_offsets_.begin(),
+                                       in_offsets_.end() - 1);
+    std::vector<std::uint32_t> succ_fill(succ_offsets_.begin(),
+                                         succ_offsets_.end() - 1);
+    for (const Edge& edge : edges) {
+      in_edges_[in_fill[edge.dst]++] = InEdge{edge.src, edge.delay};
+      succ_nodes_[succ_fill[edge.src]++] = edge.dst;
     }
+  }
+
+  // Per-PE priority order: node u interferes with node i iff both sit on
+  // one PE and rank[u] < rank[i], so i's interferers are the prefix of its
+  // PE's group that outranks it, and the nodes it interferes with are the
+  // suffix it outranks.
+  pe_order_.resize(total_);
+  for (std::uint32_t i = 0; i < total_; ++i) pe_order_[i] = i;
+  std::sort(pe_order_.begin(), pe_order_.end(),
+            [&](std::uint32_t a, std::uint32_t b) {
+              return std::tie(pe_of[a], rank[a], a) <
+                     std::tie(pe_of[b], rank[b], b);
+            });
+  pe_ranges_.resize(total_);
+  for (std::uint32_t begin = 0; begin < total_;) {
+    const std::uint32_t pe = pe_of[pe_order_[begin]];
+    std::uint32_t end = begin;
+    while (end < total_ && pe_of[pe_order_[end]] == pe) ++end;
+    for (std::uint32_t tie = begin; tie < end;) {
+      const std::uint64_t r = rank[pe_order_[tie]];
+      std::uint32_t next = tie;
+      while (next < end && rank[pe_order_[next]] == r) ++next;
+      for (std::uint32_t p = tie; p < next; ++p)
+        pe_ranges_[pe_order_[p]] = PeRanges{begin, tie, next, end};
+      tie = next;
+    }
+    begin = end;
   }
 
   // Kahn topological order over the precedence DAG (task graphs are
   // validated acyclic at construction; message nodes split existing edges,
   // so the flattened graph stays a DAG — the throw is a safety net).
-  std::vector<std::size_t> indegree(total_, 0);
-  for (std::size_t i = 0; i < total_; ++i) indegree[i] = in_edges_[i].size();
+  std::vector<std::uint32_t> indegree(total_);
+  topo_order_.clear();
   topo_order_.reserve(total_);
-  for (std::size_t i = 0; i < total_; ++i)
+  for (std::uint32_t i = 0; i < total_; ++i) {
+    indegree[i] = in_offsets_[i + 1] - in_offsets_[i];
     if (indegree[i] == 0) topo_order_.push_back(i);
+  }
   for (std::size_t head = 0; head < topo_order_.size(); ++head) {
-    const std::size_t v = topo_order_[head];
-    for (const std::size_t w : succs[v])
-      if (--indegree[w] == 0) topo_order_.push_back(w);
+    const std::uint32_t v = topo_order_[head];
+    for (std::uint32_t e = succ_offsets_[v]; e < succ_offsets_[v + 1]; ++e)
+      if (--indegree[succ_nodes_[e]] == 0)
+        topo_order_.push_back(succ_nodes_[e]);
   }
   if (topo_order_.size() != total_)
     throw std::invalid_argument("HolisticAnalysis: precedence cycle");
 
-  // Input set of each node's worst-case equation (itself, precedence
-  // predecessors, interferers), packed one bitset row per node for the
-  // batch driver's memo-copy test.
-  input_bits_.assign(total_ * words_, 0);
-  auto set_input = [&](std::size_t i, std::size_t u) {
-    input_bits_[i * words_ + (u >> 6)] |= std::uint64_t{1} << (u & 63);
+  // Transitive reachability over the precedence edges (u ~ i iff u reaches
+  // i or i reaches u), packed as one bitset row per node: ancestors
+  // accumulate along the topological order, descendants against it.  Edges
+  // only exist within a graph, so this is the same-graph relation the
+  // interference refinement needs; it also covers message nodes under bus
+  // contention.
+  words_ = (total_ + 63) / 64;
+  related_bits_.assign(total_ * words_, 0);
+  std::vector<std::uint64_t> descendants(total_ * words_, 0);
+  const auto absorb = [&](std::uint64_t* row, const std::uint64_t* from,
+                          std::uint32_t node) {
+    row[node >> 6] |= std::uint64_t{1} << (node & 63);
+    for (std::size_t w = 0; w < words_; ++w) row[w] |= from[w];
   };
-  for (std::size_t i = 0; i < total_; ++i) {
-    set_input(i, i);
-    for (const InEdge& edge : in_edges_[i]) set_input(i, edge.src);
-    for (const std::size_t u : interferers_[i]) set_input(i, u);
-  }
-  // Same sets as explicit lists (self excluded, duplicates deduped) for the
-  // direct value comparison of the cross-lane sharing test.
-  input_offsets_.assign(total_ + 1, 0);
-  input_nodes_.clear();
-  for (std::size_t i = 0; i < total_; ++i) {
-    const std::size_t begin = input_nodes_.size();
-    for (const InEdge& edge : in_edges_[i])
-      input_nodes_.push_back(static_cast<std::uint32_t>(edge.src));
-    for (const std::size_t u : interferers_[i])
-      input_nodes_.push_back(static_cast<std::uint32_t>(u));
-    std::sort(input_nodes_.begin() + begin, input_nodes_.end());
-    input_nodes_.erase(
-        std::unique(input_nodes_.begin() + begin, input_nodes_.end()),
-        input_nodes_.end());
-    input_offsets_[i + 1] = static_cast<std::uint32_t>(input_nodes_.size());
-  }
-
-  // Worklist dependency edges: node i's worst-case equation reads the
-  // windows of its precedence predecessors (arrival) and of every
-  // higher-priority same-PE node (interference) — so a change to node u
-  // must re-queue u's successors and the nodes u interferes with.
-  dependents_.resize(total_);
-  for (std::size_t i = 0; i < total_; ++i)
-    for (const InEdge& edge : in_edges_[i]) dependents_[edge.src].push_back(i);
-  for (std::size_t i = 0; i < total_; ++i)
-    for (const std::size_t u : interferers_[i]) dependents_[u].push_back(i);
-  for (std::vector<std::size_t>& deps : dependents_) {
-    std::sort(deps.begin(), deps.end());
-    deps.erase(std::unique(deps.begin(), deps.end()), deps.end());
-  }
+  for (const std::uint32_t v : topo_order_)
+    for (std::uint32_t e = in_offsets_[v]; e < in_offsets_[v + 1]; ++e) {
+      const std::uint32_t u = in_edges_[e].src;
+      absorb(related_bits_.data() + v * words_,
+             related_bits_.data() + u * words_, u);
+    }
+  for (auto it = topo_order_.rbegin(); it != topo_order_.rend(); ++it)
+    for (std::uint32_t e = succ_offsets_[*it]; e < succ_offsets_[*it + 1];
+         ++e) {
+      const std::uint32_t w = succ_nodes_[e];
+      absorb(descendants.data() + *it * words_,
+             descendants.data() + w * words_, w);
+    }
+  for (std::size_t k = 0; k < related_bits_.size(); ++k)
+    related_bits_[k] |= descendants[k];
 
   horizon_ = options_.horizon_hyperperiods * apps.hyperperiod();
 }
 
 void PreparedProblem::load_bounds(std::span<const ExecBounds> bounds,
-                                  Scratch& s) const {
+                                  model::Time* c_min, model::Time* c_max,
+                                  model::Time* release_cutoff) const {
   if (bounds.size() != n_)
     throw std::invalid_argument("HolisticAnalysis: bounds size mismatch");
-  s.c_min.resize(total_);
-  s.c_max.resize(total_);
-  s.release_cutoff.resize(total_);
   for (std::size_t i = 0; i < n_; ++i) {
     if (bounds[i].bcet < 0 || bounds[i].wcet < bounds[i].bcet)
       throw std::invalid_argument("HolisticAnalysis: invalid ExecBounds");
-    s.c_min[i] = hardening::scaled_time(*pe_ref_[i], bounds[i].bcet);
-    s.c_max[i] = hardening::scaled_time(*pe_ref_[i], bounds[i].wcet);
+    c_min[i] = hardening::scaled_time(*pe_ref_[i], bounds[i].bcet);
+    c_max[i] = hardening::scaled_time(*pe_ref_[i], bounds[i].wcet);
     // Cutoffs at or beyond kUnschedulable are indistinguishable from "no
     // cutoff": release times the operator can actually probe are bounded by
     // start + window + period, far below the sentinel band.  Folding them
-    // onto one value here (every backend loads through this derivation or
-    // its batched copy) keeps results bitwise identical while letting the
-    // warm-start delta test recognize kNoCutoff and a diverged trigger
-    // window (kUnschedulable) as the same parameter.
-    s.release_cutoff[i] = std::min(bounds[i].release_cutoff, kUnschedulable);
+    // onto one value keeps results bitwise identical while letting the
+    // batch solver's sharing tests recognize kNoCutoff and a diverged
+    // trigger window (kUnschedulable) as the same parameter.
+    release_cutoff[i] = std::min(bounds[i].release_cutoff, kUnschedulable);
   }
   for (std::size_t q = 0; q < message_src_.size(); ++q) {
     const std::size_t node = n_ + q;
     const std::size_t src = message_src_[q];
     // A message exists exactly when its producer runs; zero-size producer
     // bounds (dropped / inactive tasks) silence the message too.
-    s.c_min[node] = s.c_min[src] == 0 ? 0 : message_transfer_[q];
-    s.c_max[node] = s.c_max[src] == 0 ? 0 : message_transfer_[q];
-    s.release_cutoff[node] = s.release_cutoff[src];
+    c_min[node] = c_min[src] == 0 ? 0 : message_transfer_[q];
+    c_max[node] = c_max[src] == 0 ? 0 : message_transfer_[q];
+    release_cutoff[node] = release_cutoff[src];
   }
 }
 
-void PreparedProblem::best_case(Scratch& s) const {
+void PreparedProblem::best_case(const model::Time* c_min,
+                                model::Time* release_cutoff,
+                                model::Time* min_start,
+                                model::Time* min_finish,
+                                model::Time* max_arrival,
+                                model::Time* max_finish) const {
   // Interference-free longest path: exact in one topological pass (the
   // original swept to stability, but the DAG fixed point is unique and a
   // topo pass reaches it directly).
-  s.min_start.resize(total_);
-  s.min_finish.resize(total_);
-  for (const std::size_t i : topo_order_) {
+  for (const std::uint32_t i : topo_order_) {
     model::Time ready = 0;
-    for (const InEdge& edge : in_edges_[i])
-      ready = std::max(ready, s.min_finish[edge.src] + edge.delay);
-    s.min_start[i] = ready;
-    s.min_finish[i] = ready + s.c_min[i];
+    for (std::uint32_t e = in_offsets_[i]; e < in_offsets_[i + 1]; ++e)
+      ready = std::max(ready,
+                       min_finish[in_edges_[e].src] + in_edges_[e].delay);
+    min_start[i] = ready;
+    min_finish[i] = ready + c_min[i];
+  }
+  for (std::size_t i = 0; i < total_; ++i) {
+    // Release grids are fixed once min_start is pinned, so cutoffs can be
+    // folded onto their canonical (last-release) values — behavior-
+    // preserving, see canonical_cutoff.
+    release_cutoff[i] =
+        canonical_cutoff(release_cutoff[i], min_start[i], period_[i], horizon_);
+    // Worst-case iteration starts from the best-case solution, exactly like
+    // the reference sweep (every solver replays its evaluation order, so
+    // the whole trajectory — including the divergence verdict — is
+    // identical).
+    max_arrival[i] = min_start[i];
+    max_finish[i] = min_finish[i];
   }
 }
 
-// One worst-case re-evaluation of node i — the exact operator of the
-// original monolithic kernel (see holistic.hpp for the formulation):
+// One worst-case re-evaluation of node i — the operator of the original
+// monolithic kernel (see holistic.hpp for the formulation):
 //
 // Offset-aware: all graphs release in phase, so every job of every task
 // lives in an absolute window [k*T_u + minStart_u, k*T_u + maxFinish_u]
@@ -355,26 +321,23 @@ void PreparedProblem::best_case(Scratch& s) const {
 // the task falls back to the classical jitter-based busy window, which is
 // unconditionally safe.  Note the operator is NOT monotone in the node's
 // arrival (a later window start can exclude whole interfering jobs), so the
-// global fixed point depends on evaluation order; both drivers below
-// preserve the reference sweep's flat evaluation order exactly.
-template <class State>
-PreparedProblem::UpdateOutcome PreparedProblem::update_node_t(
-    std::size_t i, State& s) const {
-  const bool offset_aware = options_.precedence_aware;
+// global fixed point depends on evaluation order; every solver below
+// preserves the reference sweep's flat evaluation order exactly.
+PreparedProblem::UpdateOutcome PreparedProblem::update_node(
+    std::size_t i, const Rows& s) const {
   const model::Time horizon = horizon_;
+  const model::Time c_i = s.c_max[i];
+  const std::span<const std::uint32_t> higher = interferers(i);
   UpdateOutcome outcome;
 
-  // Release jitter of a task: the width of its ready-time band.
-  const auto jitter = [&](std::size_t u) {
-    return s.max_arrival(u) - s.min_start(u);
-  };
-
-  // --- Classical jitter-based bound (fallback / offset_aware == false) ---
+  // --- Classical jitter-based bound (fallback / precedence_aware off) ---
+  // Release jitter of an interferer is the width of its ready-time band.
   const auto jitter_interference = [&](model::Time w) {
     model::Time total = 0;
-    for (const std::size_t u : interferers_[i]) {
-      if (s.c_max(u) == 0) continue;
-      total += ceil_div(w + jitter(u), period_[u]) * s.c_max(u);
+    for (const std::uint32_t u : higher) {
+      if (s.c_max[u] == 0) continue;
+      const model::Time jitter = s.max_arrival[u] - s.min_start[u];
+      total += ceil_div(w + jitter, period_[u]) * s.c_max[u];
     }
     return total;
   };
@@ -391,14 +354,15 @@ PreparedProblem::UpdateOutcome PreparedProblem::update_node_t(
   };
 
   const auto jitter_fallback = [&](model::Time arrival) {
-    const model::Time busy = solve_jitter_window(s.c_max(i));
+    // q = 0: the level-i busy window itself.  Past the horizon it is also
+    // the only job, and the bound diverges.
+    const model::Time busy = solve_jitter_window(c_i);
+    if (busy > horizon) return horizon + 1;
     const model::Time own_jobs =
-        busy > horizon
-            ? 1
-            : ceil_div(busy + (arrival - s.min_start(i)), period_[i]);
-    model::Time best = 0;
-    for (model::Time q = 0; q < own_jobs; ++q) {
-      const model::Time w = solve_jitter_window((q + 1) * s.c_max(i));
+        ceil_div(busy + (arrival - s.min_start[i]), period_[i]);
+    model::Time best = busy + arrival;
+    for (model::Time q = 1; q < own_jobs; ++q) {
+      const model::Time w = solve_jitter_window((q + 1) * c_i);
       if (w > horizon) return horizon + 1;
       best = std::max(best, w + arrival - q * period_[i]);
     }
@@ -406,33 +370,37 @@ PreparedProblem::UpdateOutcome PreparedProblem::update_node_t(
   };
 
   // --- Offset-aware bound: interference on i inside [start, start + w). ---
+  const std::uint64_t* related_row = related_bits_.data() + i * words_;
   const auto offset_interference = [&](model::Time start, model::Time w) {
+    const model::Time end = start + w;
     model::Time total = 0;
-    for (const std::size_t u : interferers_[i]) {
-      if (s.c_max(u) == 0) continue;
-      const bool same_graph_related =
-          graph_of_[u] == graph_of_[i] && related(i, u);
+    for (const std::uint32_t u : higher) {
+      const model::Time c = s.c_max[u];
+      if (c == 0) continue;
       const model::Time t_u = period_[u];
-      // Jobs whose activity window can overlap [start, start + w).
-      const model::Time k_end =
-          (start + w - s.min_start(u) + t_u - 1) / t_u;
-      for (model::Time k = 0; k < k_end; ++k) {
-        if (same_graph_related && k == 0) continue;
-        // Dropped applications release no further instances once the
-        // critical-state transition is complete.
-        if (k * t_u + s.min_start(u) > s.release_cutoff(u)) continue;
-        if (k * t_u + s.max_finish(u) <= start) continue;
-        if (k * t_u + s.min_start(u) >= start + w) break;
-        total += s.c_max(u);
+      // Job k is released at k*t_u + minStart_u and done by
+      // k*t_u + maxFinish_u; precedence excludes job 0 of related nodes
+      // (edges never cross graphs, so related implies same graph).
+      model::Time release = s.min_start[u];
+      model::Time finish = s.max_finish[u];
+      if ((related_row[u >> 6] >> (u & 63)) & 1u) {
+        release += t_u;
+        finish += t_u;
       }
+      // Jobs released past the cutoff (dropped applications release no
+      // further instances once the transition is complete) or at or after
+      // the window's end cannot interfere; both tests are monotone in k.
+      const model::Time last = std::min(s.release_cutoff[u], end - 1);
+      for (; release <= last; release += t_u, finish += t_u)
+        if (finish > start) total += c;
     }
     return total;
   };
 
   const auto solve_offset_window = [&](model::Time start) {
-    model::Time w = s.c_max(i);
+    model::Time w = c_i;
     for (std::size_t iter = 0; iter < options_.max_inner_iterations; ++iter) {
-      const model::Time next = s.c_max(i) + offset_interference(start, w);
+      const model::Time next = c_i + offset_interference(start, w);
       if (next == w) return w;
       w = next;
       if (w > horizon) return horizon + 1;
@@ -450,15 +418,17 @@ PreparedProblem::UpdateOutcome PreparedProblem::update_node_t(
   };
 
   model::Time arrival = 0;
-  for (const InEdge& edge : in_edges_[i])
-    arrival = std::max(arrival, s.max_finish(edge.src) + edge.delay);
+  for (std::uint32_t e = in_offsets_[i]; e < in_offsets_[i + 1]; ++e)
+    arrival = std::max(arrival,
+                       s.max_finish[in_edges_[e].src] + in_edges_[e].delay);
   if (arrival > horizon) {
     outcome.diverged = true;
     arrival = horizon + 1;
   }
 
+  const bool offset_aware = options_.precedence_aware;
   model::Time finish;
-  if (s.c_max(i) == 0) {
+  if (c_i == 0) {
     // Zero-length (dropped / inactive) tasks complete upon readiness.
     finish = arrival;
   } else if (arrival > horizon) {
@@ -475,15 +445,15 @@ PreparedProblem::UpdateOutcome PreparedProblem::update_node_t(
     }
   }
 
-  outcome.raw_changed =
-      arrival != s.max_arrival(i) || finish != s.max_finish(i);
+  outcome.raw_changed = arrival != s.max_arrival[i] || finish != s.max_finish[i];
   if (outcome.raw_changed) {
     // Non-decreasing updates only (guarded max), as in the reference sweep.
-    const model::Time new_arrival = std::max(s.max_arrival(i), arrival);
-    const model::Time new_finish = std::max(s.max_finish(i), finish);
-    outcome.stored_changed = new_arrival != s.max_arrival(i) ||
-                             new_finish != s.max_finish(i);
-    s.store(i, new_arrival, new_finish);
+    const model::Time new_arrival = std::max(s.max_arrival[i], arrival);
+    const model::Time new_finish = std::max(s.max_finish[i], finish);
+    outcome.stored_changed =
+        new_arrival != s.max_arrival[i] || new_finish != s.max_finish[i];
+    s.max_arrival[i] = new_arrival;
+    s.max_finish[i] = new_finish;
     // Computed window still below the ratcheted state: with unchanged
     // inputs this node will report raw_changed on every future visit.
     outcome.sticky = arrival != new_arrival || finish != new_finish;
@@ -491,16 +461,7 @@ PreparedProblem::UpdateOutcome PreparedProblem::update_node_t(
   return outcome;
 }
 
-PreparedProblem::UpdateOutcome PreparedProblem::update_node(std::size_t i,
-                                                            Scratch& s) const {
-  ScalarState state{s};
-  const UpdateOutcome outcome = update_node_t(i, state);
-  if (outcome.diverged) s.diverged = true;
-  return outcome;
-}
-
-void PreparedProblem::worst_case_worklist(Scratch& s,
-                                          BaseRecord* record) const {
+void PreparedProblem::worst_case_worklist(Scratch& s) const {
   // Change-driven rounds in the reference sweep's flat order: a round
   // re-evaluates only the nodes whose inputs (the stored windows of their
   // precedence predecessors and interferers) changed since their last
@@ -518,18 +479,8 @@ void PreparedProblem::worst_case_worklist(Scratch& s,
   // changing any value; once only sticky nodes remain the sweep burns its
   // remaining round budget and lands on the diverged path, which we can
   // take immediately.
-  // Trajectory recording (solve_capture): every evaluation with its
-  // position, resulting stored window, and outcome flags, so warm-started
-  // scenario solves can memo-copy coincident evaluations (see the header
-  // notes).  The fixed point never reads the record — recorded and
-  // unrecorded solves are bitwise identical.  Past the cap the base is too
-  // turbulent for memoization to pay off; drop the record and let
-  // scenarios solve cold.
-  constexpr std::size_t kRecordCap = std::size_t{1} << 22;
-  if (record != nullptr) {
-    record->valid = true;
-    record->evals.clear();
-  }
+  const Rows rows{s.c_max.data(), s.release_cutoff.data(), s.min_start.data(),
+                  s.max_arrival.data(), s.max_finish.data()};
   s.dirty.assign(total_, 1);
   s.sticky.assign(total_, 0);
   std::size_t dirty_count = total_;
@@ -538,7 +489,6 @@ void PreparedProblem::worst_case_worklist(Scratch& s,
   bool stable = false;
   for (std::size_t outer = 0;
        outer < options_.max_outer_iterations && !stable; ++outer) {
-    const std::uint32_t round = static_cast<std::uint32_t>(outer);
     stable = true;
     for (std::size_t i = 0; i < total_; ++i) {
       if (!s.dirty[i]) {
@@ -552,34 +502,20 @@ void PreparedProblem::worst_case_worklist(Scratch& s,
       s.dirty[i] = 0;
       --dirty_count;
       ++evals;
-      const UpdateOutcome outcome = update_node(i, s);
+      const UpdateOutcome outcome = update_node(i, rows);
+      if (outcome.diverged) s.diverged = true;
       if (outcome.raw_changed) stable = false;
-      if (record != nullptr && record->valid) {
-        record->evals.push_back(
-            {round, static_cast<std::uint32_t>(i), s.max_arrival[i],
-             s.max_finish[i],
-             static_cast<std::uint8_t>(
-                 (outcome.raw_changed ? BaseRecord::kRaw : 0) |
-                 (outcome.stored_changed ? BaseRecord::kStored : 0) |
-                 (outcome.sticky ? BaseRecord::kSticky : 0) |
-                 (outcome.diverged ? BaseRecord::kDiverged : 0))});
-        if (record->evals.size() > kRecordCap) {
-          record->valid = false;
-          record->evals.clear();
-          record->evals.shrink_to_fit();
-        }
-      }
       if (outcome.sticky != static_cast<bool>(s.sticky[i])) {
         s.sticky[i] = outcome.sticky ? 1 : 0;
         outcome.sticky ? ++sticky_count : --sticky_count;
       }
       if (outcome.stored_changed) {
-        for (const std::size_t dep : dependents_[i]) {
+        for_each_dependent(i, [&](std::uint32_t dep) {
           if (!s.dirty[dep]) {
             s.dirty[dep] = 1;
             ++dirty_count;
           }
-        }
+        });
       }
     }
     // Keep iterating even after a divergence: values clamp at horizon + 1,
@@ -607,6 +543,8 @@ void PreparedProblem::worst_case_worklist(Scratch& s,
 void PreparedProblem::worst_case_sweep(Scratch& s) const {
   // Reference mode: the original full sweep over all nodes in flat order
   // until a sweep changes nothing (or the budget runs out).
+  const Rows rows{s.c_max.data(), s.release_cutoff.data(), s.min_start.data(),
+                  s.max_arrival.data(), s.max_finish.data()};
   std::uint64_t evals = 0;
   bool stable = false;
   for (std::size_t outer = 0;
@@ -614,7 +552,9 @@ void PreparedProblem::worst_case_sweep(Scratch& s) const {
     stable = true;
     for (std::size_t i = 0; i < total_; ++i) {
       ++evals;
-      if (update_node(i, s).raw_changed) stable = false;
+      const UpdateOutcome outcome = update_node(i, rows);
+      if (outcome.diverged) s.diverged = true;
+      if (outcome.raw_changed) stable = false;
     }
   }
   if (!stable) {
@@ -624,24 +564,21 @@ void PreparedProblem::worst_case_sweep(Scratch& s) const {
   kernel_counters().sweep_evals.add(evals);
 }
 
-void PreparedProblem::solve_impl(std::span<const ExecBounds> bounds,
-                                 Scratch& s, BaseRecord* record) const {
-  load_bounds(bounds, s);
+void PreparedProblem::solve(std::span<const ExecBounds> bounds,
+                            Scratch& s) const {
+  s.c_min.resize(total_);
+  s.c_max.resize(total_);
+  s.release_cutoff.resize(total_);
+  s.min_start.resize(total_);
+  s.min_finish.resize(total_);
+  s.max_arrival.resize(total_);
+  s.max_finish.resize(total_);
+  load_bounds(bounds, s.c_min.data(), s.c_max.data(), s.release_cutoff.data());
   s.diverged = false;
-  best_case(s);
-  // Release grids are fixed once the best-case pass has pinned min_start,
-  // so cutoffs can be folded onto their canonical (last-release) values —
-  // behavior-preserving, see canonical_cutoff.
-  for (std::size_t i = 0; i < total_; ++i)
-    s.release_cutoff[i] = canonical_cutoff(
-        s.release_cutoff[i], s.min_start[i], period_[i], horizon_);
-  // Worst-case iteration starts from the best-case solution, exactly like
-  // the reference sweep (both drivers replay its evaluation order, so the
-  // whole trajectory — including the divergence verdict — is identical).
-  s.max_arrival.assign(s.min_start.begin(), s.min_start.end());
-  s.max_finish.assign(s.min_finish.begin(), s.min_finish.end());
+  best_case(s.c_min.data(), s.release_cutoff.data(), s.min_start.data(),
+            s.min_finish.data(), s.max_arrival.data(), s.max_finish.data());
   if (options_.worklist_fixed_point)
-    worst_case_worklist(s, record);
+    worst_case_worklist(s);
   else
     worst_case_sweep(s);
   KernelCounters& counters = kernel_counters();
@@ -649,24 +586,28 @@ void PreparedProblem::solve_impl(std::span<const ExecBounds> bounds,
   if (s.diverged) counters.diverged.add(1);
 }
 
-void PreparedProblem::solve(std::span<const ExecBounds> bounds,
-                            Scratch& s) const {
-  solve_impl(bounds, s, nullptr);
+void PreparedProblem::write_result(const model::Time* min_start,
+                                   const model::Time* min_finish,
+                                   const model::Time* max_arrival,
+                                   const model::Time* max_finish,
+                                   bool diverged,
+                                   AnalysisResult& result) const {
+  result.windows.resize(n_);
+  for (std::size_t i = 0; i < n_; ++i) {
+    TaskWindow& window = result.windows[i];
+    window.min_start = min_start[i];
+    window.min_finish = min_finish[i];
+    window.max_start = max_arrival[i];
+    window.schedulable = max_finish[i] <= horizon_;
+    window.max_finish = window.schedulable ? max_finish[i] : kUnschedulable;
+  }
+  result.schedulable = !diverged;
 }
 
 AnalysisResult PreparedProblem::materialize(const Scratch& s) const {
   AnalysisResult result;
-  result.windows.assign(n_, TaskWindow{});
-  for (std::size_t i = 0; i < n_; ++i) {
-    TaskWindow& window = result.windows[i];
-    window.min_start = s.min_start[i];
-    window.min_finish = s.min_finish[i];
-    window.max_start = s.max_arrival[i];
-    window.max_finish = s.max_finish[i];
-    window.schedulable = s.max_finish[i] <= horizon_;
-    if (!window.schedulable) window.max_finish = kUnschedulable;
-  }
-  result.schedulable = !s.diverged;
+  write_result(s.min_start.data(), s.min_finish.data(), s.max_arrival.data(),
+               s.max_finish.data(), s.diverged, result);
   return result;
 }
 
@@ -677,82 +618,30 @@ AnalysisResult PreparedProblem::solve(
   return materialize(scratch);
 }
 
-AnalysisResult PreparedProblem::solve_capture(
-    std::span<const ExecBounds> bounds,
-    std::unique_ptr<WarmBase>& base) const {
-  base.reset();
-  // Replay is defined against the worklist driver's rounds; in sweep mode
-  // (or with warm-starting off) scenarios simply solve cold.
-  if (!options_.warm_start || !options_.worklist_fixed_point)
-    return solve(bounds);
-  auto record = std::make_unique<BaseRecord>();
-  Scratch& s = thread_scratch();
-  solve_impl(bounds, s, record.get());
-  KernelCounters& counters = kernel_counters();
-  if (!record->valid) {
-    counters.warm_overflows.add(1);
-    return materialize(s);
-  }
-  counters.warm_bases.add(1);
-  record->c_min = s.c_min;
-  record->c_max = s.c_max;
-  record->release_cutoff = s.release_cutoff;
-  record->min_start = s.min_start;
-  record->min_finish = s.min_finish;
-  record->max_arrival = s.max_arrival;
-  record->max_finish = s.max_finish;
-  record->diverged = s.diverged;
-  base = std::move(record);
-  return materialize(s);
-}
-
-std::size_t PreparedProblem::preferred_batch() const {
-  if (!options_.worklist_fixed_point) return 1;
-  return std::max<std::size_t>(std::size_t{1}, options_.scenario_batch);
-}
-
 void PreparedProblem::solve_many(
     std::span<const std::span<const ExecBounds>> scenarios,
-    const WarmBase* base, std::span<AnalysisResult> results) const {
+    std::span<AnalysisResult> results) const {
   if (scenarios.size() != results.size())
     throw std::invalid_argument("solve_many: scenario/result size mismatch");
-  if (scenarios.empty()) return;
-  const BaseRecord* record = dynamic_cast<const BaseRecord*>(base);
-  if (record != nullptr &&
-      (!record->valid || record->c_min.size() != total_))
-    record = nullptr;
-  // Sweep mode has no batched driver, and a single cold scenario gains
-  // nothing from the lane machinery.
-  if (!options_.worklist_fixed_point ||
-      (record == nullptr && scenarios.size() == 1)) {
+  // Sweep mode has no batched solver, and a single scenario gains nothing
+  // from the lane machinery.
+  if (!options_.worklist_fixed_point || scenarios.size() < 2) {
     for (std::size_t k = 0; k < scenarios.size(); ++k)
       results[k] = solve(scenarios[k]);
     return;
   }
-  solve_batch(scenarios, record, thread_batch_scratch(), results);
+  solve_batch(scenarios, thread_batch_scratch(), results);
 }
 
 void PreparedProblem::solve_batch(
-    std::span<const std::span<const ExecBounds>> scenarios,
-    const BaseRecord* base, BatchScratch& b,
+    std::span<const std::span<const ExecBounds>> scenarios, BatchScratch& b,
     std::span<AnalysisResult> results) const {
-  if (scenarios.size() != results.size())
-    throw std::invalid_argument("solve_batch: scenario/result size mismatch");
   const std::size_t lanes = scenarios.size();
-  if (lanes == 0) return;
-  if (!options_.worklist_fixed_point)
-    throw std::logic_error("solve_batch: requires worklist mode");
-  if (base != nullptr && (!base->valid || base->c_min.size() != total_))
-    base = nullptr;
-
-  std::uint64_t evals = 0, skips = 0, sticky_hits = 0, copies = 0;
-  std::uint64_t warm_lanes = 0, identical_lanes = 0, delta_total = 0;
 
   // ---- SoA state, [lane * total + node] ----------------------------------
   // Lane-major: each lane's cells are contiguous, so one lane's evaluation
   // walks memory exactly like the scalar solver (the dominant access
   // pattern).  Cross-lane compares touch two contiguous regions instead.
-  b.lanes = lanes;
   const std::size_t cells = total_ * lanes;
   b.c_min.resize(cells);
   b.c_max.resize(cells);
@@ -761,101 +650,31 @@ void PreparedProblem::solve_batch(
   b.min_finish.resize(cells);
   b.max_arrival.resize(cells);
   b.max_finish.resize(cells);
-  // Every lane starts all-dirty, exactly like the scalar worklist driver:
-  // warm-starting changes how an evaluation is produced (memo copy vs
-  // recompute), never which evaluations happen.
+  // Every lane starts all-dirty, exactly like the scalar worklist solver.
   b.dirty.assign(cells, 1);
   b.sticky.assign(cells, 0);
   b.lane_active.assign(lanes, 1);
   b.lane_round_stable.assign(lanes, 1);
-  b.lane_stable.assign(lanes, 0);
   b.lane_diverged.assign(lanes, 0);
   b.lane_exhausted.assign(lanes, 0);
   b.dirty_count.assign(lanes, total_);
   b.sticky_count.assign(lanes, 0);
-  b.node_dirty.assign(total_, static_cast<std::uint32_t>(lanes));
   b.node_sticky.assign(total_, 0);
-
-  // Load + validate every lane's bounds (same derivation as load_bounds).
-  for (std::size_t lane = 0; lane < lanes; ++lane) {
-    const std::span<const ExecBounds> bounds = scenarios[lane];
-    if (bounds.size() != n_)
-      throw std::invalid_argument("HolisticAnalysis: bounds size mismatch");
-    for (std::size_t i = 0; i < n_; ++i) {
-      if (bounds[i].bcet < 0 || bounds[i].wcet < bounds[i].bcet)
-        throw std::invalid_argument("HolisticAnalysis: invalid ExecBounds");
-      const std::size_t x = lane * total_ + i;
-      b.c_min[x] = hardening::scaled_time(*pe_ref_[i], bounds[i].bcet);
-      b.c_max[x] = hardening::scaled_time(*pe_ref_[i], bounds[i].wcet);
-      // Same cutoff fold as load_bounds — keep the two derivations in sync.
-      b.release_cutoff[x] =
-          std::min(bounds[i].release_cutoff, kUnschedulable);
-    }
-    for (std::size_t q = 0; q < message_src_.size(); ++q) {
-      const std::size_t x = lane * total_ + n_ + q;
-      const std::size_t src = lane * total_ + message_src_[q];
-      b.c_min[x] = b.c_min[src] == 0 ? 0 : message_transfer_[q];
-      b.c_max[x] = b.c_max[src] == 0 ? 0 : message_transfer_[q];
-      b.release_cutoff[x] = b.release_cutoff[src];
-    }
-  }
-
-  // ---- Identical-scenario shortcut ---------------------------------------
-  // Comparing the loaded parameters covers message nodes too — their bounds
-  // are derived from the producer's.
-  std::size_t active_count = lanes;
-  if (base != nullptr) {
-    warm_lanes = lanes;
-    for (std::size_t lane = 0; lane < lanes; ++lane) {
-      bool identical = true;
-      for (std::size_t i = 0; i < total_ && identical; ++i) {
-        const std::size_t x = lane * total_ + i;
-        identical = b.c_min[x] == base->c_min[i] &&
-                    b.c_max[x] == base->c_max[i] &&
-                    b.release_cutoff[x] == base->release_cutoff[i];
-      }
-      if (!identical) continue;
-      // Byte-identical scenario: the base solution (including a divergence
-      // fill, which the snapshot already carries) is the answer.
-      ++identical_lanes;
-      for (std::size_t i = 0; i < total_; ++i) {
-        const std::size_t x = lane * total_ + i;
-        b.min_start[x] = base->min_start[i];
-        b.min_finish[x] = base->min_finish[i];
-        b.max_arrival[x] = base->max_arrival[i];
-        b.max_finish[x] = base->max_finish[i];
-      }
-      b.lane_diverged[lane] = base->diverged ? 1 : 0;
-      b.lane_stable[lane] = 1;
-      b.lane_active[lane] = 0;
-      b.dirty_count[lane] = 0;
-      --active_count;
-    }
-    // Retired lanes' never-visited dirty bits must not be counted, or the
-    // per-node totals would never reach the all-clear fast path.
-    if (identical_lanes > 0)
-      b.node_dirty.assign(total_, static_cast<std::uint32_t>(active_count));
-  }
-
-  // ---- Best-case topo pass + worst-case seed, per lane -------------------
-  for (std::size_t lane = 0; lane < lanes; ++lane) {
-    if (!b.lane_active[lane]) continue;
+  const auto rows_of = [&](std::size_t lane) {
     const std::size_t off = lane * total_;
-    for (const std::size_t i : topo_order_) {
-      model::Time ready = 0;
-      for (const InEdge& edge : in_edges_[i])
-        ready = std::max(ready, b.min_finish[off + edge.src] + edge.delay);
-      b.min_start[off + i] = ready;
-      b.min_finish[off + i] = ready + b.c_min[off + i];
-    }
-    for (std::size_t i = 0; i < total_; ++i) {
-      b.max_arrival[off + i] = b.min_start[off + i];
-      b.max_finish[off + i] = b.min_finish[off + i];
-      // Same cutoff fold as solve_impl, against this lane's release grid.
-      b.release_cutoff[off + i] = canonical_cutoff(
-          b.release_cutoff[off + i], b.min_start[off + i], period_[i],
-          horizon_);
-    }
+    return Rows{b.c_max.data() + off, b.release_cutoff.data() + off,
+                b.min_start.data() + off, b.max_arrival.data() + off,
+                b.max_finish.data() + off};
+  };
+
+  // ---- Load, best-case topo pass, and worst-case seed, per lane ----------
+  for (std::size_t lane = 0; lane < lanes; ++lane) {
+    const std::size_t off = lane * total_;
+    load_bounds(scenarios[lane], b.c_min.data() + off, b.c_max.data() + off,
+                b.release_cutoff.data() + off);
+    best_case(b.c_min.data() + off, b.release_cutoff.data() + off,
+              b.min_start.data() + off, b.min_finish.data() + off,
+              b.max_arrival.data() + off, b.max_finish.data() + off);
   }
 
   // ---- Post-fold lane dedup ----------------------------------------------
@@ -867,119 +686,97 @@ void PreparedProblem::solve_batch(
   // Signatures gate the quadratic scan so distinct lanes cost one hash.
   constexpr std::uint32_t kNoDup = std::numeric_limits<std::uint32_t>::max();
   b.dup_of.assign(lanes, kNoDup);
+  b.lane_sig.resize(lanes);
+  for (std::size_t lane = 0; lane < lanes; ++lane) {
+    const std::size_t off = lane * total_;
+    util::WordHasher hasher;
+    for (std::size_t i = off; i < off + total_; ++i) {
+      hasher.feed(b.c_min[i]);
+      hasher.feed(b.c_max[i]);
+      hasher.feed(b.release_cutoff[i]);
+    }
+    b.lane_sig[lane] = hasher.digest();
+  }
+  std::size_t active_count = lanes;
   std::uint64_t dup_lanes = 0;
-  if (active_count > 1) {
-    b.lane_sig.assign(lanes, 0);
-    for (std::size_t lane = 0; lane < lanes; ++lane) {
-      if (!b.lane_active[lane]) continue;
-      const std::size_t off = lane * total_;
-      b.lane_sig[lane] = util::fnv1a_stream(
-          total_, [&](util::Fnv1aHasher& hasher, std::size_t i) {
-            hasher.feed(b.c_min[off + i]);
-            hasher.feed(b.c_max[off + i]);
-            hasher.feed(b.release_cutoff[off + i]);
-          });
+  const auto same_rows = [&](const std::vector<model::Time>& v,
+                             std::size_t off, std::size_t poff) {
+    return std::equal(v.begin() + static_cast<std::ptrdiff_t>(off),
+                      v.begin() + static_cast<std::ptrdiff_t>(off + total_),
+                      v.begin() + static_cast<std::ptrdiff_t>(poff));
+  };
+  for (std::size_t lane = 1; lane < lanes; ++lane) {
+    const std::size_t off = lane * total_;
+    for (std::size_t prev = 0; prev < lane; ++prev) {
+      if (!b.lane_active[prev] || b.lane_sig[prev] != b.lane_sig[lane])
+        continue;
+      const std::size_t poff = prev * total_;
+      if (!same_rows(b.c_min, off, poff) || !same_rows(b.c_max, off, poff) ||
+          !same_rows(b.release_cutoff, off, poff))
+        continue;
+      b.dup_of[lane] = static_cast<std::uint32_t>(prev);
+      b.lane_active[lane] = 0;
+      b.dirty_count[lane] = 0;
+      --active_count;
+      ++dup_lanes;
+      break;
     }
-    for (std::size_t lane = 1; lane < lanes; ++lane) {
-      if (!b.lane_active[lane]) continue;
-      const std::size_t off = lane * total_;
-      for (std::size_t prev = 0; prev < lane; ++prev) {
-        if (!b.lane_active[prev] || b.lane_sig[prev] != b.lane_sig[lane])
-          continue;
-        const std::size_t poff = prev * total_;
-        bool same = true;
-        for (std::size_t i = 0; i < total_ && same; ++i)
-          same = b.c_min[off + i] == b.c_min[poff + i] &&
-                 b.c_max[off + i] == b.c_max[poff + i] &&
-                 b.release_cutoff[off + i] == b.release_cutoff[poff + i];
-        if (!same) continue;
-        b.dup_of[lane] = static_cast<std::uint32_t>(prev);
-        b.lane_active[lane] = 0;
-        b.dirty_count[lane] = 0;
-        --active_count;
-        ++dup_lanes;
-        break;
-      }
-    }
-    if (dup_lanes > 0)
-      b.node_dirty.assign(total_, static_cast<std::uint32_t>(active_count));
   }
+  // Retired lanes' never-visited dirty bits are not counted, or the
+  // per-node totals would never reach the all-clear fast path.
+  b.node_dirty.assign(total_, static_cast<std::uint32_t>(active_count));
 
-  // ---- Memoization state (see the header notes) --------------------------
-  // The shadow starts at the base's worst-case seed (its best-case windows)
-  // and is advanced through the eval log in lockstep with the joint scan,
-  // so it always holds the base's stored windows at the current trajectory
-  // position.  A lane's delta bit for node u is clear iff every operator
-  // input sourced at u is bitwise-equal to the base's right now.
-  const bool warm = base != nullptr && active_count > 0;
-  if (warm) {
-    b.shadow_arrival.assign(base->min_start.begin(), base->min_start.end());
-    b.shadow_finish.assign(base->min_finish.begin(), base->min_finish.end());
-    b.static_delta.assign(lanes * words_, 0);
-    b.delta.assign(lanes * words_, 0);
-    for (std::size_t lane = 0; lane < lanes; ++lane) {
-      if (!b.lane_active[lane]) continue;
-      std::uint64_t* stat = b.static_delta.data() + lane * words_;
-      std::uint64_t* delt = b.delta.data() + lane * words_;
-      for (std::size_t i = 0; i < total_; ++i) {
-        const std::size_t x = lane * total_ + i;
-        const bool static_diff =
-            b.c_max[x] != base->c_max[i] ||
-            b.release_cutoff[x] != base->release_cutoff[i] ||
-            b.min_start[x] != base->min_start[i];
-        if (static_diff) stat[i >> 6] |= std::uint64_t{1} << (i & 63);
-        // Seed windows are the best-case solution on both sides, so the
-        // initial value deltas are exactly the best-case differences
-        // (which is also how a c_min change enters the worst-case pass).
-        if (static_diff || b.max_arrival[x] != b.shadow_arrival[i] ||
-            b.max_finish[x] != b.shadow_finish[i]) {
-          delt[i >> 6] |= std::uint64_t{1} << (i & 63);
-          ++delta_total;
-        }
-      }
+  // Cross-lane sharing test: would node i compute the same outcome in lanes
+  // `a` and `r`?  The operator reads i's own WCET, best-case start and
+  // stored window (the caller compares the pre-visit windows), the stored
+  // finish of its precedence sources, and the parameters and stored window
+  // of its interferers.
+  const auto same_inputs = [&](std::size_t i, const Rows& a, const Rows& r) {
+    if (a.c_max[i] != r.c_max[i] || a.min_start[i] != r.min_start[i])
+      return false;
+    for (std::uint32_t e = in_offsets_[i]; e < in_offsets_[i + 1]; ++e) {
+      const std::uint32_t u = in_edges_[e].src;
+      if (a.max_finish[u] != r.max_finish[u]) return false;
     }
-  }
+    for (const std::uint32_t u : interferers(i)) {
+      // Stored windows first: they diverge between lanes far more often
+      // than the load-time parameters, so mismatches exit here.
+      if (a.max_finish[u] != r.max_finish[u] ||
+          a.max_arrival[u] != r.max_arrival[u] || a.c_max[u] != r.c_max[u] ||
+          a.release_cutoff[u] != r.release_cutoff[u] ||
+          a.min_start[u] != r.min_start[u])
+        return false;
+    }
+    return true;
+  };
+
   // ---- Joint round loop ---------------------------------------------------
   // All lanes advance through the same round index; a lane whose round
   // certifies stability retires.  Each lane runs the scalar worklist body
   // verbatim; the only shortcut is HOW a dirty evaluation is produced: when
-  // the base evaluated this same (round, node) and the lane's delta bits
-  // are clear across the node's whole input set, the recorded outcome is
-  // copied instead of recomputed (the operator is a pure function of those
-  // inputs, so the copy is bitwise what the evaluation would return).
-  const BaseRecord::Eval* log = warm ? base->evals.data() : nullptr;
-  const std::size_t log_size = warm ? base->evals.size() : 0;
-  std::size_t log_cursor = 0;
+  // the last lane evaluated at this (round, node) saw bitwise-equal inputs,
+  // its outcome is copied instead of recomputed (the operator is a pure
+  // function of those inputs, so the copy is bitwise what the evaluation
+  // would return).  During one position only node i's own cells mutate, so
+  // the reference lane's pre-visit window is kept aside for the compare.
+  std::uint64_t evals = 0, skips = 0, sticky_hits = 0, shared = 0;
   for (std::size_t outer = 0;
        outer < options_.max_outer_iterations && active_count > 0; ++outer) {
-    const std::uint32_t round = static_cast<std::uint32_t>(outer);
     for (std::size_t lane = 0; lane < lanes; ++lane)
       if (b.lane_active[lane]) b.lane_round_stable[lane] = 1;
     for (std::size_t i = 0; i < total_; ++i) {
-      // The log is in trajectory order, and this scan visits the same
-      // (round, node) sequence, so a single shared cursor suffices.
-      const BaseRecord::Eval* entry =
-          log_cursor < log_size && log[log_cursor].round == round &&
-                  log[log_cursor].node == i
-              ? &log[log_cursor]
-              : nullptr;
-      bool any_stored = false;
-      // Cross-lane sharing: the last lane that produced an outcome at this
-      // (round, node).  During one position only node i's own cells mutate,
-      // so a later lane whose input values all equal the reference lane's
-      // (pre-evaluation values for i itself) would compute the exact same
-      // thing — copy the outcome instead.
-      constexpr std::size_t kNoRef = std::numeric_limits<std::size_t>::max();
-      std::size_t ref_lane = kNoRef;
-      model::Time ref_pre_arrival = 0, ref_pre_finish = 0;
-      UpdateOutcome ref_outcome;
       // All-clear fast path: when no lane has a dirty or sticky bit here,
       // every active lane would take the skip branch with no side effect
       // beyond the `skips` tally — take it for all of them in one test.
-      const bool position_live =
-          b.node_dirty[i] != 0 || b.node_sticky[i] != 0;
-      if (!position_live) skips += active_count;
-      for (std::size_t lane = 0; position_live && lane < lanes; ++lane) {
+      if (b.node_dirty[i] == 0 && b.node_sticky[i] == 0) {
+        skips += active_count;
+        continue;
+      }
+      bool have_ref = false;
+      Rows ref{};
+      model::Time ref_pre_arrival = 0, ref_pre_finish = 0;
+      UpdateOutcome ref_outcome;
+      for (std::size_t lane = 0; lane < lanes; ++lane) {
         if (!b.lane_active[lane]) continue;
         const std::size_t x = lane * total_ + i;
         if (!b.dirty[x]) {
@@ -993,65 +790,22 @@ void PreparedProblem::solve_batch(
         b.dirty[x] = 0;
         --b.dirty_count[lane];
         --b.node_dirty[i];
-        const model::Time pre_arrival = b.max_arrival[x];
-        const model::Time pre_finish = b.max_finish[x];
+        const Rows rows = rows_of(lane);
+        const model::Time pre_arrival = rows.max_arrival[i];
+        const model::Time pre_finish = rows.max_finish[i];
         UpdateOutcome outcome;
-        bool copied = false;
-        if (entry != nullptr) {
-          const std::uint64_t* delt = b.delta.data() + lane * words_;
-          const std::uint64_t* in = input_bits_.data() + i * words_;
-          std::uint64_t hit = 0;
-          for (std::size_t w = 0; w < words_; ++w) hit |= delt[w] & in[w];
-          if (hit == 0) {
-            outcome.raw_changed = (entry->flags & BaseRecord::kRaw) != 0;
-            outcome.stored_changed =
-                (entry->flags & BaseRecord::kStored) != 0;
-            outcome.sticky = (entry->flags & BaseRecord::kSticky) != 0;
-            outcome.diverged = (entry->flags & BaseRecord::kDiverged) != 0;
-            if (outcome.stored_changed) {
-              b.max_arrival[x] = entry->arrival;
-              b.max_finish[x] = entry->finish;
-            }
-            copied = true;
-            ++copies;
-          }
-        }
-        if (!copied && ref_lane != kNoRef) {
-          const std::size_t r = ref_lane * total_ + i;
-          bool same = b.c_max[x] == b.c_max[r] &&
-                      b.release_cutoff[x] == b.release_cutoff[r] &&
-                      b.min_start[x] == b.min_start[r] &&
-                      pre_arrival == ref_pre_arrival &&
-                      pre_finish == ref_pre_finish;
-          for (std::uint32_t e = input_offsets_[i];
-               same && e < input_offsets_[i + 1]; ++e) {
-            const std::size_t u = input_nodes_[e];
-            const std::size_t ux = lane * total_ + u;
-            const std::size_t ur = ref_lane * total_ + u;
-            // Stored windows first: they diverge between lanes far more
-            // often than the load-time parameters, so mismatches exit here.
-            same = b.max_finish[ux] == b.max_finish[ur] &&
-                   b.max_arrival[ux] == b.max_arrival[ur] &&
-                   b.c_max[ux] == b.c_max[ur] &&
-                   b.release_cutoff[ux] == b.release_cutoff[ur] &&
-                   b.min_start[ux] == b.min_start[ur];
-          }
-          if (same) {
-            outcome = ref_outcome;
-            if (outcome.stored_changed) {
-              b.max_arrival[x] = b.max_arrival[r];
-              b.max_finish[x] = b.max_finish[r];
-            }
-            copied = true;
-            ++copies;
-          }
-        }
-        if (!copied) {
+        if (have_ref && pre_arrival == ref_pre_arrival &&
+            pre_finish == ref_pre_finish && same_inputs(i, rows, ref)) {
+          outcome = ref_outcome;
+          rows.max_arrival[i] = ref.max_arrival[i];
+          rows.max_finish[i] = ref.max_finish[i];
+          ++shared;
+        } else {
           ++evals;
-          LaneState state{b, lane * total_};
-          outcome = update_node_t(i, state);
+          outcome = update_node(i, rows);
         }
-        ref_lane = lane;
+        have_ref = true;
+        ref = rows;
         ref_pre_arrival = pre_arrival;
         ref_pre_finish = pre_finish;
         ref_outcome = outcome;
@@ -1063,52 +817,24 @@ void PreparedProblem::solve_batch(
           outcome.sticky ? ++b.node_sticky[i] : --b.node_sticky[i];
         }
         if (outcome.stored_changed) {
-          any_stored = true;
-          for (const std::size_t dep : dependents_[i]) {
-            const std::size_t y = lane * total_ + dep;
-            if (!b.dirty[y]) {
-              b.dirty[y] = 1;
+          const std::size_t off = lane * total_;
+          for_each_dependent(i, [&](std::uint32_t dep) {
+            if (!b.dirty[off + dep]) {
+              b.dirty[off + dep] = 1;
               ++b.dirty_count[lane];
               ++b.node_dirty[dep];
             }
-          }
-        }
-      }
-      if (warm) {
-        // Advance the shadow past this position, then refresh the delta bit
-        // wherever either side's stored window could have moved.  (A copied
-        // kStored entry lands exactly on the new shadow value, so its bit
-        // refreshes to the static part — no special case needed.)
-        bool entry_stored = false;
-        if (entry != nullptr) {
-          entry_stored = (entry->flags & BaseRecord::kStored) != 0;
-          if (entry_stored) {
-            b.shadow_arrival[i] = entry->arrival;
-            b.shadow_finish[i] = entry->finish;
-          }
-          ++log_cursor;
-        }
-        if (entry_stored || any_stored) {
-          const std::size_t word = i >> 6;
-          const std::uint64_t bit = std::uint64_t{1} << (i & 63);
-          for (std::size_t lane = 0; lane < lanes; ++lane) {
-            if (!b.lane_active[lane]) continue;
-            const std::size_t x = lane * total_ + i;
-            const bool diff =
-                (b.static_delta[lane * words_ + word] & bit) != 0 ||
-                b.max_arrival[x] != b.shadow_arrival[i] ||
-                b.max_finish[x] != b.shadow_finish[i];
-            std::uint64_t& delta_word = b.delta[lane * words_ + word];
-            delta_word = diff ? delta_word | bit : delta_word & ~bit;
-          }
+          });
         }
       }
     }
-    // Round verdicts — the scalar driver's exit tests, per lane.  A retired
+    // Round verdicts — the scalar solver's exit tests, per lane.  A retired
     // lane's leftover dirty/sticky bits are released from the per-node
     // totals (they would never be visited again) so the all-clear fast
     // path keeps firing for the lanes still running.
-    auto release_lane_bits = [&](std::size_t lane) {
+    const auto retire = [&](std::size_t lane) {
+      b.lane_active[lane] = 0;
+      --active_count;
       const std::size_t off = lane * total_;
       for (std::size_t i = 0; i < total_; ++i) {
         if (b.dirty[off + i]) {
@@ -1124,10 +850,7 @@ void PreparedProblem::solve_batch(
     for (std::size_t lane = 0; lane < lanes; ++lane) {
       if (!b.lane_active[lane]) continue;
       if (b.lane_round_stable[lane] != 0) {
-        b.lane_active[lane] = 0;
-        b.lane_stable[lane] = 1;
-        --active_count;
-        release_lane_bits(lane);
+        retire(lane);
         continue;
       }
       if (b.dirty_count[lane] != 0) continue;
@@ -1135,77 +858,52 @@ void PreparedProblem::solve_batch(
       // its remaining rounds re-reporting them and diverge (its early
       // break); without, the next round is the cheap all-skip confirmation
       // — certifying iff it still fits the budget.
-      b.lane_active[lane] = 0;
-      --active_count;
-      release_lane_bits(lane);
-      if (b.sticky_count[lane] == 0 &&
-          outer + 1 < options_.max_outer_iterations)
-        b.lane_stable[lane] = 1;
-      else
+      if (b.sticky_count[lane] != 0 ||
+          outer + 1 >= options_.max_outer_iterations)
         b.lane_exhausted[lane] = 1;
+      retire(lane);
     }
   }
 
   // ---- Per-lane finalization ---------------------------------------------
   std::uint64_t diverged_lanes = 0;
   for (std::size_t lane = 0; lane < lanes; ++lane) {
+    const std::size_t off = lane * total_;
     if (b.dup_of[lane] != kNoDup) {
       // The class primary has a lower index, so its state (including any
       // divergence fill) is already final — copy it wholesale.
       const std::size_t p = b.dup_of[lane];
-      const std::size_t off = lane * total_, poff = p * total_;
-      for (std::size_t i = 0; i < total_; ++i) {
-        b.max_arrival[off + i] = b.max_arrival[poff + i];
-        b.max_finish[off + i] = b.max_finish[poff + i];
-      }
+      const std::size_t poff = p * total_;
+      std::copy_n(b.max_arrival.begin() + static_cast<std::ptrdiff_t>(poff),
+                  total_,
+                  b.max_arrival.begin() + static_cast<std::ptrdiff_t>(off));
+      std::copy_n(b.max_finish.begin() + static_cast<std::ptrdiff_t>(poff),
+                  total_,
+                  b.max_finish.begin() + static_cast<std::ptrdiff_t>(off));
       b.lane_diverged[lane] = b.lane_diverged[p];
-      b.lane_active[lane] = 0;
-      b.lane_exhausted[lane] = 0;
-    }
-    bool diverged = b.lane_diverged[lane] != 0;
-    if (b.lane_active[lane] || b.lane_exhausted[lane]) {
+    } else if (b.lane_active[lane] || b.lane_exhausted[lane]) {
       // Round budget exhausted (or provably would be) without certifying a
       // fixed point.
-      diverged = true;
-      for (std::size_t i = 0; i < total_; ++i)
-        b.max_finish[lane * total_ + i] = horizon_ + 1;
+      b.lane_diverged[lane] = 1;
+      std::fill_n(b.max_finish.begin() + static_cast<std::ptrdiff_t>(off),
+                  total_, horizon_ + 1);
     }
-    b.lane_diverged[lane] = diverged ? 1 : 0;
-    if (diverged) ++diverged_lanes;
-
-    AnalysisResult& result = results[lane];
-    result.windows.assign(n_, TaskWindow{});
-    for (std::size_t i = 0; i < n_; ++i) {
-      const std::size_t x = lane * total_ + i;
-      TaskWindow& window = result.windows[i];
-      window.min_start = b.min_start[x];
-      window.min_finish = b.min_finish[x];
-      window.max_start = b.max_arrival[x];
-      window.max_finish = b.max_finish[x];
-      window.schedulable = b.max_finish[x] <= horizon_;
-      if (!window.schedulable) window.max_finish = kUnschedulable;
-    }
-    result.schedulable = !diverged;
+    if (b.lane_diverged[lane]) ++diverged_lanes;
+    write_result(b.min_start.data() + off, b.min_finish.data() + off,
+                 b.max_arrival.data() + off, b.max_finish.data() + off,
+                 b.lane_diverged[lane] != 0, results[lane]);
   }
 
   KernelCounters& counters = kernel_counters();
   counters.solves.add(lanes);
   counters.diverged.add(diverged_lanes);
-  counters.worklist_evals.add(evals);
   counters.worklist_skips.add(skips);
   counters.sticky_hits.add(sticky_hits);
   counters.batch_solves.add(1);
   counters.batch_lanes.add(lanes);
   counters.batch_evals.add(evals);
+  counters.batch_shared.add(shared);
   counters.batch_dups.add(dup_lanes);
-  // Cross-lane sharing also fires on cold batches, so the memo-copy tally
-  // is flushed regardless of a base being present.
-  counters.warm_replayed.add(copies);
-  if (warm_lanes > 0) {
-    counters.warm_solves.add(warm_lanes);
-    counters.warm_identical.add(identical_lanes);
-    counters.warm_affected.add(delta_total);
-  }
 }
 
 PreparedProblem::Scratch& PreparedProblem::thread_scratch() {

@@ -3,64 +3,50 @@
 // Algorithm 1 analyzes one candidate (mapping + priorities) against many
 // exec-bounds vectors — one per transition scenario.  Everything except the
 // bounds is scenario-invariant: the flattened node set (tasks + bus message
-// nodes), the precedence edges, the per-PE interferer lists, the transitive
+// nodes), the precedence edges, the per-PE priority order, the transitive
 // same-graph relation matrix, and the analysis horizon.  PreparedProblem
-// captures all of that once; solve(bounds, scratch) then runs the best-case
-// and worst-case fixed points against caller-owned scratch buffers with no
-// per-scenario allocation (scratch grows on first use and is reused across
-// scenarios and candidates).
+// captures all of that once, in flat arrays (CSR edge lists; each node's
+// interferers and lower-priority neighbours are ranges of its PE's priority
+// order); solve(bounds, scratch) then runs the best-case and worst-case fixed
+// points against caller-owned scratch buffers with no per-scenario
+// allocation (scratch grows on first use and is reused across scenarios and
+// candidates).
 //
 // Beyond amortizing construction, the kernel is faster than the original
-// monolithic HolisticAnalysis::analyze in three ways:
+// monolithic HolisticAnalysis::analyze in four ways:
 //   - the relation matrix is a packed 64-bit bitset row matrix instead of
 //     vector<vector<bool>> (one load + mask per membership test, rows hot in
 //     cache during the interference inner loop);
 //   - the best-case bound is a single topological pass (it is an exact DAG
 //     longest path, so sweeping to stability is redundant);
+//   - the offset-aware interference scan steps each interferer's release
+//     grid instead of dividing for its job count;
 //   - the worst-case global fixed point, after the first round, only
 //     re-evaluates nodes whose inputs changed (change-driven worklist)
 //     instead of every node every sweep.  A reference full-sweep mode
 //     (Options::worklist_fixed_point = false) keeps the original iteration
 //     scheme for differential tests and the worklist-vs-sweep bench.
 //
-// Two further amortizations sit on top (both optional, both bit-identical):
-//
-//   - Warm-started scenario solving (Options::warm_start): solve_capture()
-//     records the base solve's whole Gauss-Seidel trajectory — every node
-//     evaluation with its (round, node) position, resulting stored window,
-//     and outcome flags — as a BaseRecord.  A scenario solve then runs the
-//     cold worklist algorithm verbatim, but treats the record as a
-//     memoization table: the worst-case operator is a pure function of the
-//     node's stored window, its parameters, and the windows of its inputs
-//     (precedence predecessors and interferers), so whenever a lane's whole
-//     input set is bitwise-identical to the base's at the same trajectory
-//     position, the recorded outcome is copied instead of recomputed.
-//     Coincidence is tracked with a per-lane value-delta bitset against a
-//     shared "shadow" replay of the base's stored state; scenarios are
-//     small deltas of the base, so almost every evaluation collapses into
-//     an O(words) bitmask test plus a copy.  Memoization, not fixed-point
-//     reuse: seeding a scenario from the base *fixed point* would not be
-//     bit-identical, because the operator is non-monotone and the stored
-//     state only ratchets upward (see the trajectory note below).
-//   - Batched scenario solving (Options::scenario_batch): solve_many() lays
-//     N scenarios out as structure-of-arrays lanes (state indexed
-//     [lane * total + node], so each lane's evaluation walks memory exactly
-//     like the scalar solver) and runs them through one joint round loop.
-//     Visiting the same (round, node) across all lanes back to back is what
-//     lets one lane's evaluation stand in for the next one's (the
-//     cross-lane copy below).  Lanes are fully independent, so the
-//     interleaving is trivially bit-identical to solving them one by one.
+// Batched scenario solving sits on top: solve_many() lays the scenarios out
+// as structure-of-arrays lanes (state indexed [lane * total + node], so each
+// lane's evaluation walks memory exactly like the scalar solver) and runs
+// them through one joint round loop.  Visiting the same (round, node) across
+// all lanes back to back is what lets one lane's evaluation stand in for the
+// next one's when their operator inputs are equal (cross-lane sharing), and
+// lanes whose folded parameters are equal are solved once.  Lanes are fully
+// independent, so the interleaving is trivially bit-identical to solving
+// them one by one.
 //
 // Every mode returns bit-identical results to every other and to the
-// original monolithic path (tests/test_prepared_problem.cpp and the fuzz
-// harness tests/test_kernel_fuzz.cpp).  That identity
-// is by trajectory, not by fixed-point theory: the offset-aware worst-case
-// operator is NOT monotone in a node's arrival (shifting a busy window right
-// can drop whole interfering jobs), so different evaluation orders can
-// ratchet the guarded-max state to different fixed points.  The worklist
-// therefore visits dirty nodes in the reference sweep's flat order and skips
-// exactly the evaluations that are provably no-ops there — same inputs as
-// the previous visit implies the same computed window, which the guarded max
+// reference oracle (tests/oracle/, pinned by tests/test_kernel_fuzz.cpp and
+// tests/test_prepared_problem.cpp).  That identity is by trajectory, not by
+// fixed-point theory: the offset-aware worst-case operator is NOT monotone
+// in a node's arrival (shifting a busy window right can drop whole
+// interfering jobs), so different evaluation orders can ratchet the
+// guarded-max state to different fixed points.  The worklist therefore
+// visits dirty nodes in the reference sweep's flat order and skips exactly
+// the evaluations that are provably no-ops there — same inputs as the
+// previous visit implies the same computed window, which the guarded max
 // already absorbed.  Nodes whose computed window stays below the ratcheted
 // state ("sticky") keep the reference sweep unstable until its round budget
 // exhausts; the worklist tracks them and reproduces that divergence verdict
@@ -92,80 +78,6 @@ class PreparedProblem final : public PreparedAnalysis {
     bool diverged = false;
   };
 
-  /// Recorded base solve for warm-started scenario replay (see the header
-  /// notes).  Produced by solve_capture(); opaque to callers, consumed by
-  /// solve_many() on the same PreparedProblem.
-  struct BaseRecord final : WarmBase {
-    /// Recording completed within the size cap; when false the record is
-    /// unusable and scenario solves fall back to cold.
-    bool valid = false;
-
-    // Loaded per-node parameters (post speed scaling / message derivation)
-    // of the base bounds — scenario deltas are computed against these.
-    std::vector<model::Time> c_min, c_max, release_cutoff;
-    // Best-case windows (the worst-case seed / shadow start) and the final
-    // solution, for the identical-scenario shortcut.
-    std::vector<model::Time> min_start, min_finish, max_arrival, max_finish;
-    bool diverged = false;
-
-    /// One recorded evaluation: its (round, node) position, the stored
-    /// window after the visit, and the UpdateOutcome flags.  The operator
-    /// is a pure function of its inputs, so a scenario evaluation whose
-    /// whole input set is bitwise-identical to the base's at the same
-    /// trajectory position reproduces exactly this entry.
-    struct Eval {
-      std::uint32_t round, node;
-      model::Time arrival, finish;
-      std::uint8_t flags;
-    };
-    static constexpr std::uint8_t kRaw = 1;      ///< raw_changed
-    static constexpr std::uint8_t kStored = 2;   ///< stored_changed
-    static constexpr std::uint8_t kSticky = 4;   ///< sticky
-    static constexpr std::uint8_t kDiverged = 8; ///< diverged
-    /// Every base evaluation in trajectory order (round asc, node asc
-    /// within a round — the worklist's visit order).
-    std::vector<Eval> evals;
-  };
-
-  /// Caller-owned state of one batched solve: structure-of-arrays over
-  /// `lanes` scenarios, state indexed [lane * total + node].  Same reuse
-  /// contract as Scratch (grows on demand, keeps capacity).
-  struct BatchScratch {
-    std::size_t lanes = 0;
-    // Per (node, lane) fixed-point state.
-    std::vector<model::Time> c_min, c_max, release_cutoff;
-    std::vector<model::Time> min_start, min_finish, max_arrival, max_finish;
-    std::vector<std::uint8_t> dirty, sticky;
-    // Per-lane driver state.
-    std::vector<std::uint8_t> lane_active, lane_round_stable;
-    std::vector<std::uint8_t> lane_stable, lane_diverged;
-    /// Lane proven to never certify a round within the budget (all-sticky
-    /// with no dirty work left — the scalar driver's early break): retired
-    /// onto the same diverged fill the exhausted-budget path produces.
-    std::vector<std::uint8_t> lane_exhausted;
-    std::vector<std::size_t> dirty_count, sticky_count;
-    /// Per-node counts of set dirty/sticky bits across lanes (retired
-    /// lanes' leftover bits included — conservative): a joint-scan position
-    /// with both counts zero is skipped for all lanes in one test.
-    std::vector<std::uint32_t> node_dirty, node_sticky;
-    /// Post-fold lane dedup: earlier lane with a bitwise-equal parameter
-    /// set (solved once, its solution copied at finalization), and each
-    /// lane's parameter-set signature gating the full compare.
-    std::vector<std::uint32_t> dup_of;
-    std::vector<std::uint64_t> lane_sig;
-    /// Shared replay of the base solve's stored state, advanced through the
-    /// eval log in (round, node) lockstep with the joint scan.
-    std::vector<model::Time> shadow_arrival, shadow_finish;
-    /// Per-lane bitsets over nodes (words per lane as in related_bits_,
-    /// concatenated lane by lane).  `static_delta`: the node's operator
-    /// parameters (c_max, release_cutoff, best-case start) differ from the
-    /// base's — fixed per solve.  `delta`: static_delta OR the node's
-    /// stored window currently differs from the shadow.  An evaluation may
-    /// copy the base's recorded outcome iff the delta bits of its whole
-    /// input set are clear.
-    std::vector<std::uint64_t> static_delta, delta;
-  };
-
   /// Builds the bounds-independent problem structure.  All references are
   /// borrowed: arch and apps (and the backing mapping) must outlive this
   /// object; `priorities` is copied.  Throws std::invalid_argument on a
@@ -193,48 +105,66 @@ class PreparedProblem final : public PreparedAnalysis {
   /// PreparedAnalysis entry: solve on this worker's arena scratch.
   AnalysisResult solve(std::span<const ExecBounds> bounds) const override;
 
-  /// Solve + record the trajectory as a warm-start base (null when
-  /// Options::warm_start is off, the solver is in sweep mode, or the
-  /// record overflowed its size cap).  Result is identical to solve().
-  AnalysisResult solve_capture(std::span<const ExecBounds> bounds,
-                               std::unique_ptr<WarmBase>& base) const override;
-
-  /// Options::scenario_batch in worklist mode, 1 in sweep mode.
-  std::size_t preferred_batch() const override;
-
-  /// Warm-started / batched scenario fan-out (see header notes).  Routes to
-  /// solve_batch() in worklist mode; sweep mode and single cold scenarios
-  /// fall back to the scalar path.  Bitwise identical to per-scenario
+  /// Batched scenario fan-out (see header notes): all scenarios run as
+  /// lanes of one round loop in worklist mode; sweep mode and a single
+  /// scenario take the scalar path.  Bitwise identical to per-scenario
   /// solve() in every configuration.
   void solve_many(std::span<const std::span<const ExecBounds>> scenarios,
-                  const WarmBase* base,
                   std::span<AnalysisResult> results) const override;
   using PreparedAnalysis::solve_many;
-
-  /// The batched SoA driver: solves all scenarios as parallel lanes of one
-  /// round loop, each lane warm-started from `base` when non-null.
-  /// Requires worklist mode; `results` must match `scenarios` in size.
-  void solve_batch(std::span<const std::span<const ExecBounds>> scenarios,
-                   const BaseRecord* base, BatchScratch& scratch,
-                   std::span<AnalysisResult> results) const;
 
   /// Per-worker scratch arena (thread-local), reused by every solve() on
   /// any PreparedProblem this thread touches — across scenarios, candidates,
   /// and GA generations.
   static Scratch& thread_scratch();
 
-  /// Per-worker batched-solve arena (thread-local), like thread_scratch().
-  static BatchScratch& thread_batch_scratch();
-
  private:
   struct InEdge {
-    std::size_t src;
+    std::uint32_t src;
     model::Time delay;
   };
 
-  bool related(std::size_t i, std::size_t u) const noexcept {
-    return (related_bits_[i * words_ + (u >> 6)] >> (u & 63)) & 1u;
-  }
+  /// Positions in pe_order_ of a node's same-PE neighbours: [higher_begin,
+  /// higher_end) outrank it (its interferers), [lower_begin, lower_end) rank
+  /// below it (the nodes it interferes with).  Equal ranks are in neither.
+  struct PeRanges {
+    std::uint32_t higher_begin, higher_end, lower_begin, lower_end;
+  };
+
+  /// Caller-owned state of one batched solve: structure-of-arrays over
+  /// `lanes` scenarios, state indexed [lane * total + node].  Same reuse
+  /// contract as Scratch (grows on demand, keeps capacity).
+  struct BatchScratch {
+    // Per (node, lane) fixed-point state.
+    std::vector<model::Time> c_min, c_max, release_cutoff;
+    std::vector<model::Time> min_start, min_finish, max_arrival, max_finish;
+    std::vector<std::uint8_t> dirty, sticky;
+    // Per-lane round state.
+    std::vector<std::uint8_t> lane_active, lane_round_stable, lane_diverged;
+    /// Lane proven to never certify a round within the budget (all-sticky
+    /// with no dirty work left — the scalar solver's early break): retired
+    /// onto the same diverged fill the exhausted-budget path produces.
+    std::vector<std::uint8_t> lane_exhausted;
+    std::vector<std::size_t> dirty_count, sticky_count;
+    /// Per-node counts of set dirty/sticky bits across lanes: a joint-scan
+    /// position with both counts zero is skipped for all lanes in one test.
+    std::vector<std::uint32_t> node_dirty, node_sticky;
+    /// Post-fold lane dedup: earlier lane with a bitwise-equal parameter
+    /// set (solved once, its solution copied at finalization), and each
+    /// lane's parameter-set signature gating the full compare.
+    std::vector<std::uint32_t> dup_of;
+    std::vector<std::uint64_t> lane_sig;
+  };
+
+  /// One scenario's rows (the scalar Scratch, or one lane of a batch): the
+  /// worst-case operator reads the parameters and ratchets the windows.
+  struct Rows {
+    const model::Time* c_max;
+    const model::Time* release_cutoff;
+    const model::Time* min_start;
+    model::Time* max_arrival;
+    model::Time* max_finish;
+  };
 
   /// Outcome of one worst-case node evaluation.  `raw_changed` mirrors the
   /// reference sweep's stability test (computed != stored before the guarded
@@ -242,7 +172,7 @@ class PreparedProblem final : public PreparedAnalysis {
   /// the stored window, i.e. whether readers of this node see new inputs;
   /// `sticky` means re-evaluating with unchanged inputs would report
   /// raw_changed again (computed window below the ratcheted state);
-  /// `diverged` reports a bound past the horizon (the driver ORs it into
+  /// `diverged` reports a bound past the horizon (the caller ORs it into
   /// the solve-level flag).
   struct UpdateOutcome {
     bool raw_changed = false;
@@ -251,17 +181,45 @@ class PreparedProblem final : public PreparedAnalysis {
     bool diverged = false;
   };
 
-  void load_bounds(std::span<const ExecBounds> bounds, Scratch& s) const;
-  void best_case(Scratch& s) const;
-  /// The worst-case operator over any state view (scalar Scratch or one
-  /// batch lane) — a single definition keeps the paths bitwise identical.
-  template <class State>
-  UpdateOutcome update_node_t(std::size_t i, State& state) const;
-  UpdateOutcome update_node(std::size_t i, Scratch& s) const;
-  void worst_case_worklist(Scratch& s, BaseRecord* record) const;
+  std::span<const std::uint32_t> interferers(std::size_t i) const noexcept {
+    return {pe_order_.data() + pe_ranges_[i].higher_begin,
+            pe_order_.data() + pe_ranges_[i].higher_end};
+  }
+  /// Calls fn(dep) for every node whose worst-case equation reads u's
+  /// window: precedence successors, then lower-priority same-PE nodes (a
+  /// node can be both; callers tolerate the repeat).
+  template <class Fn>
+  void for_each_dependent(std::size_t u, Fn&& fn) const {
+    for (std::uint32_t e = succ_offsets_[u]; e < succ_offsets_[u + 1]; ++e)
+      fn(succ_nodes_[e]);
+    const PeRanges& range = pe_ranges_[u];
+    for (std::uint32_t p = range.lower_begin; p < range.lower_end; ++p)
+      fn(pe_order_[p]);
+  }
+
+  /// Scales and validates one scenario into per-node parameter rows
+  /// (tasks, then message nodes derived from their producers).
+  void load_bounds(std::span<const ExecBounds> bounds, model::Time* c_min,
+                   model::Time* c_max, model::Time* release_cutoff) const;
+  /// Best-case topo pass, cutoff fold, and worst-case seed of one scenario.
+  void best_case(const model::Time* c_min, model::Time* release_cutoff,
+                 model::Time* min_start, model::Time* min_finish,
+                 model::Time* max_arrival, model::Time* max_finish) const;
+  /// Writes the task windows of one solved scenario into `result`.
+  void write_result(const model::Time* min_start,
+                    const model::Time* min_finish,
+                    const model::Time* max_arrival,
+                    const model::Time* max_finish, bool diverged,
+                    AnalysisResult& result) const;
+  UpdateOutcome update_node(std::size_t i, const Rows& rows) const;
+  void worst_case_worklist(Scratch& s) const;
   void worst_case_sweep(Scratch& s) const;
-  void solve_impl(std::span<const ExecBounds> bounds, Scratch& s,
-                  BaseRecord* record) const;
+  /// The batched solver behind solve_many (worklist mode, >= 2 scenarios).
+  void solve_batch(std::span<const std::span<const ExecBounds>> scenarios,
+                   BatchScratch& scratch,
+                   std::span<AnalysisResult> results) const;
+  /// Per-worker batched-solve arena (thread-local), like thread_scratch().
+  static BatchScratch& thread_batch_scratch();
 
   HolisticAnalysis::Options options_;
   std::size_t n_ = 0;      ///< application tasks
@@ -271,33 +229,27 @@ class PreparedProblem final : public PreparedAnalysis {
   // Bounds-independent node parameters.
   std::vector<const model::Processor*> pe_ref_;  ///< per task, for scaling
   std::vector<model::Time> period_;
-  std::vector<std::uint32_t> graph_of_;
   model::Time horizon_ = 0;
 
   // Message nodes (bus contention): node n_+q exists for message q.
-  std::vector<std::size_t> message_src_;
+  std::vector<std::uint32_t> message_src_;
   std::vector<model::Time> message_transfer_;
 
-  // Graph structure.
-  std::vector<std::vector<InEdge>> in_edges_;
-  std::vector<std::vector<std::size_t>> interferers_;
+  // Graph structure, CSR: node i's in-edges are in_edges_[in_offsets_[i] ..
+  // in_offsets_[i+1]), its precedence successors likewise in succ_nodes_.
+  std::vector<std::uint32_t> in_offsets_;
+  std::vector<InEdge> in_edges_;
+  std::vector<std::uint32_t> succ_offsets_;
+  std::vector<std::uint32_t> succ_nodes_;
+  /// All nodes grouped by PE (bus pseudo-PE last), each group in ascending
+  /// rank (descending priority); pe_ranges_ indexes into it.
+  std::vector<std::uint32_t> pe_order_;
+  std::vector<PeRanges> pe_ranges_;
+  /// related_bits_[i]: bitset row (words_ words) over the nodes that reach
+  /// i or that i reaches along precedence edges.
   std::vector<std::uint64_t> related_bits_;
-  /// input_bits_[i]: bitset row (words_ words) over the nodes the worst-case
-  /// operator reads when evaluating i — i itself, its precedence
-  /// predecessors, and its interferers.  Drives the memo-copy test of the
-  /// warm-started batch driver.
-  std::vector<std::uint64_t> input_bits_;
-  /// The same input sets as explicit node lists (CSR: input_offsets_[i] ..
-  /// input_offsets_[i+1] into input_nodes_, i itself excluded).  Drives the
-  /// cross-lane outcome-sharing test of the batch driver, which compares
-  /// two lanes' input values directly.
-  std::vector<std::uint32_t> input_nodes_;
-  std::vector<std::uint32_t> input_offsets_;
   /// Nodes in dependency-respecting order (precedence edges only).
-  std::vector<std::size_t> topo_order_;
-  /// dependents_[u]: nodes whose worst-case equation reads u's window —
-  /// precedence successors plus lower-priority same-PE tasks.
-  std::vector<std::vector<std::size_t>> dependents_;
+  std::vector<std::uint32_t> topo_order_;
 };
 
 }  // namespace ftmc::sched

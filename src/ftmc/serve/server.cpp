@@ -316,7 +316,6 @@ struct Server::RequestInfo {
 
 Server::Server(ServeOptions options)
     : options_(std::move(options)),
-      backend_(options_.kernel),
       pool_(options_.threads),
       started_at_(std::chrono::steady_clock::now()) {
   if (options_.system_paths.empty())

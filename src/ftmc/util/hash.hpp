@@ -8,6 +8,7 @@
 // finalizer) decorrelates the low bits used for shard selection.
 #pragma once
 
+#include <concepts>
 #include <cstdint>
 #include <cstring>
 #include <span>
@@ -15,6 +16,14 @@
 #include <vector>
 
 namespace ftmc::util {
+
+/// splitmix64's finalizer: full avalanche of a 64-bit state.
+constexpr std::uint64_t avalanche(std::uint64_t z) noexcept {
+  z += 0x9e3779b97f4a7c15ULL;
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
 
 /// Incremental FNV-1a (64-bit) hasher with a strong finalizer.
 class Fnv1aHasher {
@@ -64,23 +73,36 @@ class Fnv1aHasher {
   }
 
   /// Finalized digest (splitmix64 avalanche over the FNV state).
-  std::uint64_t digest() const noexcept {
-    std::uint64_t z = state_ + 0x9e3779b97f4a7c15ULL;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-  }
+  std::uint64_t digest() const noexcept { return avalanche(state_); }
 
  private:
   std::uint64_t state_ = kOffsetBasis;
 };
 
-/// One-shot digest of a derived element stream: `feed(hasher, i)` is called
-/// for each i in [0, n) and pushes the i-th element's bytes into the hasher.
-/// Every ad-hoc "hash this sequence of fields" site (scenario-bounds dedup in
-/// core/mc_analysis.cpp, lane-signature dedup in sched/prepared_problem.cpp)
-/// funnels through here so there is exactly one FNV-1a construction in the
-/// codebase, pinned by tests/test_hash.cpp.
+/// Word-wise hash for in-memory dedup keys that are never persisted
+/// (Algorithm 1's scenario edit lists, the batch kernel's lane signatures):
+/// one multiply-xorshift step per 64-bit word instead of FNV-1a's eight byte
+/// steps.  Each step is a bijection of the state, so two sequences of equal
+/// length that differ in a single word never collide.  Digests may change
+/// between versions; anything written to disk or the wire uses Fnv1aHasher.
+class WordHasher {
+ public:
+  template <std::integral T>
+  void feed(T value) noexcept {
+    state_ = (state_ ^ static_cast<std::uint64_t>(value)) * kMultiplier;
+    state_ ^= state_ >> 32;
+  }
+
+  std::uint64_t digest() const noexcept { return avalanche(state_); }
+
+ private:
+  static constexpr std::uint64_t kMultiplier = 0xd6e8feb86659fd93ULL;
+  std::uint64_t state_ = 0;
+};
+
+/// One-shot FNV-1a digest of a derived element stream: `feed(hasher, i)` is
+/// called for each i in [0, n) and pushes the i-th element's bytes into the
+/// hasher (pinned by tests/test_hash.cpp).
 template <typename FeedFn>
 std::uint64_t fnv1a_stream(std::size_t n, FeedFn&& feed) {
   Fnv1aHasher hasher;

@@ -169,24 +169,24 @@ TEST(CheckpointResume, KillAtEveryBoundaryResumesBitwiseIdentical) {
   remove_rotation(path);
 }
 
-// The WCRT-kernel throughput toggles (warm-start, scenario batching) live in
-// the externally constructed backend, not in GaOptions: flipping them on
-// resume must pass the TrajectoryOptions digest check AND land on the exact
-// same trajectory, because warm/batched solves are bitwise-identical to
-// cold scalar ones.
-TEST(CheckpointResume, ResumeWithWarmStartAndBatchFlippedIsIdentical) {
+// The WCRT-kernel modes (prepared kernel vs per-solve rebuild, worklist vs
+// full sweep) live in the externally constructed backend, not in
+// GaOptions: flipping them on resume must pass the TrajectoryOptions digest
+// check AND land on the exact same trajectory, because every mode is
+// bitwise-identical to every other.
+TEST(CheckpointResume, ResumeWithKernelModeFlippedIsIdentical) {
   const model::Architecture arch = fixtures::test_arch(2);
   const model::ApplicationSet apps = fixtures::small_mixed_apps();
-  sched::HolisticAnalysis::Options cold_options;
-  cold_options.warm_start = false;
-  cold_options.scenario_batch = 1;
-  const sched::HolisticAnalysis cold_backend(cold_options);
-  const sched::HolisticAnalysis warm_batch_backend;  // defaults: both on
-  GeneticOptimizer cold(arch, apps, cold_backend);
-  GeneticOptimizer warm(arch, apps, warm_batch_backend);
+  sched::HolisticAnalysis::Options reference_options;
+  reference_options.prepared_kernel = false;
+  reference_options.worklist_fixed_point = false;
+  const sched::HolisticAnalysis reference_backend(reference_options);
+  const sched::HolisticAnalysis default_backend;  // prepared + worklist
+  GeneticOptimizer reference(arch, apps, reference_backend);
+  GeneticOptimizer fast(arch, apps, default_backend);
 
   auto options = tiny_options();
-  const GaResult uninterrupted = cold.run(options);
+  const GaResult uninterrupted = reference.run(options);
 
   const std::string path = temp_path("kernel_flip");
   remove_rotation(path);
@@ -198,15 +198,15 @@ TEST(CheckpointResume, ResumeWithWarmStartAndBatchFlippedIsIdentical) {
     past_boundary = stats.generation >= 3;
   };
   killed.stop_requested = [&]() { return past_boundary; };
-  const GaResult partial = cold.run(killed);
+  const GaResult partial = reference.run(killed);
   EXPECT_TRUE(partial.interrupted);
 
   const Checkpoint snapshot = dse::load_checkpoint(path);
   auto resumed_options = options;
   resumed_options.resume = &snapshot;
-  // Cold run killed mid-way, resumed with warm-start + batching enabled:
-  // no CheckpointError from the digest check, identical trajectory.
-  const GaResult resumed = warm.run(resumed_options);
+  // Rebuild + sweep run killed mid-way, resumed on the default kernel: no
+  // CheckpointError from the digest check, identical trajectory.
+  const GaResult resumed = fast.run(resumed_options);
   EXPECT_FALSE(resumed.interrupted);
   expect_same_trajectory(uninterrupted, resumed);
   remove_rotation(path);

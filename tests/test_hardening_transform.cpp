@@ -216,6 +216,33 @@ TEST(Transform, ValidationRejectsBadPlans) {
                std::invalid_argument);
 }
 
+// The message names the offending task and the rule it broke, word for
+// word — Evaluator::structural_error and the serve error replies pass it on.
+TEST(Transform, ValidationErrorNamesTaskAndRule) {
+  const auto apps = fixtures::small_mixed_apps();
+  const auto message = [&](const TaskHardening& decision) {
+    HardeningPlan plan(apps.task_count());
+    plan[1] = decision;
+    try {
+      hardening::validate_plan(apps, plan, 2);
+    } catch (const std::invalid_argument& error) {
+      return std::string(error.what());
+    }
+    return std::string("accepted");
+  };
+  TaskHardening reexecution;
+  reexecution.technique = Technique::kReexecution;
+  reexecution.reexecutions = 9;
+  EXPECT_EQ(message(reexecution),
+            "task 'crit1': re-execution count must be in [1,8]");
+  TaskHardening passive;
+  passive.technique = Technique::kPassiveReplication;
+  passive.replica_pes = {ProcessorId{0}, ProcessorId{1}};
+  EXPECT_EQ(message(passive),
+            "task 'crit1': passive replication needs exactly 3 replicas "
+            "(2 primaries + 1 standby)");
+}
+
 TEST(Transform, ReplicationNeedsVotingOverhead) {
   std::vector<model::TaskGraph> graphs;
   graphs.push_back(fixtures::chain_graph("g", 2, 10, 20, 1000, false, 1e-6,

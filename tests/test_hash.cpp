@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <initializer_list>
 #include <span>
 #include <vector>
 
@@ -19,6 +20,7 @@ namespace {
 using ftmc::util::Fnv1aHasher;
 using ftmc::util::fnv1a_bytes;
 using ftmc::util::fnv1a_stream;
+using ftmc::util::WordHasher;
 
 TEST(Hash, PinnedConstants) {
   EXPECT_EQ(Fnv1aHasher::kOffsetBasis, 0xcbf29ce484222325ULL);
@@ -96,6 +98,22 @@ TEST(Hash, OrderSensitive) {
   ba.feed_byte(0x02);
   ba.feed_byte(0x01);
   EXPECT_NE(ab.digest(), ba.digest());
+}
+
+// The in-memory dedup hash (not persisted, so nothing is pinned): equal
+// sequences agree, and sequences of equal length that differ in one word —
+// in its low or only in its high bits — or in word order do not collide.
+TEST(Hash, WordHasherSeparatesSingleWordEdits) {
+  const auto digest = [](std::initializer_list<std::int64_t> words) {
+    WordHasher hasher;
+    for (const std::int64_t word : words) hasher.feed(word);
+    return hasher.digest();
+  };
+  const std::uint64_t base = digest({1, 2, 3, 4});
+  EXPECT_EQ(base, digest({1, 2, 3, 4}));
+  EXPECT_NE(base, digest({1, 2, 3, 5}));
+  EXPECT_NE(base, digest({1 | (std::int64_t{1} << 62), 2, 3, 4}));
+  EXPECT_NE(base, digest({2, 1, 3, 4}));
 }
 
 }  // namespace

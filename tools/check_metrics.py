@@ -94,17 +94,13 @@ NONDETERMINISTIC_JSONL_KEYS = frozenset(
 )
 
 # Required keys of every per-benchmark entry in a `sched_kernel` bench
-# summary (bench/bench_sched_kernel.cpp): the five timing arms plus the
+# summary (bench/bench_sched_kernel.cpp): the three timing arms plus the
 # derived speedups/throughput.  CI fails when an arm silently disappears.
 SCHED_KERNEL_ARM_KEYS = (
     "seed_s",
     "rebuild_worklist_s",
     "prepared_s",
-    "warm_s",
-    "warm_batch_s",
     "worklist_speedup",
-    "warm_speedup",
-    "batch_speedup",
     "total_speedup",
     "scenarios_per_s",
 )
