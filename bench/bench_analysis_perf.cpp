@@ -137,18 +137,13 @@ Instance make_all_hardened_instance(std::size_t tasks) {
   return instance;
 }
 
-/// Scenario construction cost: arena (sparse edits over the all-critical
-/// template, reused lane buffers) vs rebuild (one fresh bounds vector per
-/// scenario).  Identical results (pinned by tests/test_kernel_fuzz.cpp);
-/// the difference is allocation and copy traffic only.
+/// Algorithm 1 with the maximal scenario count for the instance size:
+/// scenario construction (sparse edits over the all-critical template,
+/// reused lane buffers) plus the batched solves.
 void BM_McAnalysisScenarioConstruction(benchmark::State& state) {
   const Instance instance = make_all_hardened_instance(state.range(0));
   const sched::HolisticAnalysis backend;
-  const bool arena = state.range(1) != 0;
-  const core::McAnalysis analysis(
-      backend, sched::PriorityPolicy::kRateMonotonic,
-      arena ? core::McAnalysis::Construction::kArena
-            : core::McAnalysis::Construction::kRebuild);
+  const core::McAnalysis analysis(backend);
   std::size_t scenarios = 0;
   for (auto _ : state) {
     const auto result = analysis.analyze(instance.arch, instance.system,
@@ -157,16 +152,9 @@ void BM_McAnalysisScenarioConstruction(benchmark::State& state) {
     benchmark::DoNotOptimize(result);
   }
   state.SetLabel(std::to_string(instance.system.apps.task_count()) +
-                 " tasks, " + std::to_string(scenarios) + " scenarios, " +
-                 (arena ? "arena" : "rebuild"));
+                 " tasks, " + std::to_string(scenarios) + " scenarios");
 }
-BENCHMARK(BM_McAnalysisScenarioConstruction)
-    ->Args({24, 0})
-    ->Args({24, 1})
-    ->Args({48, 0})
-    ->Args({48, 1})
-    ->Args({96, 0})
-    ->Args({96, 1});
+BENCHMARK(BM_McAnalysisScenarioConstruction)->Arg(24)->Arg(48)->Arg(96);
 
 void BM_SimulatorHyperperiod(benchmark::State& state) {
   const Instance instance = make_instance(state.range(0));

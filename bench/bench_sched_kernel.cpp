@@ -1,23 +1,20 @@
-// A/B measurement of the prepared-problem analysis kernel (ISSUE 2
-// acceptance bench): multi-scenario candidate evaluation on the DT-med
-// (dream) and DT-large benchmarks, same candidates in every arm.
+// A/B measurement of the prepared-problem analysis kernel: multi-scenario
+// candidate evaluation on the DT-med (dream) and DT-large benchmarks, same
+// candidates in both arms.
 //
-//   rebuild+sweep      the seed path: every scenario rebuilds the holistic
-//                      problem from scratch and runs the full-sweep global
-//                      fixed point (Options{prepared_kernel = false,
-//                      worklist_fixed_point = false});
-//   rebuild+worklist   per-scenario rebuild, change-driven worklist fixed
-//                      point — isolates the fixed-point gain;
-//   prepared           the default path: one PreparedProblem per
-//                      candidate shared by the normal state, the Naive
-//                      pass, and every transition scenario, the scenarios
-//                      solved as lanes of one batch — isolates the
-//                      prepare-once and batching gain on top.
+//   seed       the seed kernel, kept as the test-only oracle
+//              (oracle::HolisticOracle, tests/oracle/): every scenario
+//              rebuilds the holistic problem from scratch and runs the
+//              full-sweep global fixed point;
+//   prepared   the production path: one PreparedProblem per candidate
+//              shared by the normal state, the Naive pass, and every
+//              transition scenario, the fixed point as a change-driven
+//              worklist, the scenarios solved as lanes of one batch.
 //
 // Each arm runs McAnalysis::analyze (Algorithm 1, Proposed mode) over the
 // same seeded random candidates and reports the median of FTMC_REPS
 // repetitions; per-task WCRT bounds are checksummed across arms, so the
-// printed speedups compare bit-identical computations (the differential
+// printed speedup compares bit-identical computations (the differential
 // guarantee of tests/test_prepared_problem.cpp).  A self-contained micro
 // benchmark also compares the packed bitset relation-row test against the
 // vector<vector<bool>> layout it replaced.
@@ -43,6 +40,7 @@
 #include "ftmc/util/rng.hpp"
 #include "ftmc/util/table.hpp"
 #include "ftmc/util/thread_pool.hpp"
+#include "oracle/holistic_oracle.hpp"
 
 using namespace ftmc;
 
@@ -88,7 +86,7 @@ struct ArmOutcome {
 
 ArmOutcome run_arm(const benchmarks::Benchmark& benchmark,
                    const std::vector<PreparedCandidate>& candidates,
-                   const sched::HolisticAnalysis& backend,
+                   const sched::SchedulingAnalysis& backend,
                    util::ThreadPool* pool) {
   const core::McAnalysis analysis(backend);
   ArmOutcome outcome;
@@ -111,7 +109,7 @@ ArmOutcome run_arm(const benchmarks::Benchmark& benchmark,
 
 ArmOutcome run_arm_median(const benchmarks::Benchmark& benchmark,
                           const std::vector<PreparedCandidate>& candidates,
-                          const sched::HolisticAnalysis& backend,
+                          const sched::SchedulingAnalysis& backend,
                           util::ThreadPool* pool, std::size_t reps) {
   std::vector<ArmOutcome> outcomes;
   for (std::size_t r = 0; r < reps; ++r)
@@ -238,24 +236,17 @@ int main(int argc, char** argv) {
             << reps << ", scenario threads " << (threads == 0 ? 1 : threads)
             << " (FTMC_CANDIDATES / FTMC_SEED / FTMC_THREADS / FTMC_REPS)\n";
 
-  sched::HolisticAnalysis::Options seed_options;
-  seed_options.prepared_kernel = false;
-  seed_options.worklist_fixed_point = false;
-  sched::HolisticAnalysis::Options rebuild_options;
-  rebuild_options.prepared_kernel = false;
-  const sched::HolisticAnalysis seed_backend(seed_options);
-  const sched::HolisticAnalysis rebuild_backend(rebuild_options);
-  const sched::HolisticAnalysis prepared_backend;  // defaults
+  const oracle::HolisticOracle seed_backend;
+  const sched::HolisticAnalysis prepared_backend;
 
   std::unique_ptr<util::ThreadPool> pool;
   if (threads > 0) pool = std::make_unique<util::ThreadPool>(threads);
 
   util::Table table(
-      "Multi-scenario candidate evaluation: per-scenario rebuild + full "
-      "sweep (seed) vs prepared kernel");
-  table.set_header({"benchmark", "scenarios", "seed [s]", "worklist [s]",
-                    "prepared [s]", "worklist speedup", "total speedup",
-                    "scen/s", "identical"});
+      "Multi-scenario candidate evaluation: seed kernel (per-scenario "
+      "rebuild + full sweep) vs prepared kernel");
+  table.set_header({"benchmark", "scenarios", "seed [s]", "prepared [s]",
+                    "total speedup", "scen/s", "identical"});
 
   obs::Json json_benchmarks = obs::Json::array();
   bool all_identical = true;
@@ -269,15 +260,11 @@ int main(int argc, char** argv) {
 
     const ArmOutcome seed_arm = run_arm_median(benchmark, candidates,
                                                seed_backend, pool.get(), reps);
-    const ArmOutcome worklist_arm = run_arm_median(
-        benchmark, candidates, rebuild_backend, pool.get(), reps);
     const ArmOutcome prepared_arm = run_arm_median(
         benchmark, candidates, prepared_backend, pool.get(), reps);
 
-    const bool identical = seed_arm.checksum == worklist_arm.checksum &&
-                           seed_arm.checksum == prepared_arm.checksum;
+    const bool identical = seed_arm.checksum == prepared_arm.checksum;
     all_identical = all_identical && identical;
-    const double worklist_speedup = seed_arm.seconds / worklist_arm.seconds;
     const double total_speedup = seed_arm.seconds / prepared_arm.seconds;
     const double scenarios_per_s =
         prepared_arm.seconds > 0.0
@@ -288,9 +275,7 @@ int main(int argc, char** argv) {
 
     table.add_row({benchmark.name, std::to_string(seed_arm.scenarios),
                    util::Table::cell(seed_arm.seconds, 3),
-                   util::Table::cell(worklist_arm.seconds, 3),
                    util::Table::cell(prepared_arm.seconds, 3),
-                   util::Table::cell(worklist_speedup, 2) + "x",
                    util::Table::cell(total_speedup, 2) + "x",
                    util::Table::cell(scenarios_per_s, 0),
                    identical ? "yes" : "NO"});
@@ -300,10 +285,7 @@ int main(int argc, char** argv) {
             .set("name", benchmark.name)
             .set("scenarios", seed_arm.scenarios)
             .set("seed_s", obs::Json::number(seed_arm.seconds, 4))
-            .set("rebuild_worklist_s",
-                 obs::Json::number(worklist_arm.seconds, 4))
             .set("prepared_s", obs::Json::number(prepared_arm.seconds, 4))
-            .set("worklist_speedup", obs::Json::number(worklist_speedup, 2))
             .set("total_speedup", obs::Json::number(total_speedup, 2))
             .set("scenarios_per_s", obs::Json::number(scenarios_per_s, 0))
             .set("identical", identical));
@@ -321,9 +303,9 @@ int main(int argc, char** argv) {
             << util::Table::cell(
                    micro.bool_build_us / micro.bitset_build_us, 1)
             << "x)\n";
-  std::cout << "(same candidates and seeds in every arm; 'identical' "
-               "cross-checks the WCRT checksum across the three kernel "
-               "configurations.)\n";
+  std::cout << "(same candidates and seeds in both arms; 'identical' "
+               "cross-checks the WCRT checksum between the seed kernel and "
+               "the prepared kernel.)\n";
 
   obs::Json summary = obs::Json::object();
   summary.set("bench", "sched_kernel")

@@ -3,8 +3,9 @@
 // benchmark, same failure profiles in every arm.
 //
 //   seed               the original path: every profile rebuilds all static
-//                      tables and allocates a fresh trace
-//                      (ftmc::sim::reference::run, always full trace);
+//                      tables and allocates a fresh trace (the test-only
+//                      oracle::simulate of tests/oracle/, always full
+//                      trace);
 //   prepared kFull     one PreparedSim shared by all profiles, per-worker
 //                      scratch, full trace — isolates the prepare-once +
 //                      allocation-reuse gain;
@@ -37,11 +38,11 @@
 #include "ftmc/dse/decoder.hpp"
 #include "ftmc/sched/priority.hpp"
 #include "ftmc/sim/prepared_sim.hpp"
-#include "ftmc/sim/reference_sim.hpp"
 #include "ftmc/util/rng.hpp"
 #include "ftmc/util/stats.hpp"
 #include "ftmc/util/table.hpp"
 #include "ftmc/util/thread_pool.hpp"
+#include "oracle/reference_sim.hpp"
 
 using namespace ftmc;
 
@@ -206,9 +207,9 @@ int main(int argc, char** argv) {
         [&](sim::RandomFaults& faults,
             sim::UniformExecution& durations) -> const sim::SimResult& {
           thread_local sim::SimResult result;
-          result = sim::reference::run(rig.benchmark.arch, rig.system,
-                                       rig.drop, rig.priorities, faults,
-                                       durations, legacy_options);
+          result = oracle::simulate(rig.benchmark.arch, rig.system,
+                                    rig.drop, rig.priorities, faults,
+                                    durations, legacy_options);
           return result;
         });
   };

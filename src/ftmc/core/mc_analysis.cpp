@@ -24,11 +24,9 @@ struct AnalysisCounters {
   obs::Counter scenarios{"analysis.scenarios"};
   obs::Counter dedup_hits{"analysis.scenario_dedup_hits"};
   obs::Counter solves{"analysis.scenario_solves"};
-  /// Sparse scenario edits recorded by the arena construction path (each is
-  /// one task whose bounds differ from the all-critical template).
+  /// Sparse scenario edits recorded (each is one task whose bounds differ
+  /// from the all-critical template).
   obs::Counter bounds_edits{"analysis.bounds_edits"};
-  /// Full per-scenario bounds vectors built by the rebuild reference path.
-  obs::Counter bounds_rebuilds{"analysis.bounds_rebuilds"};
 };
 
 AnalysisCounters& analysis_counters() {
@@ -43,10 +41,10 @@ struct ScenarioEdit {
   bool operator==(const ScenarioEdit&) const = default;
 };
 
-/// Per-candidate scratch for the arena construction path.  Every container
-/// is cleared (never shrunk) between analyze() calls, so a warmed-up arena
-/// builds, dedupes, sorts, solves, and merges all scenarios of a candidate
-/// without touching the allocator.
+/// Per-candidate scenario scratch.  Every container is cleared (never
+/// shrunk) between analyze() calls, so a warmed-up arena builds, dedupes,
+/// sorts, solves, and merges all scenarios of a candidate without touching
+/// the allocator.
 struct ScenarioArena {
   struct Slice {
     std::size_t begin = 0;
@@ -179,9 +177,6 @@ McAnalysisResult McAnalysis::analyze(const model::Architecture& arch,
     return backend_->prepare(arch, apps, system.mapping, priorities);
   }();
 
-  auto task_of = [&](std::size_t i) -> const model::Task& {
-    return apps.task(apps.task_ref(i));
-  };
   arena.nominal.resize(n);
   arena.base.resize(n);
   arena.dropped.resize(n);
@@ -253,215 +248,136 @@ McAnalysisResult McAnalysis::analyze(const model::Architecture& arch,
   // discarded unread — skip all of it.
   if (triggers.empty()) return result;
 
+  // Construction: each scenario is the all-critical template plus a sparse
+  // edit list (tasks finished before the trigger, drop-set zeroing,
+  // release cutoffs).  An edit is recorded only when the classified
+  // bounds differ from the template, so two scenarios have equal full
+  // bounds vectors exactly when their edit lists are equal — dedup over
+  // edit lists is equivalent to dedup over full vectors, at a fraction
+  // of the bytes hashed and compared.
+  //
   // Classification of task w in the scenario triggered by v (Algorithm 1
-  // lines 12-27), as the rebuild reference path computes it; the arena
-  // path applies the same rules to its per-task tables.
-  auto classify = [&](std::size_t w, std::size_t v, model::Time v_min_start,
-                      model::Time v_max_finish) -> sched::ExecBounds {
-    if (w == v) {
-      // The trigger certainly re-executes / is activated (Eq. (1)).
-      return trigger_bounds(task_of(w), system.info[w]);
+  // lines 12-27) reads the per-task tables: the trigger certainly
+  // re-executes or is activated, Eq. (1) (trigger_bounds ==
+  // critical_bounds, no edit); a task finished before the trigger's window
+  // opens runs in the normal state (lines 14-17; nominal bounds are [0, 0]
+  // for passive standbys); a dropped task that starts only after the
+  // transition completed is certainly dropped (lines 20-21); a dropped task
+  // inside the window either runs or is dropped (line 23) — the paper
+  // writes [0, wcet], we use the critical WCET so the bound stays safe for
+  // hardened droppable tasks too, and the release cutoff at the
+  // transition's end keeps later instances from releasing (Figure 3, task
+  // w2); every other task may run in the critical state (line 26) and
+  // keeps its critical bounds (no edit).  The test-only oracle
+  // (tests/oracle/mc_analysis_oracle.hpp) applies the same rules one full
+  // bounds vector at a time.
+  arena.edits.clear();
+  arena.slices.clear();
+  arena.index_by_hash.clear();
+  std::uint64_t edit_count = 0;
+  for (const std::size_t v : triggers) {
+    const model::Time v_min_start = result.normal.windows[v].min_start;
+    const model::Time v_max_finish = result.normal.windows[v].max_finish;
+    const std::size_t begin = arena.edits.size();
+    util::WordHasher hasher;
+    auto edit = [&](std::size_t w, const sched::ExecBounds& bounds) {
+      if (bounds == arena.base[w]) return;
+      arena.edits.push_back({static_cast<std::uint32_t>(w), bounds});
+      hasher.feed(w);
+      hasher.feed(bounds.bcet);
+      hasher.feed(bounds.wcet);
+      hasher.feed(bounds.release_cutoff);
+    };
+    for (std::size_t w = 0; w < n; ++w) {
+      if (w == v) continue;
+      const sched::TaskWindow& window = result.normal.windows[w];
+      if (window.max_finish < v_min_start)
+        edit(w, arena.nominal[w]);
+      else if (arena.dropped[w] && window.min_start > v_max_finish)
+        edit(w, {0, 0});
+      else if (arena.dropped[w])
+        edit(w, {0, arena.base[w].wcet, v_max_finish});
     }
-    const auto& window = result.normal.windows[w];
-    if (window.max_finish < v_min_start) {
-      // Completed before any fault can occur: normal state (lines 14-17;
-      // nominal_bounds already yields [0,0] for passive standbys).
-      return nominal_bounds(task_of(w), system.info[w]);
-    }
-    if (drop[apps.task_ref(w).graph]) {
-      if (window.min_start > v_max_finish) {
-        // Starts only after the transition completed: certainly dropped
-        // (lines 20-21).
-        return {0, 0};
+    const std::size_t count = arena.edits.size() - begin;
+    // Hash-keyed dedup, first-occurrence order preserved; exact equality
+    // is verified against every same-hash entry (degrade-to-miss, same
+    // contract as EvaluationCache).
+    std::vector<std::size_t>& slots = arena.index_by_hash[hasher.digest()];
+    bool seen = false;
+    for (const std::size_t slot : slots) {
+      const ScenarioArena::Slice& slice = arena.slices[slot];
+      if (slice.count == count &&
+          std::equal(arena.edits.begin() +
+                         static_cast<std::ptrdiff_t>(slice.begin),
+                     arena.edits.begin() +
+                         static_cast<std::ptrdiff_t>(slice.begin + count),
+                     arena.edits.begin() +
+                         static_cast<std::ptrdiff_t>(begin))) {
+        seen = true;
+        break;
       }
-      // Transition window: either runs or is dropped (line 23).  The
-      // paper writes [0, wcet]; we use the critical WCET so the bound
-      // stays safe even for hardened droppable tasks (equal to wcet
-      // for the unhardened ones the paper considers).  Later instances
-      // whose earliest start lies beyond the completed transition never
-      // release (Figure 3, task w2) — the release cutoff carries that
-      // chronology into the backend.
-      return {0, critical_wcet(task_of(w), system.info[w]), v_max_finish};
     }
-    // Non-droppable task possibly in the critical state (line 26).
-    return critical_bounds(task_of(w), system.info[w]);
-  };
+    if (seen) {
+      arena.edits.resize(begin);
+      continue;
+    }
+    slots.push_back(arena.slices.size());
+    arena.slices.push_back({begin, count});
+    edit_count += count;
+  }
+  analysis_counters().bounds_edits.add(edit_count);
+  const std::size_t unique = arena.slices.size();
 
-  arena.lane_views.clear();
-  // Backing storage of the rebuild reference path (unused by the arena
-  // path); declared here so the views stay valid through the solves.
-  std::vector<std::vector<sched::ExecBounds>> rebuilt;
+  // Similarity sort (order is observationally free; it clusters nearby
+  // scenarios into the same solve_many chunk for the batched kernel's
+  // cross-lane sharing).  The comparator merge-walks the two edit lists
+  // and compares *effective* values in (wcet, release_cutoff, bcet)
+  // field order; positions edited in neither scenario hold the template
+  // value in both, so skipping them reproduces exactly the order the
+  // full-vector lexicographic sort would produce.
+  arena.order.resize(unique);
+  std::iota(arena.order.begin(), arena.order.end(), std::size_t{0});
+  constexpr std::uint32_t kEnd = std::numeric_limits<std::uint32_t>::max();
+  std::sort(arena.order.begin(), arena.order.end(),
+            [&](std::size_t ia, std::size_t ib) {
+              const ScenarioArena::Slice& sa = arena.slices[ia];
+              const ScenarioArena::Slice& sb = arena.slices[ib];
+              const ScenarioEdit* a = arena.edits.data() + sa.begin;
+              const ScenarioEdit* const ae = a + sa.count;
+              const ScenarioEdit* b = arena.edits.data() + sb.begin;
+              const ScenarioEdit* const be = b + sb.count;
+              while (a != ae || b != be) {
+                const std::uint32_t ai = a != ae ? a->index : kEnd;
+                const std::uint32_t bi = b != be ? b->index : kEnd;
+                const std::uint32_t i = std::min(ai, bi);
+                const sched::ExecBounds& va =
+                    ai == i ? (a++)->bounds : arena.base[i];
+                const sched::ExecBounds& vb =
+                    bi == i ? (b++)->bounds : arena.base[i];
+                if (va.wcet != vb.wcet) return va.wcet < vb.wcet;
+                if (va.release_cutoff != vb.release_cutoff)
+                  return va.release_cutoff < vb.release_cutoff;
+                if (va.bcet != vb.bcet) return va.bcet < vb.bcet;
+              }
+              return false;
+            });
 
-  if (construction_ == Construction::kArena) {
-    // Arena path: each scenario is the all-critical template plus a sparse
-    // edit list (tasks finished before the trigger, drop-set zeroing,
-    // release cutoffs).  An edit is recorded only when the classified
-    // bounds differ from the template, so two scenarios have equal full
-    // bounds vectors exactly when their edit lists are equal — dedup over
-    // edit lists is equivalent to dedup over full vectors, at a fraction
-    // of the bytes hashed and compared.
-    //
-    // Classification reads the per-task tables: the trigger keeps its
-    // critical bounds (trigger_bounds == critical_bounds, no edit); a task
-    // finished before the trigger's window opens takes its nominal bounds;
-    // a dropped task is certainly dropped after the transition completed
-    // and may run or vanish inside it (release cutoff at the transition's
-    // end); every other task keeps its critical bounds (no edit).
-    arena.edits.clear();
-    arena.slices.clear();
-    arena.index_by_hash.clear();
-    std::uint64_t edit_count = 0;
-    for (const std::size_t v : triggers) {
-      const model::Time v_min_start = result.normal.windows[v].min_start;
-      const model::Time v_max_finish = result.normal.windows[v].max_finish;
-      const std::size_t begin = arena.edits.size();
-      util::WordHasher hasher;
-      auto edit = [&](std::size_t w, const sched::ExecBounds& bounds) {
-        if (bounds == arena.base[w]) return;
-        arena.edits.push_back({static_cast<std::uint32_t>(w), bounds});
-        hasher.feed(w);
-        hasher.feed(bounds.bcet);
-        hasher.feed(bounds.wcet);
-        hasher.feed(bounds.release_cutoff);
-      };
-      for (std::size_t w = 0; w < n; ++w) {
-        if (w == v) continue;
-        const sched::TaskWindow& window = result.normal.windows[w];
-        if (window.max_finish < v_min_start)
-          edit(w, arena.nominal[w]);
-        else if (arena.dropped[w] && window.min_start > v_max_finish)
-          edit(w, {0, 0});
-        else if (arena.dropped[w])
-          edit(w, {0, arena.base[w].wcet, v_max_finish});
-      }
-      const std::size_t count = arena.edits.size() - begin;
-      // Hash-keyed dedup, first-occurrence order preserved; exact equality
-      // is verified against every same-hash entry (degrade-to-miss, same
-      // contract as EvaluationCache).
-      std::vector<std::size_t>& slots = arena.index_by_hash[hasher.digest()];
-      bool seen = false;
-      for (const std::size_t slot : slots) {
-        const ScenarioArena::Slice& slice = arena.slices[slot];
-        if (slice.count == count &&
-            std::equal(arena.edits.begin() +
-                           static_cast<std::ptrdiff_t>(slice.begin),
-                       arena.edits.begin() +
-                           static_cast<std::ptrdiff_t>(slice.begin + count),
-                       arena.edits.begin() +
-                           static_cast<std::ptrdiff_t>(begin))) {
-          seen = true;
-          break;
-        }
-      }
-      if (seen) {
-        arena.edits.resize(begin);
-        continue;
-      }
-      slots.push_back(arena.slices.size());
-      arena.slices.push_back({begin, count});
-      edit_count += count;
+  // Materialize each unique scenario once into a contiguous lane buffer
+  // (template copy + sparse edits); solve_many consumes the views with
+  // no per-scenario vector ever built.
+  arena.lanes.resize(unique * n);
+  arena.lane_views.resize(unique);
+  for (std::size_t p = 0; p < unique; ++p) {
+    sched::ExecBounds* const lane = arena.lanes.data() + p * n;
+    std::copy(arena.base.begin(), arena.base.end(), lane);
+    const ScenarioArena::Slice& slice = arena.slices[arena.order[p]];
+    for (std::size_t e = 0; e < slice.count; ++e) {
+      const ScenarioEdit& edit = arena.edits[slice.begin + e];
+      lane[edit.index] = edit.bounds;
     }
-    analysis_counters().bounds_edits.add(edit_count);
-    const std::size_t unique = arena.slices.size();
-
-    // Similarity sort (order is observationally free; it clusters nearby
-    // scenarios into the same solve_many chunk for the batched kernel's
-    // cross-lane sharing).  The comparator merge-walks the two edit lists
-    // and compares *effective* values in (wcet, release_cutoff, bcet)
-    // field order; positions edited in neither scenario hold the template
-    // value in both, so skipping them reproduces exactly the order the
-    // full-vector lexicographic sort would produce.
-    arena.order.resize(unique);
-    std::iota(arena.order.begin(), arena.order.end(), std::size_t{0});
-    constexpr std::uint32_t kEnd = std::numeric_limits<std::uint32_t>::max();
-    std::sort(arena.order.begin(), arena.order.end(),
-              [&](std::size_t ia, std::size_t ib) {
-                const ScenarioArena::Slice& sa = arena.slices[ia];
-                const ScenarioArena::Slice& sb = arena.slices[ib];
-                const ScenarioEdit* a = arena.edits.data() + sa.begin;
-                const ScenarioEdit* const ae = a + sa.count;
-                const ScenarioEdit* b = arena.edits.data() + sb.begin;
-                const ScenarioEdit* const be = b + sb.count;
-                while (a != ae || b != be) {
-                  const std::uint32_t ai = a != ae ? a->index : kEnd;
-                  const std::uint32_t bi = b != be ? b->index : kEnd;
-                  const std::uint32_t i = std::min(ai, bi);
-                  const sched::ExecBounds& va =
-                      ai == i ? (a++)->bounds : arena.base[i];
-                  const sched::ExecBounds& vb =
-                      bi == i ? (b++)->bounds : arena.base[i];
-                  if (va.wcet != vb.wcet) return va.wcet < vb.wcet;
-                  if (va.release_cutoff != vb.release_cutoff)
-                    return va.release_cutoff < vb.release_cutoff;
-                  if (va.bcet != vb.bcet) return va.bcet < vb.bcet;
-                }
-                return false;
-              });
-
-    // Materialize each unique scenario once into a contiguous lane buffer
-    // (template copy + sparse edits); solve_many consumes the views with
-    // no per-scenario vector ever built.
-    arena.lanes.resize(unique * n);
-    arena.lane_views.resize(unique);
-    for (std::size_t p = 0; p < unique; ++p) {
-      sched::ExecBounds* const lane = arena.lanes.data() + p * n;
-      std::copy(arena.base.begin(), arena.base.end(), lane);
-      const ScenarioArena::Slice& slice = arena.slices[arena.order[p]];
-      for (std::size_t e = 0; e < slice.count; ++e) {
-        const ScenarioEdit& edit = arena.edits[slice.begin + e];
-        lane[edit.index] = edit.bounds;
-      }
-      arena.lane_views[p] = std::span<const sched::ExecBounds>(lane, n);
-    }
-  } else {
-    // Rebuild reference path: one full bounds vector per scenario, dedup
-    // and sort over whole vectors.  Kept as the differential baseline the
-    // arena path is pinned against (tests) and benchmarked against.
-    rebuilt.reserve(triggers.size());
-    std::unordered_map<std::uint64_t, std::vector<std::size_t>> index_by_hash;
-    index_by_hash.reserve(triggers.size());
-    for (const std::size_t v : triggers) {
-      const model::Time v_min_start = result.normal.windows[v].min_start;
-      const model::Time v_max_finish = result.normal.windows[v].max_finish;
-      std::vector<sched::ExecBounds> bounds(n);
-      for (std::size_t w = 0; w < n; ++w)
-        bounds[w] = classify(w, v, v_min_start, v_max_finish);
-      const std::uint64_t digest = util::fnv1a_stream(
-          bounds.size(), [&](util::Fnv1aHasher& hasher, std::size_t i) {
-            hasher.feed(bounds[i].bcet);
-            hasher.feed(bounds[i].wcet);
-            hasher.feed(bounds[i].release_cutoff);
-          });
-      std::vector<std::size_t>& slots = index_by_hash[digest];
-      bool seen = false;
-      for (const std::size_t slot : slots)
-        if (rebuilt[slot] == bounds) {
-          seen = true;
-          break;
-        }
-      if (!seen) {
-        slots.push_back(rebuilt.size());
-        rebuilt.push_back(std::move(bounds));
-      }
-    }
-    analysis_counters().bounds_rebuilds.add(triggers.size());
-    std::sort(rebuilt.begin(), rebuilt.end(),
-              [](const std::vector<sched::ExecBounds>& a,
-                 const std::vector<sched::ExecBounds>& b) {
-                for (std::size_t i = 0; i < a.size(); ++i) {
-                  if (a[i].wcet != b[i].wcet) return a[i].wcet < b[i].wcet;
-                  if (a[i].release_cutoff != b[i].release_cutoff)
-                    return a[i].release_cutoff < b[i].release_cutoff;
-                  if (a[i].bcet != b[i].bcet) return a[i].bcet < b[i].bcet;
-                }
-                return false;
-              });
-    arena.lane_views.resize(rebuilt.size());
-    for (std::size_t p = 0; p < rebuilt.size(); ++p)
-      arena.lane_views[p] = std::span<const sched::ExecBounds>(rebuilt[p]);
+    arena.lane_views[p] = std::span<const sched::ExecBounds>(lane, n);
   }
 
-  const std::size_t unique = arena.lane_views.size();
   analysis_counters().scenarios.add(triggers.size());
   analysis_counters().dedup_hits.add(triggers.size() - unique);
   result.scenario_solves = 2 + unique;

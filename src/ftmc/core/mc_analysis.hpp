@@ -80,23 +80,12 @@ class McAnalysis {
  public:
   enum class Mode { kProposed, kNaive };
 
-  /// How per-scenario bounds vectors are built.  kArena (the default) keeps
-  /// a per-thread scratch arena: every scenario is stored as a sparse edit
-  /// list over the shared all-critical template and materialized once into
-  /// a contiguous lane buffer — no per-scenario vector allocation, reused
-  /// merge buffers, zero-copy solve_many() feeding.  kRebuild is the
-  /// straightforward build-a-vector-per-scenario path; it exists as the
-  /// differential reference (tests) and bench baseline.  Both paths are
-  /// bitwise identical in output.
-  enum class Construction { kArena, kRebuild };
-
   /// @param backend  the pluggable `sched` analysis; must outlive this.
   explicit McAnalysis(
       const sched::SchedulingAnalysis& backend,
       sched::PriorityPolicy policy =
-          sched::PriorityPolicy::kRateMonotonic,
-      Construction construction = Construction::kArena)
-      : backend_(&backend), policy_(policy), construction_(construction) {}
+          sched::PriorityPolicy::kRateMonotonic)
+      : backend_(&backend), policy_(policy) {}
 
   /// Runs the analysis on a hardened system with drop set `drop` (aligned
   /// with the graphs of `system.apps`, which the transform keeps aligned
@@ -105,7 +94,10 @@ class McAnalysis {
   /// The backend problem (flat graph, interferer lists, relation matrix) is
   /// prepared once per call and shared — immutably — by the normal state,
   /// the Naive pass, and every transition scenario, which differ only in
-  /// their bounds vectors (SchedulingAnalysis::prepare / solve).
+  /// their bounds vectors (SchedulingAnalysis::prepare / solve).  Scenarios
+  /// are built in a per-thread scratch arena: each is a sparse edit list
+  /// over the shared all-critical template, deduplicated, and materialized
+  /// once into a contiguous lane buffer that solve_many() reads in place.
   ///
   /// When `pool` is non-null the independent transition scenarios (and the
   /// Naive intersection pass) of Algorithm 1 run concurrently on it; the
@@ -121,7 +113,6 @@ class McAnalysis {
  private:
   const sched::SchedulingAnalysis* backend_;
   sched::PriorityPolicy policy_;
-  Construction construction_ = Construction::kArena;
 };
 
 }  // namespace ftmc::core

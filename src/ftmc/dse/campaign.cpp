@@ -19,7 +19,6 @@ namespace {
 struct CampaignCounters {
   obs::Counter shards{"dse.campaign.shards"};
   obs::Counter retries{"dse.campaign.retries"};
-  obs::Counter stragglers{"dse.campaign.stragglers"};
   obs::Counter migration_epochs{"dse.migration.epochs"};
   obs::Counter migrants{"dse.migration.migrants"};
 };
@@ -108,128 +107,12 @@ CampaignResult Campaign::run(const CampaignOptions& options) const {
   const std::vector<std::uint64_t> seeds =
       options.seeds.empty() ? std::vector<std::uint64_t>{options.ga.seed}
                             : options.seeds;
-  if (options.migration_every > 0) return run_islands(options, seeds);
-  return run_shards(options, seeds);
-}
-
-CampaignResult Campaign::run_shards(
-    const CampaignOptions& options,
-    const std::vector<std::uint64_t>& seeds) const {
-  const GeneticOptimizer optimizer(*arch_, *apps_, *backend_);
-  const auto campaign_start = std::chrono::steady_clock::now();
-
-  CampaignResult campaign;
-  bool stop_hit = false;
-  bool budget_hit = false;
-  std::size_t completed_evaluations = 0;  // finished shards only
-  std::size_t shard_evaluations = 0;      // current attempt, via telemetry
-
-  const auto elapsed_seconds = [&]() {
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         campaign_start)
-        .count();
-  };
-  // Polled by the GA at generation boundaries: the in-flight generation
-  // always completes (and checkpoints) before the campaign winds down.
-  const auto should_stop = [&]() {
-    if (options.stop_requested && options.stop_requested()) {
-      stop_hit = true;
-      return true;
-    }
-    if (options.max_seconds > 0.0 &&
-        elapsed_seconds() >= options.max_seconds) {
-      budget_hit = true;
-      return true;
-    }
-    if (options.max_evaluations > 0 &&
-        completed_evaluations + shard_evaluations >=
-            options.max_evaluations) {
-      budget_hit = true;
-      return true;
-    }
-    return false;
-  };
-
-  for (std::size_t shard = 0; shard < seeds.size(); ++shard) {
-    if (should_stop()) break;
-    counters().shards.add(1);
-
-    const std::string checkpoint_path =
-        shard_checkpoint_path(options.checkpoint_path, shard, seeds.size());
-    ShardResult shard_result;
-    shard_result.seed = seeds[shard];
-
-    double backoff = options.retry_backoff_seconds;
-    for (std::size_t attempt = 0;; ++attempt) {
-      GaOptions ga = options.ga;
-      ga.seed = seeds[shard];
-      ga.checkpoint_path = checkpoint_path;
-      ga.checkpoint_every = options.checkpoint_every;
-      ga.checkpoint_keep = options.checkpoint_keep;
-      ga.stop_requested = should_stop;
-      shard_evaluations = 0;
-      ga.on_generation = [&, shard](const GenerationStats& stats) {
-        shard_evaluations += stats.evaluations;
-        if (options.on_generation) options.on_generation(shard, stats);
-      };
-
-      // A fresh executor per attempt: a retry after a worker loss must not
-      // reuse the connection that just died.
-      std::unique_ptr<Executor> executor;
-      if (options.executor_factory) {
-        executor = options.executor_factory(shard);
-        ga.executor = executor.get();
-      }
-
-      // First attempt resumes only on request; retries always pick up the
-      // latest snapshot of the failed attempt (identical trajectory by the
-      // resume guarantee), or restart when checkpointing is off.
-      std::optional<Checkpoint> snapshot;
-      const bool want_resume = attempt > 0 || options.resume;
-      if (want_resume && !checkpoint_path.empty() &&
-          util::file_exists(checkpoint_path)) {
-        snapshot = load_checkpoint(checkpoint_path);
-        ga.resume = &*snapshot;
-        shard_result.resumed = shard_result.resumed || attempt == 0;
-      }
-
-      try {
-        shard_result.result = optimizer.run(ga);
-        break;
-      } catch (const CheckpointError&) {
-        throw;  // defective snapshot / options mismatch: never retried
-      } catch (const std::invalid_argument&) {
-        throw;  // configuration error: retrying cannot help
-      } catch (const std::exception&) {
-        if (attempt >= options.max_retries) throw;
-        counters().retries.add(1);
-        ++shard_result.retries;
-        std::this_thread::sleep_for(std::chrono::duration<double>(
-            std::min(backoff, options.max_backoff_seconds)));
-        backoff *= 2.0;
-      }
-    }
-
-    completed_evaluations += shard_result.result.evaluations;
-    shard_evaluations = 0;
-    const bool interrupted = shard_result.result.interrupted;
-    campaign.shards.push_back(std::move(shard_result));
-    if (interrupted) break;
-  }
-
-  campaign.interrupted = stop_hit;
-  campaign.budget_exhausted = budget_hit;
-  campaign.evaluations = completed_evaluations;
-  campaign.front = merge_fronts(campaign.shards);
-  return campaign;
-}
-
-CampaignResult Campaign::run_islands(
-    const CampaignOptions& options,
-    const std::vector<std::uint64_t>& seeds) const {
   const GeneticOptimizer optimizer(*arch_, *apps_, *backend_);
   const std::size_t islands = seeds.size();
   const std::size_t generations = options.ga.generations;
+  // Without migration the whole run is one epoch over the full generation
+  // budget, and the islands (plain shards) run one after another.
+  const bool migrating = options.migration_every > 0;
   const auto campaign_start = std::chrono::steady_clock::now();
 
   // Per-island state.  Snapshots carry the trajectory between epochs (and
@@ -242,7 +125,6 @@ CampaignResult Campaign::run_islands(
   std::vector<std::atomic<std::size_t>> island_evaluations(islands);
   std::vector<char> started(islands, 0);
   std::vector<char> done(islands, 0);
-  std::vector<double> epoch_ewma(islands, 0.0);
   for (std::size_t island = 0; island < islands; ++island)
     results[island].seed = seeds[island];
 
@@ -280,13 +162,12 @@ CampaignResult Campaign::run_islands(
   };
 
   CampaignResult campaign;
-  std::size_t epoch = 0;
-  while (!global_should_stop()) {
-    ++epoch;
-    const std::uint64_t target = std::min<std::uint64_t>(
-        generations,
-        static_cast<std::uint64_t>(epoch) * options.migration_every);
-    std::vector<double> epoch_seconds(islands, 0.0);
+  for (std::size_t epoch = 1;; ++epoch) {
+    const std::uint64_t target =
+        migrating ? std::min<std::uint64_t>(
+                        generations, static_cast<std::uint64_t>(epoch) *
+                                         options.migration_every)
+                  : generations;
 
     // One island, one epoch: run the GA until its reported generation
     // reaches the epoch target (the stop predicate fires at the boundary,
@@ -295,10 +176,12 @@ CampaignResult Campaign::run_islands(
     const auto run_island = [&](std::size_t island) {
       if (done[island]) return;
       if (!started[island]) {
+        // Once a stop or a budget has fired, no further island starts.
+        if (stop_hit.load() || budget_hit.load() || global_should_stop())
+          return;
         started[island] = 1;
         counters().shards.add(1);
       }
-      const auto island_start = std::chrono::steady_clock::now();
       const std::string checkpoint_path =
           shard_checkpoint_path(options.checkpoint_path, island, islands);
 
@@ -309,7 +192,7 @@ CampaignResult Campaign::run_islands(
         ga.checkpoint_path = checkpoint_path;
         ga.checkpoint_every = options.checkpoint_every;
         ga.checkpoint_keep = options.checkpoint_keep;
-        ga.capture_final_snapshot = true;
+        ga.capture_final_snapshot = migrating;
         ga.stop_requested = [&, island] {
           return last_reported[island].load() >= target ||
                  global_should_stop();
@@ -331,6 +214,8 @@ CampaignResult Campaign::run_islands(
           }
         };
 
+        // A fresh executor per attempt: a retry after a worker loss must
+        // not reuse the connection that just died.
         std::unique_ptr<Executor> executor;
         if (options.executor_factory) {
           executor = options.executor_factory(island);
@@ -341,7 +226,10 @@ CampaignResult Campaign::run_islands(
         // failed attempt's own cadence writes, strictly past the barrier);
         // otherwise the island continues from its in-memory epoch snapshot,
         // which carries any migrants.  The first epoch honours
-        // options.resume against whatever is on disk.
+        // options.resume against whatever is on disk.  Either way the
+        // resumed trajectory is the one the failed attempt was on (the
+        // resume guarantee of checkpoint.hpp); without checkpointing a
+        // first-epoch retry restarts from scratch.
         std::optional<Checkpoint> disk;
         const bool want_disk =
             (attempt > 0 || (epoch == 1 && options.resume)) &&
@@ -381,13 +269,9 @@ CampaignResult Campaign::run_islands(
       if (!results[island].result.interrupted ||
           results[island].result.last_generation >= generations)
         done[island] = 1;
-      epoch_seconds[island] =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        island_start)
-              .count();
     };
 
-    if (options.parallel_islands) {
+    if (migrating && options.parallel_islands) {
       std::vector<std::thread> threads;
       threads.reserve(islands);
       std::mutex failure_mutex;
@@ -408,29 +292,8 @@ CampaignResult Campaign::run_islands(
         run_island(island);
     }
 
-    // Straggler diagnosis: EWMA of each island's epoch duration against
-    // the fleet mean.  Counted, never acted on — the barrier still waits.
-    constexpr double kEwmaAlpha = 0.3;
-    double fleet_sum = 0.0;
-    std::size_t fleet_count = 0;
-    for (std::size_t island = 0; island < islands; ++island) {
-      if (epoch_seconds[island] <= 0.0) continue;
-      epoch_ewma[island] =
-          epoch_ewma[island] == 0.0
-              ? epoch_seconds[island]
-              : kEwmaAlpha * epoch_seconds[island] +
-                    (1.0 - kEwmaAlpha) * epoch_ewma[island];
-      fleet_sum += epoch_ewma[island];
-      ++fleet_count;
-    }
-    if (fleet_count >= 2) {
-      const double fleet_mean = fleet_sum / static_cast<double>(fleet_count);
-      for (std::size_t island = 0; island < islands; ++island)
-        if (epoch_seconds[island] > 0.0 &&
-            epoch_ewma[island] > options.straggler_factor * fleet_mean)
-          counters().stragglers.add(1);
-    }
-
+    // Without migration every island has now either finished or been
+    // stopped by a stop request or a budget, so this ends shard mode.
     const bool all_done =
         std::all_of(done.begin(), done.end(),
                     [](char is_done) { return is_done != 0; });
@@ -461,6 +324,9 @@ CampaignResult Campaign::run_islands(
         }
       }
     }
+    // Islands do not poll at their epoch-target boundary; a stop or budget
+    // that fired since their last poll ends the campaign here.
+    if (global_should_stop()) break;
   }
 
   campaign.interrupted = stop_hit.load();

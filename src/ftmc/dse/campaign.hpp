@@ -1,32 +1,35 @@
 // Multi-seed DSE campaigns: the production driver around GeneticOptimizer.
 //
-// A campaign shards one exploration problem over several GA seeds, runs the
-// shards sequentially (each shard already saturates the machine through the
-// evaluator's thread pool), retries transient evaluator failures with
-// bounded exponential backoff, enforces wall-clock and evaluation budgets,
-// and merges the per-seed feasible fronts into one non-dominated set.
+// A campaign runs one GA per seed (an island), retries transient evaluator
+// failures with bounded exponential backoff, enforces wall-clock and
+// evaluation budgets, and merges the per-seed feasible fronts into one
+// non-dominated set.  One loop drives every configuration: islands run in
+// epochs, and after each epoch they meet at a barrier.
 //
-// With `migration_every > 0` the seeds become an island model instead:
-// every seed is an island, islands run `migration_every` generations per
-// epoch, meet at a barrier, and exchange their best feasible non-dominated
-// candidates along a ring before resuming from in-memory snapshots.
-// Islands may run their epochs concurrently (`parallel_islands`), and each
-// island's evaluations can be delegated to a remote worker through
-// `executor_factory` (see executor.hpp; the factory is re-invoked on retry
-// so a lost worker is replaced by a fresh one).
+// Without migration (`migration_every == 0`, plain shards) there is a
+// single epoch over the whole generation budget and the islands run one
+// after another in seed order (each already saturates the machine through
+// the evaluator's thread pool).  With `migration_every > 0` the islands run
+// `migration_every` generations per epoch and, at each barrier, exchange
+// their best feasible non-dominated candidates along a ring before resuming
+// from in-memory snapshots.  Migrating islands may run their epochs
+// concurrently (`parallel_islands`), and each island's evaluations can be
+// delegated to a remote worker through `executor_factory` (see
+// executor.hpp; the factory is re-invoked on retry so a lost worker is
+// replaced by a fresh one).
 //
-// Determinism: every shard is an ordinary GA run, so a fixed seed list
-// yields a bitwise-identical merged front; a retried shard reloads its
-// latest checkpoint (or restarts from scratch when checkpointing is off),
-// which by the resume guarantee of checkpoint.hpp reproduces the exact
-// trajectory the failed attempt was on.  Island campaigns are equally
-// deterministic — migration happens at fixed generation barriers on sorted
-// candidate lists — so a fixed (seeds, migration_every, migration_size)
-// triple pins the merged front regardless of which executor evaluated each
-// batch or whether any worker died and was respawned mid-epoch.
-// Configuration errors (std::invalid_argument) and checkpoint defects
-// (CheckpointError) are never retried — they fail the campaign
-// immediately.
+// Determinism: every island is an ordinary GA run, so a fixed seed list
+// yields a bitwise-identical merged front; a retried island reloads its
+// latest checkpoint (or its in-memory epoch snapshot, or restarts from
+// scratch when neither exists), which by the resume guarantee of
+// checkpoint.hpp reproduces the exact trajectory the failed attempt was on,
+// and its telemetry resumes after the last generation already delivered.
+// Migration happens at fixed generation barriers on sorted candidate lists,
+// so a fixed (seeds, migration_every, migration_size) triple pins the merged
+// front regardless of which executor evaluated each batch or whether any
+// worker died and was respawned mid-epoch.  Configuration errors
+// (std::invalid_argument) and checkpoint defects (CheckpointError) are
+// never retried — they fail the campaign immediately.
 #pragma once
 
 #include <cstdint>
@@ -42,39 +45,35 @@ namespace ftmc::dse {
 class Executor;
 
 struct CampaignOptions {
-  /// Per-shard GA configuration; `ga.seed` is overridden by each entry of
+  /// Per-island GA configuration; `ga.seed` is overridden by each entry of
   /// `seeds` and `ga.checkpoint_path`/`ga.resume` by the campaign's own
   /// checkpoint management below.
   GaOptions ga;
-  /// One shard per seed, run in order.  Empty = single shard with ga.seed.
+  /// One island per seed.  Empty = single island with ga.seed.
   std::vector<std::uint64_t> seeds;
 
-  /// Island-model migration cadence in generations (0 = plain sequential
-  /// multi-seed shards, the historical behaviour).  With a cadence, every
-  /// seed is an island: epochs of `migration_every` generations separated
-  /// by ring-migration barriers.
+  /// Migration cadence in generations.  0 = plain shards: one epoch over
+  /// the whole generation budget, islands run one after another in seed
+  /// order, and none starts once a stop or a budget has fired.  With a
+  /// cadence, epochs of `migration_every` generations are separated by
+  /// ring-migration barriers.
   std::size_t migration_every = 0;
   /// Candidates each island donates to its ring successor per barrier
   /// (its best feasible non-dominated individuals, deduplicated against
   /// the recipient's archive by objective vector).
   std::size_t migration_size = 4;
-  /// Run island epochs concurrently, one thread per island.  Off by
-  /// default: in-process islands already saturate the machine through the
-  /// evaluator pool, so threads only help when executors evaluate
-  /// elsewhere (remote workers).
+  /// Run the epochs of migrating islands concurrently, one thread per
+  /// island (ignored without migration).  Off by default: in-process
+  /// islands already saturate the machine through the evaluator pool, so
+  /// threads only help when executors evaluate elsewhere (remote workers).
   bool parallel_islands = false;
-  /// An island whose epoch-duration EWMA exceeds this factor times the
-  /// fleet mean is counted in `dse.campaign.stragglers` (diagnostic only;
-  /// the migration barrier still waits for it).
-  double straggler_factor = 3.0;
   /// Evaluation executor per island (nullptr = in-process).  Called once
   /// per GA attempt, so a retry after a worker loss constructs a fresh
-  /// executor — typically a respawned worker.  Also honoured in plain
-  /// shard mode (one call per shard attempt).
+  /// executor — typically a respawned worker.
   std::function<std::unique_ptr<Executor>(std::size_t)> executor_factory;
 
-  /// Retries per shard on evaluator failure (any std::exception except
-  /// configuration and checkpoint errors).
+  /// Retries per island and epoch on evaluator failure (any
+  /// std::exception except configuration and checkpoint errors).
   std::size_t max_retries = 2;
   /// First retry delay; doubles per retry, capped at max_backoff_seconds.
   double retry_backoff_seconds = 0.1;
@@ -97,11 +96,13 @@ struct CampaignOptions {
   /// fresh, defective or mismatched ones fail loudly (CheckpointError).
   bool resume = false;
 
-  /// Cooperative interrupt, polled at generation boundaries (compose with
-  /// budgets; also stops the shard loop between shards).
+  /// Cooperative interrupt, polled at generation boundaries and before an
+  /// island starts (compose with budgets).
   std::function<bool()> stop_requested;
-  /// Telemetry fan-in: shard index + that shard's per-generation stats
-  /// (replayed from generation 0 when a shard resumes).
+  /// Telemetry fan-in: island index + that island's per-generation stats,
+  /// each generation delivered once (replayed from generation 0 when an
+  /// island resumes from an earlier campaign's snapshot; never repeated
+  /// after an in-process retry).
   std::function<void(std::size_t, const GenerationStats&)> on_generation;
 };
 
@@ -127,7 +128,7 @@ struct CampaignResult {
   bool interrupted = false;
   /// True when a wall-clock or evaluation budget ended the campaign early.
   bool budget_exhausted = false;
-  /// Island-mode telemetry (both zero in plain shard mode).
+  /// Migration telemetry (both zero without migration).
   std::size_t migration_epochs = 0;
   std::size_t migrants = 0;
 };
@@ -144,11 +145,6 @@ class Campaign {
   CampaignResult run(const CampaignOptions& options) const;
 
  private:
-  CampaignResult run_shards(const CampaignOptions& options,
-                            const std::vector<std::uint64_t>& seeds) const;
-  CampaignResult run_islands(const CampaignOptions& options,
-                             const std::vector<std::uint64_t>& seeds) const;
-
   const model::Architecture* arch_;
   const model::ApplicationSet* apps_;
   const sched::SchedulingAnalysis* backend_;

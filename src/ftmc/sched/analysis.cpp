@@ -47,12 +47,11 @@ namespace {
 /// whole problem through the plain analyze() entry.  Thread safety follows
 /// from analyze() being const and stateless.
 ///
-/// Differential-test-only reference (like sim::reference::run): no in-tree
-/// production caller goes through this path — they all use prepare() on a
-/// backend with a real prepared problem.  It stays as the adapter that lets
-/// any third-party SchedulingAnalysis participate unchanged, and as the
-/// baseline tests/test_prepared_problem.cpp compares the prepared kernel
-/// against.
+/// The shipped backend overrides prepare(), so no production caller goes
+/// through this adapter.  It is what keeps Algorithm 1 backend-agnostic:
+/// any SchedulingAnalysis that only implements analyze() plugs into
+/// McAnalysis unchanged — the test-only oracle backend (tests/oracle/)
+/// enters exactly this way.
 class RebuildPerSolve final : public PreparedAnalysis {
  public:
   RebuildPerSolve(const SchedulingAnalysis& backend,

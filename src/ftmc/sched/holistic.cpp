@@ -24,8 +24,6 @@ std::unique_ptr<PreparedAnalysis> HolisticAnalysis::prepare(
     const model::Architecture& arch, const model::ApplicationSet& apps,
     const model::Mapping& mapping,
     std::span<const std::uint32_t> priorities) const {
-  if (!options_.prepared_kernel)
-    return SchedulingAnalysis::prepare(arch, apps, mapping, priorities);
   return std::make_unique<PreparedProblem>(arch, apps, mapping, priorities,
                                            options_);
 }

@@ -9,10 +9,13 @@
 // solution and only ever raises a stored window (guarded max).  The
 // offset-aware operator is not monotone in a task's arrival (a later window
 // start can exclude whole interfering jobs), so which fixed point the
-// iteration reaches depends on the evaluation order; every solver therefore
-// replays the reference sweep's flat order (see prepared_problem.hpp).  The
-// fixed point reached is a safe upper bound on any concrete schedule in
-// which every task's execution time lies within its ExecBounds.
+// iteration reaches depends on the evaluation order.  The order that defines
+// the result is a full Gauss-Seidel sweep over all nodes in flat order until
+// a sweep changes nothing; the test-only oracle (tests/oracle/) runs exactly
+// that, and the kernel's worklist and batched solvers reach the same fixed
+// point by replaying its trajectory (see prepared_problem.hpp).  The fixed
+// point reached is a safe upper bound on any concrete schedule in which
+// every task's execution time lies within its ExecBounds.
 //
 // Best case: interference-free longest-path lower bound on ready/finish
 // times (earliest possible start/completion).
@@ -49,21 +52,6 @@ class HolisticAnalysis final : public SchedulingAnalysis {
     /// contend with each other instead of each enjoying the full bandwidth.
     /// Off by default (the paper's model grants bw_nw to every transfer).
     bool bus_contention = false;
-    /// prepare() returns the amortized PreparedProblem kernel (build the
-    /// problem once per candidate, solve per scenario).  Set to false to
-    /// fall back to the generic rebuild-per-solve adapter — observationally
-    /// identical, only slower; exposed for the differential tests and the
-    /// prepare-vs-rebuild arm of bench_sched_kernel.
-    bool prepared_kernel = true;
-    /// Worst-case global fixed point: change-driven worklist (default) vs.
-    /// the original full sweep over all nodes in flat order until stable.
-    /// Bit-identical results either way, though not because the fixed point
-    /// is order independent — it is not (the operator is non-monotone, see
-    /// above).  The worklist visits dirty nodes in the sweep's flat order
-    /// and skips only evaluations that are provably no-ops, so both solvers
-    /// follow the same trajectory.  Exposed for the differential tests and
-    /// the worklist-vs-sweep bench.
-    bool worklist_fixed_point = true;
   };
 
   HolisticAnalysis() : options_() {}
@@ -77,7 +65,7 @@ class HolisticAnalysis final : public SchedulingAnalysis {
       const override;
 
   /// The amortized kernel: one PreparedProblem shared by every solve()
-  /// (see prepared_problem.hpp).  Honors Options::prepared_kernel.
+  /// (see prepared_problem.hpp).
   std::unique_ptr<PreparedAnalysis> prepare(
       const model::Architecture& arch, const model::ApplicationSet& apps,
       const model::Mapping& mapping,

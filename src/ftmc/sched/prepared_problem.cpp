@@ -55,7 +55,6 @@ struct KernelCounters {
   obs::Counter worklist_evals{"sched.worklist.node_evals"};
   obs::Counter worklist_skips{"sched.worklist.skipped_evals"};
   obs::Counter sticky_hits{"sched.worklist.sticky_hits"};
-  obs::Counter sweep_evals{"sched.sweep.node_evals"};
   // Batched solver: invocations, total lanes, operator evaluations it ran,
   // evaluations answered by copying a sibling lane's outcome, and lanes
   // retired by the post-fold dedup (solved by copying a sibling lane).
@@ -540,30 +539,6 @@ void PreparedProblem::worst_case_worklist(Scratch& s) const {
   counters.sticky_hits.add(sticky_hits);
 }
 
-void PreparedProblem::worst_case_sweep(Scratch& s) const {
-  // Reference mode: the original full sweep over all nodes in flat order
-  // until a sweep changes nothing (or the budget runs out).
-  const Rows rows{s.c_max.data(), s.release_cutoff.data(), s.min_start.data(),
-                  s.max_arrival.data(), s.max_finish.data()};
-  std::uint64_t evals = 0;
-  bool stable = false;
-  for (std::size_t outer = 0;
-       outer < options_.max_outer_iterations && !stable; ++outer) {
-    stable = true;
-    for (std::size_t i = 0; i < total_; ++i) {
-      ++evals;
-      const UpdateOutcome outcome = update_node(i, rows);
-      if (outcome.diverged) s.diverged = true;
-      if (outcome.raw_changed) stable = false;
-    }
-  }
-  if (!stable) {
-    s.diverged = true;
-    std::fill(s.max_finish.begin(), s.max_finish.end(), horizon_ + 1);
-  }
-  kernel_counters().sweep_evals.add(evals);
-}
-
 void PreparedProblem::solve(std::span<const ExecBounds> bounds,
                             Scratch& s) const {
   s.c_min.resize(total_);
@@ -577,10 +552,7 @@ void PreparedProblem::solve(std::span<const ExecBounds> bounds,
   s.diverged = false;
   best_case(s.c_min.data(), s.release_cutoff.data(), s.min_start.data(),
             s.min_finish.data(), s.max_arrival.data(), s.max_finish.data());
-  if (options_.worklist_fixed_point)
-    worst_case_worklist(s);
-  else
-    worst_case_sweep(s);
+  worst_case_worklist(s);
   KernelCounters& counters = kernel_counters();
   counters.solves.add(1);
   if (s.diverged) counters.diverged.add(1);
@@ -623,9 +595,8 @@ void PreparedProblem::solve_many(
     std::span<AnalysisResult> results) const {
   if (scenarios.size() != results.size())
     throw std::invalid_argument("solve_many: scenario/result size mismatch");
-  // Sweep mode has no batched solver, and a single scenario gains nothing
-  // from the lane machinery.
-  if (!options_.worklist_fixed_point || scenarios.size() < 2) {
+  // A single scenario gains nothing from the lane machinery.
+  if (scenarios.size() < 2) {
     for (std::size_t k = 0; k < scenarios.size(); ++k)
       results[k] = solve(scenarios[k]);
     return;

@@ -12,8 +12,8 @@
 // allocation (scratch grows on first use and is reused across scenarios and
 // candidates).
 //
-// Beyond amortizing construction, the kernel is faster than the original
-// monolithic HolisticAnalysis::analyze in four ways:
+// Beyond amortizing construction, the kernel is faster than the seed
+// kernel (kept as the test-only oracle in tests/oracle/) in four ways:
 //   - the relation matrix is a packed 64-bit bitset row matrix instead of
 //     vector<vector<bool>> (one load + mask per membership test, rows hot in
 //     cache during the interference inner loop);
@@ -23,9 +23,7 @@
 //     grid instead of dividing for its job count;
 //   - the worst-case global fixed point, after the first round, only
 //     re-evaluates nodes whose inputs changed (change-driven worklist)
-//     instead of every node every sweep.  A reference full-sweep mode
-//     (Options::worklist_fixed_point = false) keeps the original iteration
-//     scheme for differential tests and the worklist-vs-sweep bench.
+//     instead of every node every sweep.
 //
 // Batched scenario solving sits on top: solve_many() lays the scenarios out
 // as structure-of-arrays lanes (state indexed [lane * total + node], so each
@@ -37,20 +35,21 @@
 // independent, so the interleaving is trivially bit-identical to solving
 // them one by one.
 //
-// Every mode returns bit-identical results to every other and to the
-// reference oracle (tests/oracle/, pinned by tests/test_kernel_fuzz.cpp and
-// tests/test_prepared_problem.cpp).  That identity is by trajectory, not by
-// fixed-point theory: the offset-aware worst-case operator is NOT monotone
-// in a node's arrival (shifting a busy window right can drop whole
-// interfering jobs), so different evaluation orders can ratchet the
-// guarded-max state to different fixed points.  The worklist therefore
-// visits dirty nodes in the reference sweep's flat order and skips exactly
-// the evaluations that are provably no-ops there — same inputs as the
-// previous visit implies the same computed window, which the guarded max
-// already absorbed.  Nodes whose computed window stays below the ratcheted
-// state ("sticky") keep the reference sweep unstable until its round budget
-// exhausts; the worklist tracks them and reproduces that divergence verdict
-// without burning the rounds.
+// The scalar solve() (one scenario) and the batched solve_many() return
+// bit-identical results to each other and to the reference full sweep that
+// the test-only oracle runs (tests/oracle/, pinned by
+// tests/test_kernel_fuzz.cpp and tests/test_prepared_problem.cpp).  That
+// identity is by trajectory, not by fixed-point theory: the offset-aware
+// worst-case operator is NOT monotone in a node's arrival (shifting a busy
+// window right can drop whole interfering jobs), so different evaluation
+// orders can ratchet the guarded-max state to different fixed points.  The
+// worklist therefore visits dirty nodes in the reference sweep's flat order
+// and skips exactly the evaluations that are provably no-ops there — same
+// inputs as the previous visit implies the same computed window, which the
+// guarded max already absorbed.  Nodes whose computed window stays below the
+// ratcheted state ("sticky") keep the reference sweep unstable until its
+// round budget exhausts; the worklist tracks them and reproduces that
+// divergence verdict without burning the rounds.
 #pragma once
 
 #include <cstdint>
@@ -70,7 +69,7 @@ class PreparedProblem final : public PreparedAnalysis {
     std::vector<model::Time> c_min, c_max, release_cutoff;
     // Fixed-point state: best-case ready/finish, worst-case ready/finish.
     std::vector<model::Time> min_start, min_finish, max_arrival, max_finish;
-    // Worklist mode: nodes whose inputs changed since their last visit, and
+    // Worklist: nodes whose inputs changed since their last visit, and
     // nodes whose last computed window differs from the ratcheted state
     // (these keep the reference sweep unstable; see worst_case_worklist).
     std::vector<std::uint8_t> dirty;
@@ -105,10 +104,9 @@ class PreparedProblem final : public PreparedAnalysis {
   /// PreparedAnalysis entry: solve on this worker's arena scratch.
   AnalysisResult solve(std::span<const ExecBounds> bounds) const override;
 
-  /// Batched scenario fan-out (see header notes): all scenarios run as
-  /// lanes of one round loop in worklist mode; sweep mode and a single
-  /// scenario take the scalar path.  Bitwise identical to per-scenario
-  /// solve() in every configuration.
+  /// Batched scenario fan-out (see header notes): two or more scenarios
+  /// run as lanes of one round loop; a single scenario takes the scalar
+  /// path.  Bitwise identical to per-scenario solve().
   void solve_many(std::span<const std::span<const ExecBounds>> scenarios,
                   std::span<AnalysisResult> results) const override;
   using PreparedAnalysis::solve_many;
@@ -213,8 +211,7 @@ class PreparedProblem final : public PreparedAnalysis {
                     AnalysisResult& result) const;
   UpdateOutcome update_node(std::size_t i, const Rows& rows) const;
   void worst_case_worklist(Scratch& s) const;
-  void worst_case_sweep(Scratch& s) const;
-  /// The batched solver behind solve_many (worklist mode, >= 2 scenarios).
+  /// The batched solver behind solve_many (>= 2 scenarios).
   void solve_batch(std::span<const std::span<const ExecBounds>> scenarios,
                    BatchScratch& scratch,
                    std::span<AnalysisResult> results) const;

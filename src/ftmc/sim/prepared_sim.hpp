@@ -32,7 +32,8 @@
 // total order — seq numbers are unique and assigned in the legacy order —
 // so the flat heap pops the exact event sequence the legacy
 // std::priority_queue popped, and every output field is bit-identical to
-// the reference implementation (reference_sim.hpp) at every trace level
+// the seed simulator (kept as the test-only oracle in
+// tests/oracle/reference_sim.hpp) at every trace level
 // (tests/test_sim_kernel.cpp).  A PreparedSim is immutable after
 // construction: concurrent run() calls only need distinct Scratch.
 #pragma once

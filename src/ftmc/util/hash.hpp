@@ -100,16 +100,6 @@ class WordHasher {
   std::uint64_t state_ = 0;
 };
 
-/// One-shot FNV-1a digest of a derived element stream: `feed(hasher, i)` is
-/// called for each i in [0, n) and pushes the i-th element's bytes into the
-/// hasher (pinned by tests/test_hash.cpp).
-template <typename FeedFn>
-std::uint64_t fnv1a_stream(std::size_t n, FeedFn&& feed) {
-  Fnv1aHasher hasher;
-  for (std::size_t i = 0; i < n; ++i) feed(hasher, i);
-  return hasher.digest();
-}
-
 /// Finalized digest of a raw byte span (checkpoint payloads, store records).
 inline std::uint64_t fnv1a_bytes(std::span<const std::uint8_t> bytes) noexcept {
   Fnv1aHasher hasher;

@@ -22,8 +22,8 @@ namespace ftmc::oracle {
 
 class HolisticOracle final : public sched::SchedulingAnalysis {
  public:
-  /// Honors the regime fields of `options` (iteration limits, horizon,
-  /// precedence_aware, bus_contention); the kernel-mode fields are moot.
+  /// Honors every field of `options`: iteration limits, horizon,
+  /// precedence_aware, and bus_contention.
   explicit HolisticOracle(sched::HolisticAnalysis::Options options = {})
       : options_(options) {}
 

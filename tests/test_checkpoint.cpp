@@ -21,6 +21,7 @@
 #include "ftmc/util/file_io.hpp"
 #include "ftmc/util/thread_pool.hpp"
 #include "helpers.hpp"
+#include "oracle/holistic_oracle.hpp"
 
 namespace {
 
@@ -169,19 +170,15 @@ TEST(CheckpointResume, KillAtEveryBoundaryResumesBitwiseIdentical) {
   remove_rotation(path);
 }
 
-// The WCRT-kernel modes (prepared kernel vs per-solve rebuild, worklist vs
-// full sweep) live in the externally constructed backend, not in
-// GaOptions: flipping them on resume must pass the TrajectoryOptions digest
-// check AND land on the exact same trajectory, because every mode is
-// bitwise-identical to every other.
+// The WCRT backend is constructed outside GaOptions: swapping it on resume
+// must pass the TrajectoryOptions digest check AND land on the exact same
+// trajectory whenever the two backends compute bitwise-identical bounds —
+// here the test-only seed kernel (tests/oracle/) and the production one.
 TEST(CheckpointResume, ResumeWithKernelModeFlippedIsIdentical) {
   const model::Architecture arch = fixtures::test_arch(2);
   const model::ApplicationSet apps = fixtures::small_mixed_apps();
-  sched::HolisticAnalysis::Options reference_options;
-  reference_options.prepared_kernel = false;
-  reference_options.worklist_fixed_point = false;
-  const sched::HolisticAnalysis reference_backend(reference_options);
-  const sched::HolisticAnalysis default_backend;  // prepared + worklist
+  const oracle::HolisticOracle reference_backend;
+  const sched::HolisticAnalysis default_backend;
   GeneticOptimizer reference(arch, apps, reference_backend);
   GeneticOptimizer fast(arch, apps, default_backend);
 
@@ -204,7 +201,7 @@ TEST(CheckpointResume, ResumeWithKernelModeFlippedIsIdentical) {
   const Checkpoint snapshot = dse::load_checkpoint(path);
   auto resumed_options = options;
   resumed_options.resume = &snapshot;
-  // Rebuild + sweep run killed mid-way, resumed on the default kernel: no
+  // Oracle run killed mid-way, resumed on the production kernel: no
   // CheckpointError from the digest check, identical trajectory.
   const GaResult resumed = fast.run(resumed_options);
   EXPECT_FALSE(resumed.interrupted);
@@ -536,6 +533,44 @@ TEST(Campaign, RetryResumesFromCheckpointDeterministically) {
   ASSERT_EQ(restarted.shards.size(), 1u);
   EXPECT_EQ(restarted.shards[0].retries, 1u);
   expect_same_front(reference.front, restarted.front);
+}
+
+// A retried island resumes from disk and the GA replays the restored
+// generations through its telemetry hook; the campaign still delivers each
+// generation of each island to on_generation exactly once, with and
+// without migration.
+TEST(Campaign, RetryDeliversEachGenerationOnce) {
+  GaRig rig;
+  const Campaign campaign(rig.arch, rig.apps, rig.backend);
+  for (const std::size_t migration_every : {0, 2}) {
+    SCOPED_TRACE("migration_every " + std::to_string(migration_every));
+    auto options = campaign_options();
+    options.seeds = {11, 22};
+    options.migration_every = migration_every;
+    options.checkpoint_path = temp_path("retry_telemetry");
+    for (std::size_t i = 0; i < options.seeds.size(); ++i)
+      remove_rotation(dse::shard_checkpoint_path(options.checkpoint_path, i,
+                                                 options.seeds.size()));
+    bool thrown = false;
+    std::vector<std::vector<std::size_t>> delivered(options.seeds.size());
+    options.on_generation = [&](std::size_t island,
+                                const GenerationStats& stats) {
+      delivered[island].push_back(stats.generation);
+      if (!thrown && island == 0 && stats.generation == 2) {
+        thrown = true;
+        throw std::runtime_error("injected transient evaluator failure");
+      }
+    };
+    const auto result = campaign.run(options);
+    ASSERT_EQ(result.shards.size(), options.seeds.size());
+    EXPECT_EQ(result.shards[0].retries, 1u);
+    const std::vector<std::size_t> each_once = {0, 1, 2, 3, 4};
+    for (std::size_t island = 0; island < delivered.size(); ++island)
+      EXPECT_EQ(delivered[island], each_once) << "island " << island;
+    for (std::size_t i = 0; i < options.seeds.size(); ++i)
+      remove_rotation(dse::shard_checkpoint_path(options.checkpoint_path, i,
+                                                 options.seeds.size()));
+  }
 }
 
 TEST(Campaign, ExhaustedRetriesPropagateTheFailure) {

@@ -19,7 +19,6 @@ namespace {
 
 using ftmc::util::Fnv1aHasher;
 using ftmc::util::fnv1a_bytes;
-using ftmc::util::fnv1a_stream;
 using ftmc::util::WordHasher;
 
 TEST(Hash, PinnedConstants) {
@@ -47,18 +46,6 @@ TEST(Hash, PinnedValueFeed) {
   Fnv1aHasher hasher;
   for (std::uint64_t value : {1ULL, 2ULL, 3ULL}) hasher.feed(value);
   EXPECT_EQ(hasher.digest(), 0x08638879170c2de7ULL);
-}
-
-TEST(Hash, StreamMatchesManualFeed) {
-  // fnv1a_stream is the shared construction behind the scenario-bounds and
-  // lane-signature dedup sites: it must be exactly "one hasher, feed each
-  // element in order, finalize".
-  const std::uint64_t values[] = {1, 2, 3};
-  const std::uint64_t digest =
-      fnv1a_stream(3, [&](Fnv1aHasher& hasher, std::size_t i) {
-        hasher.feed(values[i]);
-      });
-  EXPECT_EQ(digest, 0x08638879170c2de7ULL);
 }
 
 TEST(Hash, PinnedRangeFeed) {

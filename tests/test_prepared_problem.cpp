@@ -1,15 +1,16 @@
-// Differential lockdown of the prepared-problem analysis kernel (ISSUE 2).
+// Differential lockdown of the prepared-problem analysis kernel.
 //
 // The kernel restructures the holistic backend three ways — build the
 // problem once per candidate and solve N bounds vectors against it, pack the
 // relation matrix as bitset rows, and run the worst-case fixed point as a
 // change-driven worklist in topological order.  Every restructuring must be
-// observationally invisible: these tests pin
+// observationally invisible: these tests pin, against the test-only seed
+// kernel oracle::HolisticOracle (tests/oracle/),
 //
-//   - prepare-once/solve-N against N independent monolithic analyze() calls,
-//   - the worklist fixed point against the reference full-sweep mode,
-//   - prepared-kernel McAnalysis against the rebuild-per-solve adapter,
-//   - GA search trajectories with the kernel on vs. off,
+//   - prepare-once/solve-N against N independent oracle analyze() calls,
+//   - prepared-kernel McAnalysis against McAnalysis on the oracle backend
+//     (which enters through the rebuild-per-solve adapter),
+//   - GA search trajectories on the production kernel vs. the oracle,
 //
 // bitwise, across >= 100 seeded candidates, in both the offset-aware and
 // the classical jitter-fallback regimes, sequentially and on a thread pool,
@@ -28,6 +29,7 @@
 #include "ftmc/sched/prepared_problem.hpp"
 #include "ftmc/util/thread_pool.hpp"
 #include "helpers.hpp"
+#include "oracle/holistic_oracle.hpp"
 
 namespace {
 
@@ -40,8 +42,8 @@ using fixtures::scenario_like_bounds;
 using sched::PreparedProblem;
 
 /// Core differential: one PreparedProblem, N solves on one reused scratch,
-/// against N monolithic analyze() calls and against the reference sweep
-/// mode — in both interference regimes.
+/// against N oracle analyze() calls and against the production one-shot
+/// analyze() entry — in both interference regimes.
 void run_backend_differential(const benchmarks::Benchmark& benchmark,
                               std::size_t candidate_count,
                               std::uint64_t seed) {
@@ -55,30 +57,27 @@ void run_backend_differential(const benchmarks::Benchmark& benchmark,
                    (offset_aware ? ", offset-aware" : ", jitter-fallback"));
       sched::HolisticAnalysis::Options options;
       options.precedence_aware = offset_aware;
-      const sched::HolisticAnalysis monolithic(options);
-
-      sched::HolisticAnalysis::Options sweep_options = options;
-      sweep_options.worklist_fixed_point = false;
+      const oracle::HolisticOracle oracle(options);
+      const sched::HolisticAnalysis one_shot(options);
       const PreparedProblem prepared(benchmark.arch, fx.system.apps,
                                      fx.system.mapping, fx.priorities,
                                      options);
-      const PreparedProblem prepared_sweep(benchmark.arch, fx.system.apps,
-                                           fx.system.mapping, fx.priorities,
-                                           sweep_options);
 
       for (const auto& bounds : bounds_sets) {
-        const sched::AnalysisResult reference = monolithic.analyze(
-            benchmark.arch, fx.system.apps, fx.system.mapping, bounds,
-            fx.priorities);
+        const sched::AnalysisResult reference =
+            oracle.analyze(benchmark.arch, fx.system.apps, fx.system.mapping,
+                           bounds, fx.priorities);
         {
-          SCOPED_TRACE("worklist arm");
+          SCOPED_TRACE("prepared arm");
           prepared.solve(bounds, scratch);
           expect_same_result(reference, prepared.materialize(scratch));
         }
         {
-          SCOPED_TRACE("sweep arm");
-          prepared_sweep.solve(bounds, scratch);
-          expect_same_result(reference, prepared_sweep.materialize(scratch));
+          SCOPED_TRACE("one-shot arm");
+          expect_same_result(
+              reference, one_shot.analyze(benchmark.arch, fx.system.apps,
+                                          fx.system.mapping, bounds,
+                                          fx.priorities));
         }
       }
     }
@@ -105,14 +104,14 @@ TEST(PreparedProblemDifferential, BusContentionMessageNodesMatch) {
     const CandidateFixture fx = make_candidate(benchmark, rng);
     sched::HolisticAnalysis::Options options;
     options.bus_contention = true;
-    const sched::HolisticAnalysis monolithic(options);
+    const oracle::HolisticOracle oracle(options);
     const PreparedProblem prepared(benchmark.arch, fx.system.apps,
                                    fx.system.mapping, fx.priorities, options);
     for (const auto& bounds : scenario_like_bounds(fx.system, 4, rng)) {
       prepared.solve(bounds, scratch);
       expect_same_result(
-          monolithic.analyze(benchmark.arch, fx.system.apps,
-                             fx.system.mapping, bounds, fx.priorities),
+          oracle.analyze(benchmark.arch, fx.system.apps, fx.system.mapping,
+                         bounds, fx.priorities),
           prepared.materialize(scratch));
     }
   }
@@ -149,7 +148,8 @@ TEST(PreparedProblemDifferential, ParallelSolversShareOnePreparedProblem) {
 
 // Overloaded problem: utilization far beyond capacity, so the fixed point
 // diverges past the horizon.  Divergence verdicts, kUnschedulable windows,
-// and the best-case (still finite) bounds must agree in every mode.
+// and the best-case (still finite) bounds must agree between the oracle,
+// the one-shot entry, and the prepared kernel, in both regimes.
 TEST(PreparedProblemDifferential, DivergedProblemMatchesInEveryMode) {
   std::vector<model::TaskGraph> graphs;
   graphs.push_back(fixtures::chain_graph("over1", 3, 300, 600, 1000, false,
@@ -168,21 +168,18 @@ TEST(PreparedProblemDifferential, DivergedProblemMatchesInEveryMode) {
                  apps.task(apps.task_ref(i)).wcet};
 
   for (const bool offset_aware : {true, false}) {
-    for (const bool worklist : {true, false}) {
-      SCOPED_TRACE((offset_aware ? "offset-aware" : "jitter-fallback") +
-                   std::string(worklist ? ", worklist" : ", sweep"));
-      sched::HolisticAnalysis::Options options;
-      options.precedence_aware = offset_aware;
-      options.worklist_fixed_point = worklist;
-      const sched::HolisticAnalysis backend(options);
-      const auto result =
-          backend.analyze(arch, apps, mapping, bounds, priorities);
-      EXPECT_FALSE(result.schedulable);
+    SCOPED_TRACE(offset_aware ? "offset-aware" : "jitter-fallback");
+    sched::HolisticAnalysis::Options options;
+    options.precedence_aware = offset_aware;
+    const auto reference = oracle::HolisticOracle(options).analyze(
+        arch, apps, mapping, bounds, priorities);
+    EXPECT_FALSE(reference.schedulable);
 
-      const PreparedProblem prepared(arch, apps, mapping, priorities,
-                                     options);
-      expect_same_result(result, prepared.solve(bounds));
-    }
+    expect_same_result(reference,
+                       sched::HolisticAnalysis(options).analyze(
+                           arch, apps, mapping, bounds, priorities));
+    const PreparedProblem prepared(arch, apps, mapping, priorities, options);
+    expect_same_result(reference, prepared.solve(bounds));
   }
 }
 
@@ -235,19 +232,17 @@ TEST(PreparedProblem, RejectsMalformedInputs) {
   EXPECT_THROW(prepared.solve(invalid), std::invalid_argument);
 }
 
-// McAnalysis end-to-end: the prepared kernel against the rebuild-per-solve
-// adapter (Options::prepared_kernel = false), both Algorithm-1 modes,
+// McAnalysis end-to-end: the prepared kernel against the oracle backend
+// (solved through the rebuild-per-solve adapter), both Algorithm-1 modes,
 // sequential and on a pool — real transition scenarios, real dedup, real
 // release cutoffs.
 void run_mc_differential(const benchmarks::Benchmark& benchmark,
                          std::size_t candidate_count, std::uint64_t seed) {
   util::Rng rng(seed);
-  sched::HolisticAnalysis::Options rebuild_options;
-  rebuild_options.prepared_kernel = false;
   const sched::HolisticAnalysis prepared_backend;
-  const sched::HolisticAnalysis rebuild_backend(rebuild_options);
+  const oracle::HolisticOracle oracle_backend;
   const core::McAnalysis with_kernel(prepared_backend);
-  const core::McAnalysis without_kernel(rebuild_backend);
+  const core::McAnalysis without_kernel(oracle_backend);
 
   for (std::size_t c = 0; c < candidate_count; ++c) {
     const CandidateFixture fx = make_candidate(benchmark, rng);
@@ -278,14 +273,12 @@ TEST(PreparedProblemDifferential, McAnalysisKernelOnOffIdenticalSynth2) {
 }
 
 // Whole-search lockdown: a fixed-seed GA run with the prepared kernel must
-// walk the exact same trajectory as one with the rebuild adapter.
+// walk the exact same trajectory as one on the oracle backend.
 TEST(PreparedProblemDifferential, GaTrajectoryIdenticalKernelOnOff) {
   const model::Architecture arch = fixtures::test_arch(2);
   const model::ApplicationSet apps = fixtures::small_mixed_apps();
-  sched::HolisticAnalysis::Options rebuild_options;
-  rebuild_options.prepared_kernel = false;
   const sched::HolisticAnalysis prepared_backend;
-  const sched::HolisticAnalysis rebuild_backend(rebuild_options);
+  const oracle::HolisticOracle oracle_backend;
 
   dse::GaOptions options;
   options.population = 16;
@@ -297,7 +290,7 @@ TEST(PreparedProblemDifferential, GaTrajectoryIdenticalKernelOnOff) {
   const dse::GaResult a =
       dse::GeneticOptimizer(arch, apps, prepared_backend).run(options);
   const dse::GaResult b =
-      dse::GeneticOptimizer(arch, apps, rebuild_backend).run(options);
+      dse::GeneticOptimizer(arch, apps, oracle_backend).run(options);
 
   EXPECT_EQ(a.evaluations, b.evaluations);
   if (std::isnan(a.best_feasible_power)) {

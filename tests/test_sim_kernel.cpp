@@ -1,8 +1,9 @@
 // Differential suite for the prepared simulation kernel: PreparedSim::run
 // must be bit-identical to the reference implementation (the original
-// monolithic Simulator::run, preserved in ftmc/sim/reference_sim.hpp) for
-// every system, option combination, and fault realization — and stay so
-// across scratch reuse and concurrent runs sharing one PreparedSim.
+// monolithic Simulator::run, preserved as oracle::simulate in
+// tests/oracle/reference_sim.hpp) for every system, option combination, and
+// fault realization — and stay so across scratch reuse and concurrent runs
+// sharing one PreparedSim.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -16,8 +17,8 @@
 #include "ftmc/sched/priority.hpp"
 #include "ftmc/sim/monte_carlo.hpp"
 #include "ftmc/sim/prepared_sim.hpp"
-#include "ftmc/sim/reference_sim.hpp"
 #include "helpers.hpp"
+#include "oracle/reference_sim.hpp"
 
 namespace {
 
@@ -130,7 +131,7 @@ TEST_P(SimKernelDifferential, MatchesReferenceAcrossOptionsAndLevels) {
       util::Rng ref_rng(seed ^ 0xABCD);
       sim::RandomFaults ref_faults(ref_rng.split(), 0.4);
       sim::UniformExecution ref_durations(ref_rng.split());
-      const auto reference = sim::reference::run(
+      const auto reference = oracle::simulate(
           config.arch, config.system, config.drop, config.priorities,
           ref_faults, ref_durations, legacy_options);
 
@@ -172,8 +173,8 @@ TEST(SimKernel, LegacyAdapterMatchesReferenceBitwise) {
   sim::UniformExecution durations_b(rng_b.split());
   const auto via_adapter = simulator.run(faults_a, durations_a, options);
   const auto reference =
-      sim::reference::run(config.arch, config.system, config.drop,
-                          config.priorities, faults_b, durations_b, options);
+      oracle::simulate(config.arch, config.system, config.drop,
+                       config.priorities, faults_b, durations_b, options);
   expect_level_identical(reference, via_adapter, sim::TraceLevel::kFull);
 }
 

@@ -94,13 +94,11 @@ NONDETERMINISTIC_JSONL_KEYS = frozenset(
 )
 
 # Required keys of every per-benchmark entry in a `sched_kernel` bench
-# summary (bench/bench_sched_kernel.cpp): the three timing arms plus the
-# derived speedups/throughput.  CI fails when an arm silently disappears.
+# summary (bench/bench_sched_kernel.cpp): the two timing arms plus the
+# derived speedup/throughput.  CI fails when an arm silently disappears.
 SCHED_KERNEL_ARM_KEYS = (
     "seed_s",
-    "rebuild_worklist_s",
     "prepared_s",
-    "worklist_speedup",
     "total_speedup",
     "scenarios_per_s",
 )

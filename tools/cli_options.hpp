@@ -249,7 +249,6 @@ struct CampaignOptions {
   std::size_t worker_threads = 0;         ///< --threads for spawned workers
   std::size_t migration_every = 0;  ///< generations per island epoch
   std::size_t migration_size = 4;   ///< migrants per island per barrier
-  double straggler_factor = 3.0;    ///< epoch-EWMA straggler threshold
 
   static CampaignOptions parse(OptionParser& parser,
                                bool distributed = false) {
@@ -277,7 +276,6 @@ struct CampaignOptions {
       // every 10 generations (0 restores independent shards).
       campaign.migration_every = parser.size("migration-every", 10);
       campaign.migration_size = parser.size("migration-size", 4);
-      campaign.straggler_factor = parser.f64("straggler-factor", 3.0);
     }
     return campaign;
   }

@@ -15,7 +15,6 @@
 //   ftmc campaign <system.ftmc> [options]    distributed island campaign
 //       everything optimize takes, plus --workers=N --worker-hosts=H:P,...
 //       --worker-threads=N --migration-every=N (10) --migration-size=N (4)
-//       --straggler-factor=F (3.0)
 //
 // All option parsing goes through cli::OptionParser (tools/cli_options.hpp):
 // each subcommand registers exactly the options it reads and everything
@@ -100,8 +99,8 @@ int usage() {
       "            [--worker-hosts=H:P,...]  (connect to external workers)\n"
       "            [--worker-threads=N]  (per spawned worker)\n"
       "            [--migration-every=N]  (island epoch length, default 10;\n"
-      "            0 = independent shards) [--migration-size=N] (default 4)\n"
-      "            [--straggler-factor=F]  (slow-island EWMA threshold)\n"
+      "            0 = independent shards, run in seed order)\n"
+      "            [--migration-size=N] (default 4)\n"
       "checkpointing (optimize/campaign; SIGINT/SIGTERM drain the in-flight\n"
       "generation, write a final snapshot, and exit 0):\n"
       "  --checkpoint=FILE     write ftmc.ckpt.v1 snapshots here\n"
@@ -286,7 +285,6 @@ int run_campaign(const io::SystemSpec& spec, int argc, char** argv,
   campaign_options.resume = !common.resume.empty();
   campaign_options.migration_every = cli_options.migration_every;
   campaign_options.migration_size = cli_options.migration_size;
-  campaign_options.straggler_factor = cli_options.straggler_factor;
   const std::string jsonl_path = cli_options.telemetry_jsonl;
   const std::string out_path = cli_options.out;
   const std::string front_path = cli_options.front_json;
