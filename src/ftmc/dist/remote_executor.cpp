@@ -64,11 +64,84 @@ core::Evaluation evaluation_from_json(const serve::JsonValue& result) {
   if (const serve::JsonValue* wcrt = result.get("graph_wcrt");
       wcrt != nullptr && wcrt->kind == serve::JsonValue::Kind::kArray) {
     evaluation.graph_wcrt.reserve(wcrt->array.size());
-    for (const serve::JsonValue& bound : wcrt->array)
+    for (const serve::JsonValue& bound : wcrt->array) {
+      // The cast is undefined outside [-2^63, 2^63); workers are untrusted.
+      if (!(bound.number >= -0x1p63 && bound.number < 0x1p63))
+        throw dse::ExecutorError("worker answered graph_wcrt bound " +
+                                 obs::Json::number(bound.number).dump() +
+                                 ", outside int64");
       evaluation.graph_wcrt.push_back(
           static_cast<model::Time>(bound.number));
+    }
   }
   return evaluation;
+}
+
+std::string encode_batch_request(const std::vector<dse::EvalRequest>& requests,
+                                 std::string_view system_path,
+                                 std::uint64_t seed) {
+  // Member order and number kinds (uinteger ids, genes and seed) are those
+  // of the obs::Json request tree around chromosome_json, so the bytes
+  // equal its dump(); tests/test_distributed.cpp pins that.
+  std::string item_head = R"(,"method":"evaluate","system":)";
+  obs::Json::append_string(item_head, system_path);
+  item_head += R"(,"params":{"chromosome":{"allocation":[)";
+  std::string item_tail = R"(]},"seed":)";
+  obs::Json::append_uinteger(item_tail, seed);
+  item_tail += "}}";
+  const auto append_genes = [](std::string& out,
+                               const std::vector<std::uint8_t>& genes) {
+    for (std::size_t i = 0; i < genes.size(); ++i) {
+      if (i > 0) out.push_back(',');
+      obs::Json::append_uinteger(out, genes[i]);
+    }
+  };
+
+  std::size_t reserve = 96;
+  for (const dse::EvalRequest& request : requests) {
+    const dse::Chromosome& genotype = *request.genotype;
+    reserve += 48 + item_head.size() + item_tail.size() +
+               2 * (genotype.allocation.size() + genotype.keep.size()) +
+               32 * genotype.tasks.size();
+  }
+  std::string out;
+  out.reserve(reserve);
+  out += R"({"v":)";
+  obs::Json::append_string(out, serve::kRpcVersion);
+  out += R"(,"id":"executor","method":"batch","params":{"requests":[)";
+  for (std::size_t index = 0; index < requests.size(); ++index) {
+    const dse::Chromosome& genotype = *requests[index].genotype;
+    if (index > 0) out.push_back(',');
+    out += R"({"id":)";
+    obs::Json::append_uinteger(out, index);
+    out += item_head;
+    append_genes(out, genotype.allocation);
+    out += R"(],"keep":[)";
+    append_genes(out, genotype.keep);
+    out += R"(],"tasks":[)";
+    for (std::size_t t = 0; t < genotype.tasks.size(); ++t) {
+      const dse::TaskGenes& task = genotype.tasks[t];
+      out += t > 0 ? ",[" : "[";
+      obs::Json::append_uinteger(out,
+                                 static_cast<std::uint64_t>(task.technique));
+      out.push_back(',');
+      obs::Json::append_uinteger(out, task.reexec);
+      out.push_back(',');
+      obs::Json::append_uinteger(out, task.active_n);
+      out.push_back(',');
+      obs::Json::append_uinteger(out, task.base_pe);
+      for (const std::uint16_t replica : task.replica_pe) {
+        out.push_back(',');
+        obs::Json::append_uinteger(out, replica);
+      }
+      out.push_back(',');
+      obs::Json::append_uinteger(out, task.voter_pe);
+      out.push_back(']');
+    }
+    out += item_tail;
+  }
+  out += "]}}";
+  return out;
 }
 
 RemoteExecutor::RemoteExecutor(WorkerFleet& fleet, std::size_t worker,
@@ -81,26 +154,11 @@ RemoteExecutor::RemoteExecutor(WorkerFleet& fleet, std::size_t worker,
 void RemoteExecutor::evaluate(const std::vector<dse::EvalRequest>& requests,
                               std::vector<dse::EvalOutcome>& outcomes) {
   if (requests.empty()) return;
-  obs::Json batch = obs::Json::array();
-  for (std::size_t index = 0; index < requests.size(); ++index)
-    batch.push(obs::Json::object()
-                   .set("id", index)
-                   .set("method", "evaluate")
-                   .set("system", system_path_)
-                   .set("params",
-                        obs::Json::object()
-                            .set("chromosome",
-                                 chromosome_json(*requests[index].genotype))
-                            .set("seed", seed_)));
-  const obs::Json request =
-      obs::Json::object()
-          .set("v", serve::kRpcVersion)
-          .set("id", "executor")
-          .set("method", "batch")
-          .set("params", obs::Json::object().set("requests", std::move(batch)));
+  const std::string request =
+      encode_batch_request(requests, system_path_, seed_);
 
   const auto begin = std::chrono::steady_clock::now();
-  const std::string payload = fleet_->call(worker_, request.dump());
+  const std::string payload = fleet_->call(worker_, request);
   const double total_us =
       std::chrono::duration<double, std::micro>(
           std::chrono::steady_clock::now() - begin)

@@ -16,6 +16,8 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "ftmc/dist/worker.hpp"
 #include "ftmc/dse/executor.hpp"
@@ -33,8 +35,17 @@ namespace ftmc::dist {
 /// read_chromosome for the schema).
 obs::Json chromosome_json(const dse::Chromosome& chromosome);
 
+/// The `batch` request RemoteExecutor sends for `requests`: one `evaluate`
+/// item per genotype, ids 0..n-1, each carrying `system_path` and `seed`.
+/// Written straight into one string, byte-identical to the dump() of the
+/// obs::Json request tree built from chromosome_json.
+std::string encode_batch_request(const std::vector<dse::EvalRequest>& requests,
+                                 std::string_view system_path,
+                                 std::uint64_t seed);
+
 /// Bit-exact core::Evaluation from an `evaluate` result document (obs::Json
-/// prints doubles at max_digits10, so the round trip is lossless).
+/// prints doubles at max_digits10, so the round trip is lossless).  Throws
+/// dse::ExecutorError when a graph_wcrt bound lies outside model::Time.
 core::Evaluation evaluation_from_json(const serve::JsonValue& result);
 
 class RemoteExecutor final : public dse::Executor {

@@ -1,11 +1,49 @@
 #include "ftmc/obs/json.hpp"
 
+#include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <limits>
-#include <sstream>
 
 namespace ftmc::obs {
+
+namespace {
+
+/// Appends `raw` escaped, without quotes.  Runs of bytes that need no
+/// escape are copied in one append.
+void append_escaped(std::string& out, std::string_view raw) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  std::size_t run = 0;  // start of the pending unescaped run
+  for (std::size_t i = 0; i < raw.size(); ++i) {
+    const auto c = static_cast<unsigned char>(raw[i]);
+    if (c != '"' && c != '\\' && c >= 0x20) continue;
+    out.append(raw.data() + run, i - run);
+    run = i + 1;
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\b': out += "\\b"; break;
+      case '\f': out += "\\f"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default: {
+        const char code[] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 0xF]};
+        out.append(code, sizeof code);
+      }
+    }
+  }
+  out.append(raw.data() + run, raw.size() - run);
+}
+
+template <typename Integer>
+void append_decimal(std::string& out, Integer value) {
+  char buffer[24];
+  out.append(buffer, std::to_chars(buffer, buffer + sizeof buffer, value).ptr);
+}
+
+}  // namespace
 
 Json Json::object() {
   Json value;
@@ -88,93 +126,88 @@ Json& Json::push(Json value) {
   return *this;
 }
 
-std::string Json::escape(std::string_view raw) {
-  std::string out;
-  out.reserve(raw.size() + 2);
-  for (const char c : raw) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof buffer, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buffer;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
+void Json::append_string(std::string& out, std::string_view raw) {
+  out.push_back('"');
+  append_escaped(out, raw);
+  out.push_back('"');
 }
 
-void Json::write(std::ostream& out) const {
+void Json::append_integer(std::string& out, std::int64_t value) {
+  append_decimal(out, value);
+}
+
+void Json::append_uinteger(std::string& out, std::uint64_t value) {
+  append_decimal(out, value);
+}
+
+void Json::append_to(std::string& out) const {
   switch (kind_) {
     case Kind::kNull:
-      out << "null";
+      out += "null";
       break;
     case Kind::kBool:
-      out << (bool_ ? "true" : "false");
+      out += bool_ ? "true" : "false";
       break;
     case Kind::kInt:
-      out << int_;
+      append_integer(out, int_);
       break;
     case Kind::kUint:
-      out << uint_;
+      append_uinteger(out, uint_);
       break;
     case Kind::kDouble: {
       if (!std::isfinite(double_)) {
-        out << "null";  // JSON has no NaN/Inf
+        out += "null";  // JSON has no NaN/Inf
         break;
       }
       char buffer[64];
-      if (decimals_ >= 0)
-        std::snprintf(buffer, sizeof buffer, "%.*f", decimals_, double_);
-      else
-        std::snprintf(buffer, sizeof buffer, "%.*g",
-                      std::numeric_limits<double>::max_digits10, double_);
-      out << buffer;
+      const int length =
+          decimals_ >= 0
+              ? std::snprintf(buffer, sizeof buffer, "%.*f", decimals_, double_)
+              : std::snprintf(buffer, sizeof buffer, "%.*g",
+                              std::numeric_limits<double>::max_digits10,
+                              double_);
+      // snprintf truncates what does not fit the buffer; those are the
+      // bytes this writer has always printed.
+      out.append(buffer, std::min(static_cast<std::size_t>(length),
+                                  sizeof buffer - 1));
       break;
     }
     case Kind::kString:
-      out << '"' << escape(string_) << '"';
+      append_string(out, string_);
       break;
     case Kind::kObject: {
-      out << '{';
+      out.push_back('{');
       bool first = true;
       for (const auto& [key, value] : members_) {
-        if (!first) out << ',';
+        if (!first) out.push_back(',');
         first = false;
-        out << '"' << escape(key) << "\":";
-        value.write(out);
+        append_string(out, key);
+        out.push_back(':');
+        value.append_to(out);
       }
-      out << '}';
+      out.push_back('}');
       break;
     }
     case Kind::kArray: {
-      out << '[';
+      out.push_back('[');
       bool first = true;
       for (const Json& value : elements_) {
-        if (!first) out << ',';
+        if (!first) out.push_back(',');
         first = false;
-        value.write(out);
+        value.append_to(out);
       }
-      out << ']';
+      out.push_back(']');
       break;
     }
   }
 }
 
+void Json::write(std::ostream& out) const { out << dump(); }
+
 std::string Json::dump() const {
-  std::ostringstream out;
-  write(out);
-  return out.str();
+  std::string out;
+  append_to(out);
+  return out;
 }
 
 }  // namespace ftmc::obs

@@ -63,11 +63,18 @@ class Json {
   bool is_object() const noexcept { return kind_ == Kind::kObject; }
   bool is_array() const noexcept { return kind_ == Kind::kArray; }
 
+  /// Prints dump(): the writer has one serializer.
   void write(std::ostream& out) const;
   std::string dump() const;
 
-  /// RFC 8259 string escaping (quotes, backslash, control characters).
-  static std::string escape(std::string_view raw);
+  /// The serializer's appenders: each appends exactly the bytes dump()
+  /// writes for str(raw), integer(value) or uinteger(value), so a caller
+  /// that streams a fixed shape (dist::encode_batch_request) produces the
+  /// tree's bytes without building the tree.  Strings are quoted and
+  /// RFC 8259-escaped (quotes, backslash, control characters).
+  static void append_string(std::string& out, std::string_view raw);
+  static void append_integer(std::string& out, std::int64_t value);
+  static void append_uinteger(std::string& out, std::uint64_t value);
 
  private:
   enum class Kind {
@@ -80,6 +87,8 @@ class Json {
     kObject,
     kArray
   };
+
+  void append_to(std::string& out) const;
 
   Kind kind_ = Kind::kNull;
   bool bool_ = false;

@@ -1,9 +1,16 @@
 // Minimal JSON parser for the `ftmc serve` request protocol — the read-side
 // counterpart of the obs::Json writer (which stays the only *serializer* in
-// the tree).  Strict RFC 8259 subset: objects, arrays, strings (with \uXXXX
-// escapes), numbers, booleans, null; trailing garbage and over-deep nesting
-// are rejected with JsonParseError so a malformed request fails the one
+// the tree).  Objects, arrays, strings (with \uXXXX escapes), numbers,
+// booleans, null; trailing garbage and nesting deeper than 64 levels are
+// rejected with JsonParseError so a malformed request fails the one
 // request, never the server.
+//
+// Numbers are looser than RFC 8259: a number is the run of bytes from
+// [0-9.eE+-] that starts at the value (after an optional '-'), and it is
+// accepted when strtod reads the whole run to a finite double.  So `+1`,
+// `007`, `.5` and `1.` are accepted, `1e400` is rejected, and `1e-400`
+// reads as 0.  tests/oracle/json_parse_oracle.cpp keeps the reference
+// parser that pins this rule.
 #pragma once
 
 #include <cstdint>

@@ -156,15 +156,23 @@ std::string error_code_of(const std::exception& error, std::string* detail) {
   return "internal";
 }
 
+/// A client's numeric id as an int64 when it is integral and in range; the
+/// cast is undefined outside [-2^63, 2^63).
+std::optional<std::int64_t> integral_id(double number) {
+  if (!(number >= -0x1p63 && number < 0x1p63)) return std::nullopt;
+  const auto integral = static_cast<std::int64_t>(number);
+  if (static_cast<double>(integral) != number) return std::nullopt;
+  return integral;
+}
+
 /// Echoes the request's "id" (string or number) into the response; absent
 /// or other-kind ids echo as null, so a reply always carries the field.
 void echo_id(obs::Json& response, const JsonValue* id) {
   if (id != nullptr && id->kind == JsonValue::Kind::kString) {
     response.set("id", id->string);
   } else if (id != nullptr && id->kind == JsonValue::Kind::kNumber) {
-    const auto integral = static_cast<std::int64_t>(id->number);
-    if (static_cast<double>(integral) == id->number)
-      response.set("id", obs::Json::integer(integral));
+    if (const auto integral = integral_id(id->number))
+      response.set("id", obs::Json::integer(*integral));
     else
       response.set("id", obs::Json::number(id->number));
   } else {
@@ -181,9 +189,8 @@ std::string id_text(const JsonValue* id) {
   if (id == nullptr) return {};
   if (id->kind == JsonValue::Kind::kString) return id->string;
   if (id->kind == JsonValue::Kind::kNumber) {
-    const auto integral = static_cast<std::int64_t>(id->number);
-    if (static_cast<double>(integral) == id->number)
-      return std::to_string(integral);
+    if (const auto integral = integral_id(id->number))
+      return std::to_string(*integral);
     return obs::Json::number(id->number).dump();
   }
   return {};
@@ -194,12 +201,13 @@ std::uint64_t read_gene(const JsonValue& item, const char* what,
   if (item.kind != JsonValue::Kind::kNumber)
     throw std::runtime_error(std::string(what) + " entries must be numbers");
   const double value = item.number;
-  const auto integral = static_cast<std::uint64_t>(value);
-  if (value < 0 || static_cast<double>(integral) != value || integral > max)
+  // Range first: the cast is undefined outside (-1, 2^64).
+  if (!(value >= 0 && value <= static_cast<double>(max)) ||
+      static_cast<double>(static_cast<std::uint64_t>(value)) != value)
     throw std::runtime_error(std::string(what) +
                              " entries must be integers in [0, " +
                              std::to_string(max) + "]");
-  return integral;
+  return static_cast<std::uint64_t>(value);
 }
 
 std::vector<std::uint8_t> read_bits(const JsonValue* value,

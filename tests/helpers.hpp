@@ -1,10 +1,14 @@
 // Shared fixtures for the test suite: small platforms, application sets,
-// decoded random candidates, and bitwise result comparators for the
-// differential kernel tests.
+// decoded random candidates, bitwise result comparators for the
+// differential kernel tests, the fuzz harnesses' environment knobs, and the
+// docs/PROTOCOL.md example reader.
 #pragma once
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdlib>
+#include <fstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -161,6 +165,48 @@ inline void expect_same_mc_result(const core::McAnalysisResult& a,
   EXPECT_EQ(a.critical_schedulable, b.critical_schedulable);
   EXPECT_EQ(a.scenario_count, b.scenario_count);
   expect_same_result(a.normal, b.normal);
+}
+
+/// Positive integer from environment variable `name`, else `fallback`
+/// (the fuzz harnesses' FTMC_FUZZ_ITERS).
+inline std::size_t env_size(const char* name, std::size_t fallback) {
+  const char* raw = std::getenv(name);
+  if (raw == nullptr) return fallback;
+  const long parsed = std::atol(raw);
+  return parsed > 0 ? static_cast<std::size_t>(parsed) : fallback;
+}
+
+/// Integer from environment variable `name`, else `fallback` (the fuzz
+/// harnesses' FTMC_FUZZ_SEED).
+inline std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
+  const char* raw = std::getenv(name);
+  if (raw == nullptr) return fallback;
+  return static_cast<std::uint64_t>(std::atoll(raw));
+}
+
+/// Every ```json fence of the protocol document at `path`, in document
+/// order.
+inline std::vector<std::string> protocol_json_blocks(const std::string& path) {
+  std::ifstream in(path);
+  EXPECT_TRUE(in.is_open()) << path << " not found";
+  std::vector<std::string> blocks;
+  std::string line;
+  bool inside = false;
+  std::string current;
+  while (std::getline(in, line)) {
+    if (!inside && line == "```json") {
+      inside = true;
+      current.clear();
+    } else if (inside && line == "```") {
+      inside = false;
+      blocks.push_back(current);
+    } else if (inside) {
+      current += line;
+      current += '\n';
+    }
+  }
+  EXPECT_FALSE(inside) << "unterminated ```json fence";
+  return blocks;
 }
 
 }  // namespace ftmc::fixtures

@@ -1,9 +1,10 @@
 // Tests for the distributed campaign stack (src/ftmc/dist/): worker fleet
 // lifecycle, the RemoteExecutor ↔ InProcessExecutor bitwise differential,
 // crash resilience (SIGKILL a worker mid-campaign), the shared persistent
-// evaluation store, and the PROTOCOL.md examples — every documented
-// request/response pair is replayed verbatim against a live fixture
-// server, so the protocol document cannot drift from the implementation.
+// evaluation store, the `batch` request bytes and reply range checks, and
+// the PROTOCOL.md examples — every documented request/response pair is
+// replayed verbatim against a live fixture server, so the protocol
+// document cannot drift from the implementation.
 //
 // These tests fork/exec real `ftmc serve` worker processes from the built
 // CLI binary (FTMC_BINARY, a compile definition set in CMakeLists.txt).
@@ -18,19 +19,24 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "ftmc/benchmarks/dream.hpp"
 #include "ftmc/dse/campaign.hpp"
+#include "ftmc/dse/chromosome.hpp"
 #include "ftmc/dse/executor.hpp"
 #include "ftmc/io/text_format.hpp"
+#include "ftmc/obs/json.hpp"
 #include "ftmc/obs/metrics.hpp"
 #include "ftmc/sched/holistic.hpp"
 #include "ftmc/serve/json_parse.hpp"
 #include "ftmc/serve/protocol.hpp"
 #include "ftmc/serve/server.hpp"
+#include "ftmc/util/rng.hpp"
 #include "helpers.hpp"
 
 namespace {
@@ -331,31 +337,90 @@ TEST(Distributed, WarmSharedStoreServesEverySecondRunEvaluation) {
   EXPECT_GT(warm_hits, 0u);
 }
 
-// --- PROTOCOL.md ------------------------------------------------------------
+// --- Wire encoding ----------------------------------------------------------
 
-/// Every ```json fence in PROTOCOL.md, in document order.
-std::vector<std::string> protocol_json_blocks() {
-  std::ifstream in(std::string(FTMC_SOURCE_DIR) + "/docs/PROTOCOL.md");
-  EXPECT_TRUE(in.is_open()) << "docs/PROTOCOL.md not found";
-  std::vector<std::string> blocks;
-  std::string line;
-  bool inside = false;
-  std::string current;
-  while (std::getline(in, line)) {
-    if (!inside && line == "```json") {
-      inside = true;
-      current.clear();
-    } else if (inside && line == "```") {
-      inside = false;
-      blocks.push_back(current);
-    } else if (inside) {
-      current += line;
-      current += '\n';
+/// The reference encoding: the request built as an obs::Json tree around
+/// chromosome_json, then dumped.
+std::string tree_batch_request(const std::vector<dse::EvalRequest>& requests,
+                               const std::string& system,
+                               std::uint64_t seed) {
+  obs::Json batch = obs::Json::array();
+  for (std::size_t index = 0; index < requests.size(); ++index)
+    batch.push(obs::Json::object()
+                   .set("id", index)
+                   .set("method", "evaluate")
+                   .set("system", system)
+                   .set("params",
+                        obs::Json::object()
+                            .set("chromosome",
+                                 dist::chromosome_json(*requests[index].genotype))
+                            .set("seed", seed)));
+  return obs::Json::object()
+      .set("v", serve::kRpcVersion)
+      .set("id", "executor")
+      .set("method", "batch")
+      .set("params", obs::Json::object().set("requests", std::move(batch)))
+      .dump();
+}
+
+TEST(RemoteExecutor, BatchRequestBytesMatchTheTreeEncoding) {
+  const io::SystemSpec demo = io::parse_system_file(
+      std::string(FTMC_SOURCE_DIR) + "/examples/systems/demo.ftmc");
+  const benchmarks::Benchmark dt_med = benchmarks::dt_med_benchmark();
+  const benchmarks::Benchmark dt_large = benchmarks::dt_large_benchmark();
+  const std::vector<dse::ChromosomeShape> shapes = {
+      dse::ChromosomeShape::of(demo.arch, demo.apps),
+      dse::ChromosomeShape::of(dt_med.arch, dt_med.apps),
+      dse::ChromosomeShape::of(dt_large.arch, dt_large.apps)};
+  // System paths that need escaping: a quote, a backslash, control bytes
+  // and multi-byte UTF-8 (which passes through unescaped).
+  const std::vector<std::string> systems = {
+      "examples/systems/demo.ftmc", "dir \"quoted\"/back\\slash.ftmc",
+      std::string("ctl\x01\x1f\n\t.ftmc"), "caf\xC3\xA9/\xF0\x9F\x98\x80.ftmc"};
+  util::Rng rng(99);
+  for (const dse::ChromosomeShape& shape : shapes) {
+    for (const std::size_t count : {0, 1, 40}) {
+      std::vector<dse::Chromosome> genotypes;
+      for (std::size_t i = 0; i < count; ++i) {
+        genotypes.push_back(dse::random_chromosome(shape, rng));
+        // Widest gene values too, not only the ones repair leaves.
+        if (rng.chance(0.3) && !genotypes.back().tasks.empty()) {
+          dse::TaskGenes& task = genotypes.back().tasks.front();
+          task.reexec = 255;
+          task.base_pe = 65535;
+          task.replica_pe[2] = 65535;
+          task.voter_pe = 65535;
+        }
+      }
+      std::vector<dse::EvalRequest> requests(count);
+      for (std::size_t i = 0; i < count; ++i)
+        requests[i].genotype = &genotypes[i];
+      for (const std::string& system : systems) {
+        const std::uint64_t seed =
+            rng.chance(0.2) ? ~std::uint64_t{0} : rng();
+        EXPECT_EQ(dist::encode_batch_request(requests, system, seed),
+                  tree_batch_request(requests, system, seed))
+            << shape.tasks << " tasks, " << count << " requests, system "
+            << system;
+      }
     }
   }
-  EXPECT_FALSE(inside) << "unterminated ```json fence";
-  return blocks;
 }
+
+TEST(RemoteExecutor, RejectsGraphWcrtBoundsOutsideInt64) {
+  const core::Evaluation evaluation = dist::evaluation_from_json(parse_json(
+      R"({"graph_wcrt": [5, -9223372036854775808, 9223372036854774784]})"));
+  EXPECT_EQ(evaluation.graph_wcrt,
+            (std::vector<model::Time>{5, std::numeric_limits<model::Time>::min(),
+                                      9223372036854774784}));
+  for (const char* bound : {"1e300", "-1e300", "9223372036854775808"})
+    EXPECT_THROW((void)dist::evaluation_from_json(parse_json(
+                     std::string(R"({"graph_wcrt": [)") + bound + "]}")),
+                 dse::ExecutorError)
+        << bound;
+}
+
+// --- PROTOCOL.md ------------------------------------------------------------
 
 TEST(Protocol, DocumentedExamplesStayValid) {
   const std::string path = write_demo_system("protocol");
@@ -364,7 +429,8 @@ TEST(Protocol, DocumentedExamplesStayValid) {
   options.threads = 2;
   serve::Server server(std::move(options));
 
-  const std::vector<std::string> blocks = protocol_json_blocks();
+  const std::vector<std::string> blocks = fixtures::protocol_json_blocks(
+      std::string(FTMC_SOURCE_DIR) + "/docs/PROTOCOL.md");
   ASSERT_GE(blocks.size(), 2u);
   std::size_t pairs = 0;
   std::string pending_request;

@@ -35,7 +35,6 @@
 // the oracle and against hand-computed bounds.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -54,25 +53,14 @@ namespace {
 
 using namespace ftmc;
 using fixtures::CandidateFixture;
+using fixtures::env_size;
+using fixtures::env_u64;
 using fixtures::expect_same_mc_result;
 using fixtures::expect_same_result;
 using fixtures::make_candidate;
 using fixtures::scenario_like_bounds;
 using sched::ExecBounds;
 using sched::PreparedProblem;
-
-std::size_t env_size(const char* name, std::size_t fallback) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr) return fallback;
-  const long parsed = std::atol(raw);
-  return parsed > 0 ? static_cast<std::size_t>(parsed) : fallback;
-}
-
-std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr) return fallback;
-  return static_cast<std::uint64_t>(std::atoll(raw));
-}
 
 /// A random mixed-critical system: random DAG shapes, criticality mix,
 /// utilization (occasionally overloaded so the fixed point diverges),

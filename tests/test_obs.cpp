@@ -8,13 +8,15 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
-#include <cctype>
 #include <chrono>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <random>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -26,6 +28,7 @@
 #include "ftmc/obs/trace.hpp"
 #include "ftmc/sched/holistic.hpp"
 #include "ftmc/sched/priority.hpp"
+#include "ftmc/serve/json_parse.hpp"
 #include "ftmc/sim/monte_carlo.hpp"
 #include "ftmc/util/stats.hpp"
 #include "ftmc/util/thread_pool.hpp"
@@ -34,184 +37,93 @@
 namespace {
 
 using namespace ftmc;
+using serve::JsonValue;
+
+/// Member `key` of a parsed exporter document; throws (failing the test)
+/// when it is absent.
+const JsonValue& at(const JsonValue& value, std::string_view key) {
+  const JsonValue* member = value.get(key);
+  if (member == nullptr)
+    throw std::runtime_error("missing key " + std::string(key));
+  return *member;
+}
 
 // ---------------------------------------------------------------------------
-// Minimal JSON reader — just enough to validate exporter output and walk the
-// trace-event array.  Throws std::runtime_error on malformed input, so a
-// test failure pinpoints the first bad byte.
+// JSON writer.  The expected bytes were captured from the ostream-based
+// writer this one replaced; every telemetry schema and every serve
+// response depends on them.
 
-struct JsonValue {
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-  Kind kind = Kind::kNull;
-  bool boolean = false;
-  double number = 0.0;
-  std::string string;
-  std::vector<JsonValue> array;
-  std::map<std::string, JsonValue> object;
-
-  const JsonValue& at(const std::string& key) const {
-    const auto it = object.find(key);
-    if (it == object.end()) throw std::runtime_error("missing key " + key);
-    return it->second;
-  }
-};
-
-class JsonReader {
- public:
-  explicit JsonReader(std::string text) : text_(std::move(text)) {}
-
-  JsonValue parse() {
-    JsonValue value = parse_value();
-    skip_ws();
-    if (pos_ != text_.size()) fail("trailing garbage");
-    return value;
-  }
-
- private:
-  [[noreturn]] void fail(const std::string& what) const {
-    throw std::runtime_error("json error at byte " + std::to_string(pos_) +
-                             ": " + what);
-  }
-
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_])))
-      ++pos_;
-  }
-
-  char peek() {
-    if (pos_ >= text_.size()) fail("unexpected end");
-    return text_[pos_];
-  }
-
-  void expect(char c) {
-    if (peek() != c) fail(std::string("expected '") + c + "'");
-    ++pos_;
-  }
-
-  bool consume(char c) {
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  JsonValue parse_value() {
-    skip_ws();
-    const char c = peek();
-    if (c == '{') return parse_object();
-    if (c == '[') return parse_array();
-    if (c == '"') {
-      JsonValue value;
-      value.kind = JsonValue::Kind::kString;
-      value.string = parse_string();
-      return value;
-    }
-    if (text_.compare(pos_, 4, "true") == 0) {
-      pos_ += 4;
-      JsonValue value;
-      value.kind = JsonValue::Kind::kBool;
-      value.boolean = true;
-      return value;
-    }
-    if (text_.compare(pos_, 5, "false") == 0) {
-      pos_ += 5;
-      JsonValue value;
-      value.kind = JsonValue::Kind::kBool;
-      return value;
-    }
-    if (text_.compare(pos_, 4, "null") == 0) {
-      pos_ += 4;
-      return JsonValue{};
-    }
-    return parse_number();
-  }
-
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    while (true) {
-      if (pos_ >= text_.size()) fail("unterminated string");
-      const char c = text_[pos_++];
-      if (c == '"') return out;
-      if (c == '\\') {
-        if (pos_ >= text_.size()) fail("bad escape");
-        const char e = text_[pos_++];
-        switch (e) {
-          case '"': out += '"'; break;
-          case '\\': out += '\\'; break;
-          case '/': out += '/'; break;
-          case 'b': out += '\b'; break;
-          case 'f': out += '\f'; break;
-          case 'n': out += '\n'; break;
-          case 'r': out += '\r'; break;
-          case 't': out += '\t'; break;
-          case 'u': {
-            if (pos_ + 4 > text_.size()) fail("bad \\u escape");
-            out += "\\u";  // keep raw; tests never compare escaped content
-            out.append(text_, pos_, 4);
-            pos_ += 4;
-            break;
-          }
-          default: fail("unknown escape");
-        }
-      } else {
-        out += c;
-      }
-    }
-  }
-
-  JsonValue parse_number() {
-    const std::size_t start = pos_;
-    if (consume('-')) {}
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-'))
-      ++pos_;
-    if (pos_ == start) fail("expected value");
-    JsonValue value;
-    value.kind = JsonValue::Kind::kNumber;
-    value.number = std::stod(text_.substr(start, pos_ - start));
-    return value;
-  }
-
-  JsonValue parse_array() {
-    expect('[');
-    JsonValue value;
-    value.kind = JsonValue::Kind::kArray;
-    skip_ws();
-    if (consume(']')) return value;
-    while (true) {
-      value.array.push_back(parse_value());
-      skip_ws();
-      if (consume(']')) return value;
-      expect(',');
-    }
-  }
-
-  JsonValue parse_object() {
-    expect('{');
-    JsonValue value;
-    value.kind = JsonValue::Kind::kObject;
-    skip_ws();
-    if (consume('}')) return value;
-    while (true) {
-      skip_ws();
-      std::string key = parse_string();
-      skip_ws();
-      expect(':');
-      value.object[std::move(key)] = parse_value();
-      skip_ws();
-      if (consume('}')) return value;
-      expect(',');
-    }
-  }
-
-  std::string text_;
-  std::size_t pos_ = 0;
-};
+TEST(ObsJson, GoldenBytes) {
+  using obs::Json;
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(Json::integer(std::numeric_limits<std::int64_t>::min()).dump(),
+            "-9223372036854775808");
+  EXPECT_EQ(Json::integer(std::numeric_limits<std::int64_t>::max()).dump(),
+            "9223372036854775807");
+  EXPECT_EQ(Json::uinteger(std::numeric_limits<std::uint64_t>::max()).dump(),
+            "18446744073709551615");
+  EXPECT_EQ(Json::array()
+                .push(Json::number(3.14159, 2))
+                .push(Json::number(-0.005, 2))
+                .push(Json::number(1234567.891, 2))
+                .push(Json::number(2.5, 0))
+                .push(Json::number(-0.0, 2))
+                .push(Json::number(1e20, 2))
+                .dump(),
+            "[3.14,-0.01,1234567.89,2,-0.00,100000000000000000000.00]");
+  EXPECT_EQ(Json::array()
+                .push(Json::number(0.1))
+                .push(Json::number(1.0 / 3))
+                .push(Json::number(1e300))
+                .push(Json::number(5e-324))
+                .push(Json::number(123.0))
+                .push(Json::number(-2.5e-7))
+                .push(Json::number(-0.0))
+                .push(Json::number(std::numeric_limits<double>::max()))
+                .dump(),
+            "[0.10000000000000001,0.33333333333333331,"
+            "1.0000000000000001e+300,4.9406564584124654e-324,123,"
+            "-2.4999999999999999e-07,-0,1.7976931348623157e+308]");
+  EXPECT_EQ(Json::array()
+                .push(Json::number(kNan))
+                .push(Json::number(kInf))
+                .push(Json::number(-kInf, 2))
+                .dump(),
+            "[null,null,null]");
+  std::string raw = "q\" b\\ \b\f\n\r\t / \x01\x1f\x7f";
+  raw.push_back('\0');
+  raw += "\xC3\xA9\xF0\x9F\x98\x80";
+  EXPECT_EQ(Json::str(raw).dump(),
+            "\"q\\\" b\\\\ \\b\\f\\n\\r\\t / \\u0001\\u001f\x7F"
+            "\\u0000\xC3\xA9\xF0\x9F\x98\x80\"");
+  EXPECT_EQ(Json::object().set("a\"b\n", 1).set("\xC3\xA9", true).dump(),
+            "{\"a\\\"b\\n\":1,\"\xC3\xA9\":true}");
+  EXPECT_EQ(Json::object()
+                .set("a", Json::array())
+                .set("o", Json::object())
+                .set("n", Json())
+                .set("l", Json::array()
+                              .push(Json::array())
+                              .push(Json::object())
+                              .push(Json::array().push(Json::object())))
+                .dump(),
+            R"({"a":[],"o":{},"n":null,"l":[[],{},[{}]]})");
+  EXPECT_EQ(Json::object()
+                .set("t", true)
+                .set("f", false)
+                .set("d", 0.5)
+                .set("s", "x")
+                .set("i", -7)
+                .set("u", 7u)
+                .set("a", 1)
+                .set("a", 2)
+                .dump(),
+            R"({"t":true,"f":false,"d":0.5,"s":"x","i":-7,"u":7,"a":2})");
+  std::ostringstream out;
+  out << Json::object().set("k", Json::array().push(Json::integer(1)));
+  EXPECT_EQ(out.str(), R"({"k":[1]})");
+}
 
 #if !defined(FTMC_OBS_DISABLED)
 
@@ -300,15 +212,15 @@ TEST(MetricsExport, SchemaRoundTripsThroughJson) {
   histogram.record(6);
   std::ostringstream out;
   obs::write_metrics_json(out);
-  const JsonValue doc = JsonReader(out.str()).parse();
-  EXPECT_EQ(doc.at("schema").string, "ftmc.metrics.v1");
-  EXPECT_EQ(doc.at("counters").at("test.export_counter").number, 5.0);
-  EXPECT_EQ(doc.at("gauges").at("test.export_gauge").number, 11.0);
-  const JsonValue& hist = doc.at("histograms").at("test.export_hist");
-  EXPECT_EQ(hist.at("count").number, 1.0);
-  EXPECT_EQ(hist.at("sum").number, 6.0);
-  ASSERT_EQ(hist.at("buckets").array.size(), 4u);  // trailing zeros trimmed
-  EXPECT_EQ(hist.at("buckets").array[3].number, 1.0);
+  const JsonValue doc = serve::parse_json(out.str());
+  EXPECT_EQ(at(doc, "schema").string, "ftmc.metrics.v1");
+  EXPECT_EQ(at(at(doc, "counters"), "test.export_counter").number, 5.0);
+  EXPECT_EQ(at(at(doc, "gauges"), "test.export_gauge").number, 11.0);
+  const JsonValue& hist = at(at(doc, "histograms"), "test.export_hist");
+  EXPECT_EQ(at(hist, "count").number, 1.0);
+  EXPECT_EQ(at(hist, "sum").number, 6.0);
+  ASSERT_EQ(at(hist, "buckets").array.size(), 4u);  // trailing zeros trimmed
+  EXPECT_EQ(at(hist, "buckets").array[3].number, 1.0);
 }
 
 // ---------------------------------------------------------------------------
@@ -513,17 +425,17 @@ TEST(Sampler, BackgroundThreadSamplesAndJoinsCleanly) {
 /// checks per-thread begin/end matching with a stack — exactly the property
 /// chrome://tracing needs for duration events.
 void check_trace(const std::string& text, std::size_t* spans_out = nullptr) {
-  const JsonValue doc = JsonReader(text).parse();
-  const JsonValue& events = doc.at("traceEvents");
+  const JsonValue doc = serve::parse_json(text);
+  const JsonValue& events = at(doc, "traceEvents");
   ASSERT_EQ(events.kind, JsonValue::Kind::kArray);
   std::map<double, std::vector<std::string>> stacks;  // tid -> open names
   std::map<double, double> last_ts;
   std::size_t spans = 0;
   for (const JsonValue& event : events.array) {
-    const std::string& phase = event.at("ph").string;
+    const std::string& phase = at(event, "ph").string;
     if (phase == "M") continue;  // thread_name metadata carries no ts
-    const double tid = event.at("tid").number;
-    const double ts = event.at("ts").number;
+    const double tid = at(event, "tid").number;
+    const double ts = at(event, "ts").number;
     ASSERT_TRUE(phase == "B" || phase == "E" || phase == "i")
         << "unexpected phase " << phase;
     if (last_ts.count(tid) != 0) {
@@ -533,16 +445,16 @@ void check_trace(const std::string& text, std::size_t* spans_out = nullptr) {
     if (phase == "i") {
       // Instant events annotate rather than bracket: no stack effect, but
       // they must carry the thread scope and an args.id payload.
-      EXPECT_EQ(event.at("s").string, "t");
-      ASSERT_EQ(event.at("args").kind, JsonValue::Kind::kObject);
-      event.at("args").at("id");  // throws (fails the test) when absent
+      EXPECT_EQ(at(event, "s").string, "t");
+      ASSERT_EQ(at(event, "args").kind, JsonValue::Kind::kObject);
+      at(at(event, "args"), "id");  // throws (fails the test) when absent
       continue;
     }
     if (phase == "B") {
-      stacks[tid].push_back(event.at("name").string);
+      stacks[tid].push_back(at(event, "name").string);
     } else {
       ASSERT_FALSE(stacks[tid].empty()) << "end without matching begin";
-      EXPECT_EQ(stacks[tid].back(), event.at("name").string)
+      EXPECT_EQ(stacks[tid].back(), at(event, "name").string)
           << "ends must close the innermost open span";
       stacks[tid].pop_back();
       ++spans;
@@ -595,12 +507,12 @@ TEST(Tracing, InstantEventsCarryTheirAnnotation) {
   std::size_t spans = 0;
   check_trace(out.str(), &spans);  // validates ph/s/args shape
   EXPECT_EQ(spans, 1u);
-  const JsonValue doc = JsonReader(out.str()).parse();
+  const JsonValue doc = serve::parse_json(out.str());
   bool found = false;
-  for (const JsonValue& event : doc.at("traceEvents").array) {
-    if (event.at("ph").string != "i") continue;
-    EXPECT_EQ(event.at("name").string, "serve.request_id");
-    EXPECT_EQ(event.at("args").at("id").string, "r42");
+  for (const JsonValue& event : at(doc, "traceEvents").array) {
+    if (at(event, "ph").string != "i") continue;
+    EXPECT_EQ(at(event, "name").string, "serve.request_id");
+    EXPECT_EQ(at(at(event, "args"), "id").string, "r42");
     found = true;
   }
   EXPECT_TRUE(found) << "instant event missing from the export";
@@ -612,8 +524,8 @@ TEST(Tracing, DisabledInstantEventsRecordNothing) {
   obs::trace_instant("serve.request_id", "dropped");
   std::ostringstream out;
   obs::write_chrome_trace(out);
-  const JsonValue doc = JsonReader(out.str()).parse();
-  EXPECT_TRUE(doc.at("traceEvents").array.empty());
+  const JsonValue doc = serve::parse_json(out.str());
+  EXPECT_TRUE(at(doc, "traceEvents").array.empty());
 }
 
 TEST(Tracing, RingWraparoundStillExportsBalancedPairs) {

@@ -1,5 +1,5 @@
 // Tests for the `ftmc serve` stack: length-prefixed framing (protocol.hpp),
-// the strict JSON request parser (json_parse.hpp), and the Server itself —
+// the JSON request parser (json_parse.hpp), and the Server itself —
 // whose analyze/simulate "output" fields must be byte-identical to the
 // one-shot CLI rendering (pinned here by rendering through the same
 // serve::write_*_report functions the CLI uses, over a system file round-
@@ -154,6 +154,17 @@ TEST(JsonParse, ErrorsNameTheByteOffset) {
   } catch (const JsonParseError& error) {
     EXPECT_NE(std::string(error.what()).find("at byte"), std::string::npos);
   }
+}
+
+TEST(JsonParse, U64OrFallsBackOutsideTheUnsignedRange) {
+  const JsonValue root = parse_json(
+      R"({"huge": 1e300, "two64": 18446744073709551616,)"
+      R"( "top": 18446744073709549568, "neg": -1, "half": 2.5})");
+  EXPECT_EQ(root.u64_or("huge", 7), 7u);
+  EXPECT_EQ(root.u64_or("two64", 7), 7u);
+  EXPECT_EQ(root.u64_or("top", 7), 18446744073709549568u);
+  EXPECT_EQ(root.u64_or("neg", 7), 7u);
+  EXPECT_EQ(root.u64_or("half", 7), 2u);
 }
 
 // --- Server -----------------------------------------------------------------
@@ -338,6 +349,40 @@ TEST(Server, ErrorPathsFailTheRequestNotTheServer) {
   // The server still answers after five failed requests.
   EXPECT_TRUE(expect_ok(server.handle(R"({"v": "ftmc.rpc.v1", "method": "ping"})"))
                   .bool_or("pong", false));
+}
+
+TEST(Server, OutOfRangeNumericIdsEchoAsDoubles) {
+  const std::string path = write_demo_system("wide_ids");
+  Server server(demo_options(path));
+  const auto echoed = [&](const std::string& id) {
+    const std::string response = server.handle(
+        R"({"v": "ftmc.rpc.v1", "method": "ping", "id": )" + id + "}");
+    const std::size_t at = response.find(R"("id":)");
+    EXPECT_NE(at, std::string::npos) << response;
+    return response.substr(at + 5, response.find(',', at) - at - 5);
+  };
+  EXPECT_EQ(echoed("1e300"), "1.0000000000000001e+300");
+  EXPECT_EQ(echoed("-1e300"), "-1.0000000000000001e+300");
+  EXPECT_EQ(echoed("9223372036854775808"), "9.2233720368547758e+18");
+  EXPECT_EQ(echoed("-9223372036854775808"), "-9223372036854775808");
+  EXPECT_EQ(echoed("42"), "42");
+  EXPECT_EQ(echoed("2.5"), "2.5");
+}
+
+TEST(Server, OutOfRangeGenesAreBadRequests) {
+  const std::string path = write_demo_system("wide_genes");
+  Server server(demo_options(path));
+  for (const char* gene : {"-1", "1e300", "-1e300", "0.5"}) {
+    const std::string response = server.handle(
+        std::string(R"({"v": "ftmc.rpc.v1", "method": "evaluate", "params":)"
+                    R"( {"chromosome": {"allocation": [1, )") +
+        gene + R"(], "keep": [1, 1], "tasks": []}}})");
+    EXPECT_EQ(expect_error_code(response), "bad_request") << gene;
+    EXPECT_EQ(expect_error(response),
+              "params.chromosome.allocation entries must be integers in "
+              "[0, 1]")
+        << gene;
+  }
 }
 
 TEST(Server, VersionGateRejectsMissingOrWrongVersion) {
@@ -1021,6 +1066,24 @@ TEST(ServeObservability, BatchLogsOneTopLevelRecordWithClientId) {
   const JsonValue record = check_access_record(lines[0]);
   EXPECT_EQ(record.str_or("id", ""), "B7");
   EXPECT_EQ(record.str_or("method", ""), "batch");
+}
+
+TEST(ServeObservability, OutOfRangeNumericIdIsLoggedAsADouble) {
+  const std::string path = write_demo_system("obs_wide_id");
+  const std::string log_path = temp_path("wide_id.jsonl");
+  std::remove(log_path.c_str());
+  ServeOptions options = demo_options(path);
+  options.access_log = log_path;
+  options.sample_interval_ms = 0;
+  {
+    Server server(std::move(options));
+    (void)expect_ok(server.handle(
+        R"({"v": "ftmc.rpc.v1", "id": 1e300, "method": "ping"})"));
+  }
+  const std::vector<std::string> lines = read_lines(log_path);
+  ASSERT_EQ(lines.size(), 1u);
+  EXPECT_EQ(check_access_record(lines[0]).str_or("id", ""),
+            "1.0000000000000001e+300");
 }
 
 TEST(ServeObservability, SlowRequestsEscalateToMainLog) {
