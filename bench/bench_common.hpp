@@ -13,6 +13,8 @@
 // writing the final registry snapshot / Chrome trace next to the bench
 // output, so a perf investigation can re-run any bench with full telemetry
 // without recompiling anything.  See bench/README.md for the schema.
+//
+// Budgets (FTMC_GENERATIONS, FTMC_POPULATION, ...) are read with env_or.
 #pragma once
 
 #include <cstdlib>
@@ -24,6 +26,14 @@
 #include "ftmc/obs/trace.hpp"
 
 namespace ftmc::bench {
+
+/// Positive integer from environment variable `name`, else `fallback`.
+inline std::size_t env_or(const char* name, std::size_t fallback) {
+  const char* raw = std::getenv(name);
+  if (raw == nullptr) return fallback;
+  const long parsed = std::atol(raw);
+  return parsed > 0 ? static_cast<std::size_t>(parsed) : fallback;
+}
 
 class Reporter {
  public:

@@ -17,7 +17,6 @@
 // Environment knobs: FTMC_ISLANDS (default 4), FTMC_GENERATIONS (default
 // 8), FTMC_POPULATION (default 16).
 #include <chrono>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -38,13 +37,6 @@
 using namespace ftmc;
 
 namespace {
-
-std::size_t env_or(const char* name, std::size_t fallback) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr) return fallback;
-  const long parsed = std::atol(raw);
-  return parsed > 0 ? static_cast<std::size_t>(parsed) : fallback;
-}
 
 /// The synth benchmark written as a system file for the spawned workers.
 std::string write_bench_system(const benchmarks::Benchmark& benchmark) {
@@ -120,9 +112,9 @@ bool same_front(const std::vector<dse::Individual>& a,
 
 int main(int argc, char** argv) {
   const bench::Reporter reporter(argc, argv);
-  const std::size_t islands = env_or("FTMC_ISLANDS", 4);
-  const std::size_t generations = env_or("FTMC_GENERATIONS", 8);
-  const std::size_t population = env_or("FTMC_POPULATION", 16);
+  const std::size_t islands = bench::env_or("FTMC_ISLANDS", 4);
+  const std::size_t generations = bench::env_or("FTMC_GENERATIONS", 8);
+  const std::size_t population = bench::env_or("FTMC_POPULATION", 16);
 
   const benchmarks::Benchmark benchmark = benchmarks::synth_benchmark(1);
   const std::string path = write_bench_system(benchmark);

@@ -16,7 +16,6 @@
 // FTMC_SEED (2014).
 #include <atomic>
 #include <cmath>
-#include <cstdlib>
 #include <iostream>
 #include <mutex>
 
@@ -33,13 +32,6 @@ using namespace ftmc;
 
 namespace {
 
-std::size_t env_or(const char* name, std::size_t fallback) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr) return fallback;
-  const long parsed = std::atol(raw);
-  return parsed > 0 ? static_cast<std::size_t>(parsed) : fallback;
-}
-
 struct BenchmarkOutcome {
   std::string name;
   double power_with_dropping = 0.0;
@@ -51,9 +43,9 @@ struct BenchmarkOutcome {
 
 dse::GaOptions base_options(std::uint64_t seed) {
   dse::GaOptions options;
-  options.population = env_or("FTMC_POPULATION", 40);
+  options.population = bench::env_or("FTMC_POPULATION", 40);
   options.offspring = options.population;
-  options.generations = env_or("FTMC_GENERATIONS", 60);
+  options.generations = bench::env_or("FTMC_GENERATIONS", 60);
   options.seed = seed;
   options.optimize_service = false;  // pure power optimization (5.2a)
   return options;
@@ -129,10 +121,10 @@ std::string pct(double value) { return util::Table::cell(value, 2) + "%"; }
 
 int main(int argc, char** argv) {
   const bench::Reporter reporter(argc, argv);
-  const std::uint64_t seed = env_or("FTMC_SEED", 2014);
+  const std::uint64_t seed = bench::env_or("FTMC_SEED", 2014);
   std::cout << "Section 5.2 reproduction (population "
-            << env_or("FTMC_POPULATION", 40) << ", "
-            << env_or("FTMC_GENERATIONS", 60)
+            << bench::env_or("FTMC_POPULATION", 40) << ", "
+            << bench::env_or("FTMC_GENERATIONS", 60)
             << " generations; paper: 100 x 5000)\n\n";
 
   std::vector<BenchmarkOutcome> outcomes;
@@ -193,8 +185,8 @@ int main(int argc, char** argv) {
             .set("evaluations", outcome.evaluations));
   obs::Json summary = obs::Json::object();
   summary.set("bench", "dropping")
-      .set("population", env_or("FTMC_POPULATION", 40))
-      .set("generations", env_or("FTMC_GENERATIONS", 60))
+      .set("population", bench::env_or("FTMC_POPULATION", 40))
+      .set("generations", bench::env_or("FTMC_GENERATIONS", 60))
       .set("seed", seed)
       .set("benchmarks", std::move(benchmarks_json));
   reporter.finish(summary);

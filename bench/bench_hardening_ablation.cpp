@@ -11,7 +11,6 @@
 //                repair limited to replication) — shows the voter-failure
 //                floor: very tight f_t constraints become unreachable.
 #include <cmath>
-#include <cstdlib>
 #include <iostream>
 
 #include "bench_common.hpp"
@@ -25,13 +24,6 @@ using namespace ftmc;
 
 namespace {
 
-std::size_t env_or(const char* name, std::size_t fallback) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr) return fallback;
-  const long parsed = std::atol(raw);
-  return parsed > 0 ? static_cast<std::size_t>(parsed) : fallback;
-}
-
 /// One restricted DSE run; the restriction is enforced by the decoder on
 /// every chromosome (Lamarckian, so the gene pool follows).
 double best_power(const benchmarks::Benchmark& bench,
@@ -39,9 +31,9 @@ double best_power(const benchmarks::Benchmark& bench,
   const sched::HolisticAnalysis backend;
   dse::GeneticOptimizer optimizer(bench.arch, bench.apps, backend);
   dse::GaOptions options;
-  options.population = env_or("FTMC_POPULATION", 40);
+  options.population = bench::env_or("FTMC_POPULATION", 40);
   options.offspring = options.population;
-  options.generations = env_or("FTMC_GENERATIONS", 50);
+  options.generations = bench::env_or("FTMC_GENERATIONS", 50);
   options.seed = 99;
   options.optimize_service = false;
   options.decoder.restriction = restriction;

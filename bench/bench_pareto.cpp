@@ -9,7 +9,6 @@
 // Environment knobs: FTMC_GENERATIONS (default 80), FTMC_POPULATION (50),
 // FTMC_SEED (5).
 #include <algorithm>
-#include <cstdlib>
 #include <iostream>
 
 #include "ftmc/benchmarks/dream.hpp"
@@ -21,13 +20,6 @@
 using namespace ftmc;
 
 namespace {
-
-std::size_t env_or(const char* name, std::size_t fallback) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr) return fallback;
-  const long parsed = std::atol(raw);
-  return parsed > 0 ? static_cast<std::size_t>(parsed) : fallback;
-}
 
 /// Figure-5-style label: the set of *alive* droppable applications.
 std::string alive_label(const model::ApplicationSet& apps,
@@ -53,10 +45,10 @@ int main(int argc, char** argv) {
   dse::GeneticOptimizer optimizer(bench.arch, bench.apps, backend);
 
   dse::GaOptions options;
-  options.population = env_or("FTMC_POPULATION", 50);
+  options.population = bench::env_or("FTMC_POPULATION", 50);
   options.offspring = options.population;
-  options.generations = env_or("FTMC_GENERATIONS", 80);
-  options.seed = env_or("FTMC_SEED", 5);
+  options.generations = bench::env_or("FTMC_GENERATIONS", 80);
+  options.seed = bench::env_or("FTMC_SEED", 5);
   options.optimize_service = true;
 
   std::cout << "Figure 5 reproduction: power/service Pareto front for "

@@ -14,7 +14,6 @@
 //
 // Environment knobs: FTMC_MC_PROFILES (default 10000).
 #include <array>
-#include <cstdlib>
 #include <iostream>
 
 #include "bench_common.hpp"
@@ -29,13 +28,6 @@ using namespace ftmc;
 
 namespace {
 
-std::size_t env_or(const char* name, std::size_t fallback) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr) return fallback;
-  const long parsed = std::atol(raw);
-  return parsed > 0 ? static_cast<std::size_t>(parsed) : fallback;
-}
-
 std::string ms(model::Time t) {
   if (t < 0) return "-";
   if (t >= sched::kUnschedulable) return "unsched";
@@ -48,7 +40,7 @@ int main(int argc, char** argv) {
   const bench::Reporter reporter(argc, argv);
   const auto cruise = benchmarks::cruise_benchmark();
   const auto configs = benchmarks::cruise_sample_configs(cruise);
-  const std::size_t profiles = env_or("FTMC_MC_PROFILES", 10'000);
+  const std::size_t profiles = bench::env_or("FTMC_MC_PROFILES", 10'000);
 
   const sched::HolisticAnalysis backend;
   const core::McAnalysis analysis(backend);

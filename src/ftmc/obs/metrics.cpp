@@ -52,8 +52,6 @@ double MetricsSnapshot::quantile(std::string_view name,
   return 0.0;
 }
 
-#if !defined(FTMC_OBS_DISABLED)
-
 namespace {
 
 /// Append-only chunked cell store: chunk pointers are installed exactly
@@ -282,7 +280,5 @@ void gauge_add(std::size_t id, std::int64_t delta) noexcept {
 MetricsSnapshot snapshot() { return registry().snapshot(); }
 
 void reset() { registry().reset(); }
-
-#endif  // !FTMC_OBS_DISABLED
 
 }  // namespace ftmc::obs

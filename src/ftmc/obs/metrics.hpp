@@ -33,13 +33,10 @@
 //    per-sample storage.  Exact percentiles stay the job of
 //    util::percentile_sorted over explicit sample vectors.
 //
-// Compile-out: defining FTMC_OBS_DISABLED (CMake option of the same name)
-// turns every handle operation into an empty inline and snapshot() into an
-// empty result, so shipping builds can drop the layer entirely.  The
-// default build keeps it on; the instrumented hot paths accumulate into
-// plain locals and flush once per solve/run, so the steady-state overhead
-// is a handful of relaxed stores per kernel invocation (<2% on the kernel
-// benches — see DESIGN.md "Observability" for the budget).
+// The instrumented hot paths accumulate into plain locals and flush once
+// per solve/run, so the steady-state overhead is a handful of relaxed
+// stores per kernel invocation (see DESIGN.md "Observability" for how it
+// is measured).
 //
 // Instrumentation must never change results: handles carry no state that
 // feeds back into the computation, and the differential suites in
@@ -89,8 +86,6 @@ struct MetricsSnapshot {
   /// util::percentile_sorted's job.
   double quantile(std::string_view name, double q) const noexcept;
 };
-
-#if !defined(FTMC_OBS_DISABLED)
 
 namespace detail {
 
@@ -159,34 +154,5 @@ MetricsSnapshot snapshot();
 /// accumulator).  Registrations survive.  Meant for tests and for delta
 /// reporting around a run; concurrent writers may re-add concurrently.
 void reset();
-
-#else  // FTMC_OBS_DISABLED: the whole layer compiles to nothing.
-
-class Counter {
- public:
-  explicit Counter(std::string_view) {}
-  void add(std::uint64_t = 1) noexcept {}
-};
-
-class Gauge {
- public:
-  explicit Gauge(std::string_view) {}
-  void set(std::uint64_t) noexcept {}
-  void add(std::int64_t) noexcept {}
-};
-
-class Histogram {
- public:
-  explicit Histogram(std::string_view) {}
-  void record(std::uint64_t) noexcept {}
-  static std::size_t bucket_of(std::uint64_t sample) noexcept {
-    return static_cast<std::size_t>(std::bit_width(sample));
-  }
-};
-
-inline MetricsSnapshot snapshot() { return {}; }
-inline void reset() {}
-
-#endif  // FTMC_OBS_DISABLED
 
 }  // namespace ftmc::obs

@@ -119,18 +119,15 @@ void TimeSeriesSampler::run() {
 void TimeSeriesSampler::sample_now() {
   MetricsSnapshot snap = obs::snapshot();
   const auto now = std::chrono::steady_clock::now();
-  {
-    std::lock_guard lock(mutex_);
-    Sample sample;
-    sample.seconds = std::chrono::duration<double>(now - last_at_).count();
-    sample.delta = subtract(snap, last_);
-    ring_.push_back(std::move(sample));
-    while (ring_.size() > options_.capacity) ring_.pop_front();
-    last_ = snap;
-    last_at_ = now;
-    ++total_samples_;
-  }
-  if (options_.on_sample) options_.on_sample(snap);
+  std::lock_guard lock(mutex_);
+  Sample sample;
+  sample.seconds = std::chrono::duration<double>(now - last_at_).count();
+  sample.delta = subtract(snap, last_);
+  ring_.push_back(std::move(sample));
+  while (ring_.size() > options_.capacity) ring_.pop_front();
+  last_ = std::move(snap);
+  last_at_ = now;
+  ++total_samples_;
 }
 
 TimeSeriesSampler::Window TimeSeriesSampler::window(

@@ -18,20 +18,13 @@
 // (one mutex guards the ring and the baseline; the registry snapshot has
 // its own synchronization).  start(), stop(), and the destructor must be
 // called from one owning thread — the server starts the sampler at
-// startup and stops it (joining the thread) on graceful drain.  The
-// on_sample callback runs on whichever thread sampled, outside the ring
-// lock.
-//
-// The class is compiled identically with FTMC_OBS_DISABLED: snapshot()
-// then returns empty snapshots, so every window is empty and every rate 0
-// — callers need no build-mode branches.
+// startup and stops it (joining the thread) on graceful drain.
 #pragma once
 
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
-#include <functional>
 #include <mutex>
 #include <string_view>
 #include <thread>
@@ -48,9 +41,6 @@ class TimeSeriesSampler {
     std::size_t interval_ms = 1000;
     /// Deltas retained; older samples fall off the ring.
     std::size_t capacity = 120;
-    /// Called after each sample with the absolute registry snapshot (e.g.
-    /// to export a Prometheus textfile); runs outside the ring lock.
-    std::function<void(const MetricsSnapshot&)> on_sample;
   };
 
   /// Aggregate of the most recent deltas: counters/histograms hold the

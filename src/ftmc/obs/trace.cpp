@@ -12,8 +12,6 @@
 
 namespace ftmc::obs {
 
-#if !defined(FTMC_OBS_DISABLED)
-
 namespace {
 
 struct TraceEvent {
@@ -215,13 +213,5 @@ void write_chrome_trace(std::ostream& out) {
       .write(out);
   out << '\n';
 }
-
-#else  // FTMC_OBS_DISABLED
-
-void write_chrome_trace(std::ostream& out) {
-  out << "{\"traceEvents\":[],\"displayTimeUnit\":\"ms\"}\n";
-}
-
-#endif  // FTMC_OBS_DISABLED
 
 }  // namespace ftmc::obs

@@ -29,8 +29,6 @@
 
 namespace ftmc::obs {
 
-#if !defined(FTMC_OBS_DISABLED)
-
 bool tracing_enabled() noexcept;
 
 /// Starts (or restarts) a trace session.  `ring_capacity` is per thread,
@@ -73,23 +71,5 @@ class Span {
 
   const char* name_;
 };
-
-#else  // FTMC_OBS_DISABLED
-
-inline bool tracing_enabled() noexcept { return false; }
-inline void enable_tracing(std::size_t = 0) {}
-inline void disable_tracing() {}
-inline void clear_trace() {}
-void write_chrome_trace(std::ostream& out);  // writes an empty trace
-inline void trace_instant(const char*, std::string_view) {}
-
-class Span {
- public:
-  explicit Span(const char*) noexcept {}
-  Span(const Span&) = delete;
-  Span& operator=(const Span&) = delete;
-};
-
-#endif  // FTMC_OBS_DISABLED
 
 }  // namespace ftmc::obs

@@ -312,8 +312,8 @@ struct Server::RequestInfo {
   std::uint64_t render_us = 0;
   std::uint64_t write_us = 0;
 
-  /// In-process handling time — what the latency histograms and --slow-ms
-  /// measure (read/write depend on the peer, not on us).
+  /// In-process handling time — what the latency histograms measure
+  /// (read/write depend on the peer, not on us).
   std::uint64_t handle_us() const noexcept {
     return parse_us + dispatch_us + render_us;
   }
@@ -343,31 +343,8 @@ Server::Server(ServeOptions options)
   if (options_.sample_interval_ms > 0) {
     obs::TimeSeriesSampler::Options sampler_options;
     sampler_options.interval_ms = options_.sample_interval_ms;
-    if (!options_.prom_textfile.empty()) {
-      // write_file_atomic (temp + rename) so a scraper never reads a
-      // partial exposition.
-      sampler_options.on_sample = [path = options_.prom_textfile](
-                                      const obs::MetricsSnapshot& snap) {
-        try {
-          const std::string text = obs::prometheus_text(snap);
-          util::write_file_atomic(
-              path,
-              std::span<const std::uint8_t>(
-                  reinterpret_cast<const std::uint8_t*>(text.data()),
-                  text.size()));
-        } catch (const std::exception& error) {
-          util::log_warn("serve: prometheus textfile export failed: ",
-                         error.what());
-        }
-      };
-    }
-    sampler_ =
-        std::make_unique<obs::TimeSeriesSampler>(std::move(sampler_options));
+    sampler_ = std::make_unique<obs::TimeSeriesSampler>(sampler_options);
     sampler_->start();
-  } else if (!options_.prom_textfile.empty()) {
-    throw std::runtime_error(
-        "serve: --prom-textfile requires the sampler (--sample-interval "
-        "> 0)");
   }
   for (const std::string& path : options_.system_paths) {
     for (const auto& loaded : systems_)
@@ -578,6 +555,14 @@ obs::Json Server::handle_simulate(ResidentSystem& sys,
   mc.seed = params.u64_or("seed", 1);
   mc.hyperperiods = params.u64_or("hyperperiods", 1);
   mc.threads = options_.threads;
+  if (mc.profiles > kMaxSimulateProfiles)
+    throw std::runtime_error("params.profiles " + std::to_string(mc.profiles) +
+                             " exceeds the cap of " +
+                             std::to_string(kMaxSimulateProfiles));
+  if (mc.hyperperiods > kMaxSimulateHyperperiods)
+    throw std::runtime_error(
+        "params.hyperperiods " + std::to_string(mc.hyperperiods) +
+        " exceeds the cap of " + std::to_string(kMaxSimulateHyperperiods));
   // fault_prob travels as the user's verbatim string: the report title
   // embeds the spelling (the CLI prints the --fault-prob argument, not a
   // re-formatted double), so a numeric JSON value could not stay
@@ -952,16 +937,6 @@ std::string Server::handle_request(const std::string& request,
 void Server::finish_request(const RequestInfo& info) {
   counters().latency_for(info.method).record(info.handle_us());
   if (access_log_fd_ >= 0) write_access_record(info);
-  if (options_.slow_ms > 0 &&
-      info.handle_us() >=
-          static_cast<std::uint64_t>(options_.slow_ms) * 1000) {
-    util::log_warn(
-        "serve: slow request id=", info.id,
-        " method=", info.method.empty() ? "?" : info.method.c_str(),
-        info.system.empty() ? "" : " system=" + info.system,
-        " handle_us=", info.handle_us(), " (parse=", info.parse_us,
-        " dispatch=", info.dispatch_us, " render=", info.render_us, ")");
-  }
 }
 
 void Server::write_access_record(const RequestInfo& info) {
@@ -987,11 +962,7 @@ void Server::write_access_record(const RequestInfo& info) {
                      .set("dispatch", obs::Json::uinteger(info.dispatch_us))
                      .set("render", obs::Json::uinteger(info.render_us))
                      .set("write", obs::Json::uinteger(info.write_us)))
-      .set("total_us", obs::Json::uinteger(info.total_us()))
-      .set("slow",
-           options_.slow_ms > 0 &&
-               info.handle_us() >=
-                   static_cast<std::uint64_t>(options_.slow_ms) * 1000);
+      .set("total_us", obs::Json::uinteger(info.total_us()));
   std::string line = record.dump();
   line.push_back('\n');
   // One write() per record, retrying EINTR (the CLI installs handlers

@@ -76,6 +76,12 @@ namespace ftmc::serve {
 
 struct JsonValue;
 
+/// Caps on a `simulate` request's declared sizes (docs/PROTOCOL.md): its
+/// work grows with `profiles`, and the resident PreparedSim's tables with
+/// `hyperperiods`.  A request above either is a bad_request naming the cap.
+inline constexpr std::uint64_t kMaxSimulateProfiles = 1'000'000;
+inline constexpr std::uint64_t kMaxSimulateHyperperiods = 100;
+
 struct ServeOptions {
   /// System files to load at startup (each stays resident for its
   /// lifetime).  Duplicates are rejected.
@@ -95,16 +101,9 @@ struct ServeOptions {
   /// JSONL access log: one record per request with the latency breakdown
   /// (see DESIGN.md "Live serve observability").  Empty disables it.
   std::string access_log;
-  /// Requests whose parse+dispatch+render time reaches this many
-  /// milliseconds are escalated to the main log at Warn (0 disables).
-  std::size_t slow_ms = 0;
   /// Cadence of the background metrics sampler feeding the `metrics`
   /// method's windowed rates (0 disables sampling).
   std::size_t sample_interval_ms = 1000;
-  /// Prometheus textfile rewritten (write-temp+rename) on every sampler
-  /// tick, for node-exporter-style collection.  Empty disables it;
-  /// requires the sampler.
-  std::string prom_textfile;
   /// Polled between requests/accepts; true requests a graceful drain
   /// (SIGINT/SIGTERM handler in the CLI).
   std::function<bool()> stop_requested;
@@ -167,9 +166,9 @@ class Server {
   /// Per-request observation record (defined in server.cpp): request id,
   /// method, outcome, byte counts, and the read/parse/dispatch/render/
   /// write latency breakdown.  Purely observational — it is filled beside
-  /// the request and emitted to the access log, the per-method latency
-  /// histograms, and (past --slow-ms) the main log after the response is
-  /// complete; nothing in it feeds back into response bytes.
+  /// the request and emitted to the access log and the per-method latency
+  /// histograms after the response is complete; nothing in it feeds back
+  /// into response bytes.
   struct RequestInfo;
 
   ResidentSystem& resident(const JsonValue& root);
@@ -197,8 +196,8 @@ class Server {
   /// and fills `info` (counters/stats included).  Sessions call this so
   /// the record can also cover the frame read/write stages.
   std::string handle_request(const std::string& request, RequestInfo& info);
-  /// Emits the completed record: per-method latency histogram, access-log
-  /// line, and the --slow-ms escalation.
+  /// Emits the completed record: per-method latency histogram and
+  /// access-log line.
   void finish_request(const RequestInfo& info);
   void write_access_record(const RequestInfo& info);
   /// One session: read frame -> handle inline -> write response, until

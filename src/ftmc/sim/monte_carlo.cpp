@@ -68,7 +68,7 @@ MonteCarloResult monte_carlo_wcrt(const PreparedSim& prepared,
 
   RunOptions run_options;
   run_options.max_events = options.max_events;
-  run_options.trace = options.trace;
+  run_options.trace = TraceLevel::kResponses;
 
   std::optional<util::ThreadPool> owned_pool;
   if (external_pool == nullptr) owned_pool.emplace(options.threads);

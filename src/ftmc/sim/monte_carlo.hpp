@@ -2,7 +2,9 @@
 // failure profiles (random per-attempt faults + random execution times) and
 // record the maximum observed response time per graph.  This is a *lower*
 // bound on the true WCRT — the paper uses it to show that simulation
-// coverage alone is not a safe analysis.
+// coverage alone is not a safe analysis.  Profiles run at
+// TraceLevel::kResponses: the campaign reads only graph responses, event
+// counts and deadline misses, which every level fills.
 #pragma once
 
 #include <cstddef>
@@ -28,10 +30,6 @@ struct MonteCarloOptions {
   std::size_t threads = 0;
   /// Per-profile event budget (throws, wrapped with profile context).
   std::size_t max_events = 50'000'000;
-  /// Trace detail per profile.  The campaign aggregates only per-graph
-  /// responses, so anything above kResponses is pure overhead — exposed for
-  /// A/B measurement (`ftmc simulate --trace-level`, bench_sim_kernel).
-  TraceLevel trace = TraceLevel::kResponses;
 };
 
 /// Response-time distribution of one graph over the simulated profiles.

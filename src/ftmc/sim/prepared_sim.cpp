@@ -4,6 +4,7 @@
 #include <functional>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "ftmc/core/exec_model.hpp"
 #include "ftmc/hardening/reliability.hpp"
@@ -79,6 +80,13 @@ PreparedSim::PreparedSim(const model::Architecture& arch,
   n_tasks_ = apps.task_count();
   hyperperiods_ = options.hyperperiods;
   hyper_ = apps.hyperperiod();
+  if (hyper_ > 0 &&
+      hyperperiods_ > static_cast<std::uint64_t>(
+                          std::numeric_limits<model::Time>::max() / hyper_))
+    throw std::invalid_argument(
+        "PreparedSim: " + std::to_string(hyperperiods_) +
+        " hyperperiods of " + std::to_string(hyper_) +
+        " us overflow the simulated time range");
   sim_end_ = hyper_ * static_cast<model::Time>(hyperperiods_);
 
   // ---- Static per-node tables (legacy construction order) ----------------

@@ -18,15 +18,6 @@ const char* to_string(JobState state) noexcept {
   return "?";
 }
 
-const char* to_string(TraceLevel level) noexcept {
-  switch (level) {
-    case TraceLevel::kResponses: return "responses";
-    case TraceLevel::kJobs: return "jobs";
-    case TraceLevel::kFull: return "full";
-  }
-  return "?";
-}
-
 Simulator::Simulator(const model::Architecture& arch,
                      const hardening::HardenedSystem& system,
                      core::DropSet drop,

@@ -37,8 +37,6 @@ enum class TraceLevel : std::uint8_t {
   kFull,
 };
 
-const char* to_string(TraceLevel level) noexcept;
-
 /// One job = one release of one task of T'.
 struct JobRecord {
   std::size_t flat_task = 0;

@@ -3,12 +3,12 @@
 // output counter).
 //
 // The production path is the prepared kernel (ftmc/sim/prepared_sim.hpp);
-// this copy exists so tests/test_sim_kernel.cpp and the bench_sim_kernel
-// seed arm compare the kernel against the code it replaced rather than
-// against itself.  It rebuilds every static table per call, allocates
-// freely, and always materializes the full trace (SimOptions::trace is
-// ignored — output is TraceLevel::kFull).  Slow by design; never link it
-// into a shipped target.
+// this copy exists so tests/test_sim_kernel.cpp compares the kernel
+// against the code it replaced rather than against itself.  It rebuilds
+// every static table per call, allocates freely, and always materializes
+// the full trace (SimOptions::trace is ignored — output is
+// TraceLevel::kFull).  Slow by design; never link it into a shipped
+// target.
 #pragma once
 
 #include <cstdint>

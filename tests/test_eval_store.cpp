@@ -393,15 +393,26 @@ TEST(EvalStore, WarmStoreReplaysGaCampaignWithoutFreshEvaluations) {
   options.seed = 7;
   options.threads = 2;
 
-  std::uint64_t cold_appends = 0;
-  dse::GaResult cold;
+  const auto expect_same_campaign = [](const dse::GaResult& a,
+                                       const dse::GaResult& b) {
+    EXPECT_EQ(a.evaluations, b.evaluations);
+    EXPECT_EQ(a.best_feasible_power, b.best_feasible_power);
+    ASSERT_EQ(a.pareto.size(), b.pareto.size());
+    for (std::size_t i = 0; i < a.pareto.size(); ++i)
+      EXPECT_EQ(a.pareto[i].objectives, b.pareto[i].objectives);
+  };
+  // The same campaign with no store attached is the reference.
+  const dse::GaResult plain = optimizer.run(options);
+
   {
+    // A cold store computes and appends every evaluation, and does not
+    // move the trajectory.
     EvalStore store(dir);
     options.evaluator.store = &store;
-    cold = optimizer.run(options);
-    cold_appends = store.stats().appends;
-    EXPECT_GT(cold_appends, 0u);
+    const dse::GaResult cold = optimizer.run(options);
+    EXPECT_GT(store.stats().appends, 0u);
     EXPECT_EQ(store.stats().hits, 0u);
+    expect_same_campaign(plain, cold);
   }
   {
     // Same campaign against the warm store: every evaluation is served
@@ -411,11 +422,7 @@ TEST(EvalStore, WarmStoreReplaysGaCampaignWithoutFreshEvaluations) {
     const dse::GaResult warm = optimizer.run(options);
     EXPECT_EQ(store.stats().appends, 0u);
     EXPECT_GT(store.stats().hits, 0u);
-    EXPECT_EQ(warm.evaluations, cold.evaluations);
-    EXPECT_EQ(warm.best_feasible_power, cold.best_feasible_power);
-    ASSERT_EQ(warm.pareto.size(), cold.pareto.size());
-    for (std::size_t i = 0; i < warm.pareto.size(); ++i)
-      EXPECT_EQ(warm.pareto[i].objectives, cold.pareto[i].objectives);
+    expect_same_campaign(plain, warm);
   }
 }
 

@@ -30,14 +30,20 @@
 // (default 2024, the base of the per-iteration seed sequence).
 //
 // A second fuzz loop checks McAnalysis itself against the plain Algorithm 1
-// of tests/oracle/ on both the production and the oracle backend.  Below
-// the fuzz loops, hand-made systems pin the operator's edge cases against
-// the oracle and against hand-computed bounds.
+// of tests/oracle/ on both the production and the oracle backend.  In both
+// loops each iteration also decodes a random candidate of one of the
+// paper's systems (DT-med on even iterations, DT-large on odd ones) and
+// checks it at the McAnalysis level: the task counts, harmonic periods and
+// heterogeneous platforms the DSE actually evaluates, which the small
+// random systems do not reach.  Below the fuzz loops, hand-made systems pin
+// the operator's edge cases against the oracle and against hand-computed
+// bounds.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
+#include "ftmc/benchmarks/dream.hpp"
 #include "ftmc/benchmarks/synth.hpp"
 #include "ftmc/core/mc_analysis.hpp"
 #include "ftmc/obs/metrics.hpp"
@@ -84,6 +90,13 @@ benchmarks::Benchmark random_benchmark(util::Rng& rng) {
       "fuzz",
       fixtures::test_arch(1 + rng.index(4), rng.chance(0.5) ? 1.0 : 0.25),
       benchmarks::synthetic_applications(params)};
+}
+
+/// DT-med and DT-large (paper §5), built once per process.
+const benchmarks::Benchmark& paper_system(std::size_t iter) {
+  static const benchmarks::Benchmark systems[] = {
+      benchmarks::dt_med_benchmark(), benchmarks::dt_large_benchmark()};
+  return systems[iter % 2];
 }
 
 void run_mc_level(const benchmarks::Benchmark& benchmark,
@@ -174,10 +187,14 @@ TEST(KernelFuzz, ThreeBackendsBitwiseIdentical) {
 
     run_mc_level(benchmark, fx, regime, pool);
     run_prepared_level(benchmark, fx, regime, rng);
+    {
+      const benchmarks::Benchmark& paper = paper_system(iter);
+      SCOPED_TRACE(paper.name);
+      run_mc_level(paper, make_candidate(paper, rng), regime, pool);
+    }
     if (::testing::Test::HasFailure()) break;  // one seed is enough to debug
   }
 
-#if !defined(FTMC_OBS_DISABLED)
   // Coverage guard: the random inputs must actually have driven the paths
   // under test, or the bitwise assertions above prove nothing.
   const obs::MetricsSnapshot snapshot = obs::snapshot();
@@ -186,7 +203,6 @@ TEST(KernelFuzz, ThreeBackendsBitwiseIdentical) {
   EXPECT_GT(snapshot.value_of("sched.batch.lanes"),
             snapshot.value_of("sched.batch.solves"));
   EXPECT_GT(snapshot.value_of("sched.batch.dup_lanes"), 0u);
-#endif
 }
 
 // McAnalysis (prepared problem, sparse scenario edits over the all-critical
@@ -215,7 +231,9 @@ TEST(KernelFuzz, McAnalysisMatchesAlgorithm1Oracle) {
     regime.bus_contention = rng.chance(0.5);
     regime.precedence_aware = rng.chance(0.8);
     util::ThreadPool* maybe_pool = rng.chance(0.5) ? &pool : nullptr;
-    const auto check = [&](const sched::SchedulingAnalysis& backend,
+    const auto check = [&](const benchmarks::Benchmark& system,
+                           const CandidateFixture& input,
+                           const sched::SchedulingAnalysis& backend,
                            const char* label) {
       SCOPED_TRACE(label);
       const core::McAnalysis analysis(backend);
@@ -224,22 +242,29 @@ TEST(KernelFuzz, McAnalysisMatchesAlgorithm1Oracle) {
         SCOPED_TRACE(mode == core::McAnalysis::Mode::kProposed ? "proposed"
                                                                : "naive");
         const auto reference = oracle::mc_analyze(
-            backend, benchmark.arch, fx.system, fx.candidate.drop, mode);
-        const auto result = analysis.analyze(
-            benchmark.arch, fx.system, fx.candidate.drop, mode, maybe_pool);
+            backend, system.arch, input.system, input.candidate.drop, mode);
+        const auto result =
+            analysis.analyze(system.arch, input.system, input.candidate.drop,
+                             mode, maybe_pool);
         expect_same_mc_result(reference, result);
         EXPECT_EQ(reference.scenario_solves, result.scenario_solves);
       }
     };
-    check(sched::HolisticAnalysis(regime), "production backend");
-    check(oracle::HolisticOracle(regime), "oracle backend");
+    check(benchmark, fx, sched::HolisticAnalysis(regime),
+          "production backend");
+    check(benchmark, fx, oracle::HolisticOracle(regime), "oracle backend");
+    {
+      const benchmarks::Benchmark& paper = paper_system(iter);
+      SCOPED_TRACE(paper.name);
+      const CandidateFixture paper_fx = make_candidate(paper, rng);
+      check(paper, paper_fx, sched::HolisticAnalysis(regime),
+            "production backend");
+    }
     if (::testing::Test::HasFailure()) break;  // one seed is enough to debug
   }
 
-#if !defined(FTMC_OBS_DISABLED)
   // The sparse scenario construction must actually have run.
   EXPECT_GT(obs::snapshot().value_of("analysis.bounds_edits"), 0u);
-#endif
 }
 
 // ---- Hand-made operator edge cases -------------------------------------

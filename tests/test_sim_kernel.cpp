@@ -3,13 +3,16 @@
 // monolithic Simulator::run, preserved as oracle::simulate in
 // tests/oracle/reference_sim.hpp) for every system, option combination, and
 // fault realization — and stay so across scratch reuse and concurrent runs
-// sharing one PreparedSim.
+// sharing one PreparedSim.  The systems are small random synthetic ones and
+// DT-large, each under a random decoded candidate per seed.
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <future>
+#include <limits>
 #include <vector>
 
+#include "ftmc/benchmarks/dream.hpp"
 #include "ftmc/benchmarks/synth.hpp"
 #include "ftmc/core/mc_analysis.hpp"
 #include "ftmc/dse/decoder.hpp"
@@ -31,6 +34,21 @@ struct Configured {
   std::vector<std::uint32_t> priorities;
 };
 
+/// `apps` on `arch` under a candidate decoded from a random chromosome.
+Configured configure(model::Architecture arch,
+                     const model::ApplicationSet& apps, std::uint64_t seed) {
+  util::Rng rng(seed);
+  const dse::Decoder decoder(arch, apps);
+  dse::Chromosome chromosome = dse::random_chromosome(decoder.shape(), rng);
+  const core::Candidate candidate = decoder.decode(chromosome, rng);
+  auto system = hardening::apply_hardening(apps, candidate.plan,
+                                           candidate.base_mapping,
+                                           arch.processor_count());
+  auto priorities = sched::assign_priorities(system.apps);
+  return Configured{std::move(arch), std::move(system), candidate.drop,
+                    std::move(priorities)};
+}
+
 /// Random synthetic system + random decoded candidate, as in
 /// test_sim_properties.cpp.  Synthetic channels carry bytes, so remote
 /// edges produce bus message nodes under bus_contention.
@@ -40,17 +58,15 @@ Configured random_configured(std::uint64_t seed) {
   params.graph_count = 3;
   params.min_tasks = 3;
   params.max_tasks = 6;
-  auto apps = benchmarks::synthetic_applications(params);
-  auto arch = fixtures::test_arch(3);
-  util::Rng rng(seed);
-  const dse::Decoder decoder(arch, apps);
-  dse::Chromosome chromosome = dse::random_chromosome(decoder.shape(), rng);
-  const core::Candidate candidate = decoder.decode(chromosome, rng);
-  auto system = hardening::apply_hardening(apps, candidate.plan,
-                                           candidate.base_mapping, 3);
-  auto priorities = sched::assign_priorities(system.apps);
-  return Configured{std::move(arch), std::move(system), candidate.drop,
-                    std::move(priorities)};
+  return configure(fixtures::test_arch(3),
+                   benchmarks::synthetic_applications(params), seed);
+}
+
+/// DT-large (paper §5) + random decoded candidate: the largest system the
+/// Monte-Carlo campaigns of Table 2 and `ftmc simulate` run.
+Configured dt_large_configured(std::uint64_t seed) {
+  const benchmarks::Benchmark benchmark = benchmarks::dt_large_benchmark();
+  return configure(benchmark.arch, benchmark.apps, seed);
 }
 
 #define EXPECT_JOBS_EQ(a, b)                          \
@@ -115,12 +131,9 @@ void expect_level_identical(const sim::SimResult& reference,
   }
 }
 
-class SimKernelDifferential : public ::testing::TestWithParam<std::uint64_t> {
-};
-
-TEST_P(SimKernelDifferential, MatchesReferenceAcrossOptionsAndLevels) {
-  const std::uint64_t seed = GetParam();
-  const Configured config = random_configured(seed);
+/// Every option combination and trace level on `config`, one fault
+/// realization drawn from `seed`, against the reference simulator.
+void expect_matches_reference(const Configured& config, std::uint64_t seed) {
   for (const bool bus : {false, true}) {
     for (const bool critical : {false, true}) {
       sim::SimOptions legacy_options;
@@ -154,6 +167,21 @@ TEST_P(SimKernelDifferential, MatchesReferenceAcrossOptionsAndLevels) {
         expect_level_identical(reference, result, level);
       }
     }
+  }
+}
+
+class SimKernelDifferential : public ::testing::TestWithParam<std::uint64_t> {
+};
+
+TEST_P(SimKernelDifferential, MatchesReferenceAcrossOptionsAndLevels) {
+  const std::uint64_t seed = GetParam();
+  {
+    SCOPED_TRACE("synthetic");
+    expect_matches_reference(random_configured(seed), seed);
+  }
+  {
+    SCOPED_TRACE("DT-large");
+    expect_matches_reference(dt_large_configured(seed), seed);
   }
 }
 
@@ -351,10 +379,21 @@ TEST(SimKernel, RunThrowsWhenEventBudgetExceeded) {
   EXPECT_FALSE(ok.graph_response.empty());
 }
 
-TEST(SimKernel, TraceLevelNamesRoundTrip) {
-  EXPECT_STREQ(to_string(sim::TraceLevel::kResponses), "responses");
-  EXPECT_STREQ(to_string(sim::TraceLevel::kJobs), "jobs");
-  EXPECT_STREQ(to_string(sim::TraceLevel::kFull), "full");
+// hyperperiods x hyperperiod must fit model::Time, or the simulated
+// horizon overflows: the constructor refuses before sizing any table.
+TEST(SimKernel, OverflowingHorizonIsRejected) {
+  const Configured config = random_configured(4);
+  const model::Time hyper = config.system.apps.hyperperiod();
+  const auto fitting = static_cast<std::size_t>(
+      std::numeric_limits<model::Time>::max() / hyper);
+  for (const std::size_t hyperperiods :
+       {fitting + 1, std::numeric_limits<std::size_t>::max()}) {
+    EXPECT_THROW(sim::PreparedSim(config.arch, config.system, config.drop,
+                                  config.priorities,
+                                  sim::PrepareOptions{hyperperiods, false}),
+                 std::invalid_argument)
+        << hyperperiods;
+  }
 }
 
 }  // namespace

@@ -1,10 +1,16 @@
 // ftmc — command-line front end.
 //
 //   ftmc info <system.ftmc>                  model summary
+//   ftmc dot <system.ftmc>                   Graphviz (hardened view when
+//                                            the file has a candidate)
 //   ftmc analyze <system.ftmc>               Algorithm 1 on the candidate
 //   ftmc simulate <system.ftmc> [options]    Monte-Carlo fault injection
 //       --profiles=N (default 1000) --fault-prob=P (0.3) --seed=S (1)
-//       --threads=N (hardware) --trace-level=responses|jobs|full (responses)
+//       --threads=N (hardware)
+//   ftmc serve <system.ftmc> [options]       long-lived request daemon
+//       --port=N --port-file=FILE --stdio --also=FILE,... --cache-dir=DIR
+//       --no-cache --max-requests=N --max-connections=N (8) --threads=N
+//       --access-log=FILE --sample-interval=MS (1000)
 //   ftmc optimize <system.ftmc> [options]    GA design-space exploration
 //       --generations=N (60) --population=N (40) --seed=S (42)
 //       --seeds=A,B,... (multi-seed campaign) --threads=N (hardware)
@@ -15,6 +21,9 @@
 //   ftmc campaign <system.ftmc> [options]    distributed island campaign
 //       everything optimize takes, plus --workers=N --worker-hosts=H:P,...
 //       --worker-threads=N --migration-every=N (10) --migration-size=N (4)
+//
+// analyze, simulate, serve, optimize and campaign also take the telemetry
+// flags --metrics-json=FILE, --chrome-trace=FILE and --quiet.
 //
 // All option parsing goes through cli::OptionParser (tools/cli_options.hpp):
 // each subcommand registers exactly the options it reads and everything
@@ -69,7 +78,7 @@ int usage() {
       "            [--threads=N]  (parallel transition scenarios)\n"
       "  simulate  Monte-Carlo fault injection on the candidate\n"
       "            [--profiles=N] [--fault-prob=P] [--seed=S]\n"
-      "            [--threads=N] [--trace-level=responses|jobs|full]\n"
+      "            [--threads=N]\n"
       "  serve     long-lived daemon: load once, answer analyze/simulate/\n"
       "            evaluate requests over length-prefixed JSONL\n"
       "            (tools/serve_client.py is the reference client)\n"
@@ -80,9 +89,8 @@ int usage() {
       "            [--max-connections=N]  (concurrent TCP sessions, def. 8)\n"
       "            [--threads=N]\n"
       "            [--access-log=FILE]  (JSONL per-request records)\n"
-      "            [--slow-ms=N]  (escalate slow requests to the log)\n"
       "            [--sample-interval=MS]  (metrics sampler cadence,\n"
-      "            default 1000, 0 = off) [--prom-textfile=FILE]\n"
+      "            default 1000, 0 = off)\n"
       "  optimize  genetic design-space exploration\n"
       "            [--generations=N] [--population=N] [--seed=S]\n"
       "            [--seeds=A,B,...]  (multi-seed campaign, merged front)\n"
@@ -107,7 +115,7 @@ int usage() {
       "  --checkpoint-every=N  snapshot cadence in generations (default 1)\n"
       "  --resume=FILE         continue a checkpointed run (options must\n"
       "                        match the snapshot; mismatches name the field)\n"
-      "telemetry (analyze/simulate/optimize):\n"
+      "telemetry (analyze/simulate/serve/optimize/campaign):\n"
       "  --metrics-json=FILE   write the final counter/histogram snapshot\n"
       "  --chrome-trace=FILE   record spans, write Chrome trace-event JSON\n"
       "  --quiet               suppress progress output (results only)\n";
@@ -193,14 +201,6 @@ int cmd_analyze(const io::SystemSpec& spec, int argc, char** argv) {
   return evaluation.feasible() ? 0 : 1;
 }
 
-sim::TraceLevel parse_trace_level(const std::string& name) {
-  if (name == "responses") return sim::TraceLevel::kResponses;
-  if (name == "jobs") return sim::TraceLevel::kJobs;
-  if (name == "full") return sim::TraceLevel::kFull;
-  throw std::runtime_error("unknown --trace-level '" + name +
-                           "' (expected responses, jobs, or full)");
-}
-
 int cmd_simulate(const io::SystemSpec& spec, int argc, char** argv) {
   cli::OptionParser parser("simulate", argc, argv);
   const cli::CommonOptions common = cli::CommonOptions::parse(parser);
@@ -210,7 +210,6 @@ int cmd_simulate(const io::SystemSpec& spec, int argc, char** argv) {
   options.fault_probability = parser.f64("fault-prob", 0.3);
   options.seed = parser.u64("seed", 1);
   options.threads = common.threads;
-  options.trace = parse_trace_level(parser.str("trace-level", "responses"));
   parser.finish();
   const core::Candidate candidate = require_candidate(spec);
   const auto system = hardening::apply_hardening(
@@ -235,8 +234,7 @@ int cmd_simulate(const io::SystemSpec& spec, int argc, char** argv) {
                          ? static_cast<double>(result.events_processed) /
                                seconds
                          : 0.0),
-                 " events/s, ", util::Table::cell(seconds, 3),
-                 " s, trace level ", to_string(options.trace), ")");
+                 " events/s, ", util::Table::cell(seconds, 3), " s)");
   common.finish_telemetry();
   return 0;
 }
@@ -497,9 +495,7 @@ int cmd_serve(int argc, char** argv) {
   options.max_requests = parser.size("max-requests", 0);
   options.max_connections = parser.size("max-connections", 8);
   options.access_log = parser.str("access-log", "");
-  options.slow_ms = parser.size("slow-ms", 0);
   options.sample_interval_ms = parser.size("sample-interval", 1000);
-  options.prom_textfile = parser.str("prom-textfile", "");
   const bool stdio = parser.flag("stdio");
   const auto port = static_cast<std::uint16_t>(parser.u64("port", 0));
   const std::string port_file = parser.str("port-file", "");

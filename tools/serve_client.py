@@ -21,9 +21,9 @@ Modes (one required):
 
 With --watch (load mode), one extra connection polls the daemon's `metrics`
 method while the load runs and prints a live windowed rate line (req/s and
-cache hit rate from the serve-side sampler).  --access-log / --slow-ms /
---sample-interval / --prom-textfile forward the matching daemon flags so CI
-can validate the observability artifacts afterwards.
+cache hit rate from the serve-side sampler).  --access-log and
+--sample-interval forward the matching daemon flags so CI can validate the
+observability artifacts afterwards.
 
 With --concurrency N (smoke mode), N client threads each open their own
 connection and send the N_req mixed requests concurrently — including
@@ -336,12 +336,8 @@ def run_smoke(args: argparse.Namespace) -> int:
         argv.append(f"--metrics-json={args.metrics_json}")
     if args.access_log:
         argv.append(f"--access-log={args.access_log}")
-    if args.slow_ms is not None:
-        argv.append(f"--slow-ms={args.slow_ms}")
     if args.sample_interval is not None:
         argv.append(f"--sample-interval={args.sample_interval}")
-    if args.prom_textfile:
-        argv.append(f"--prom-textfile={args.prom_textfile}")
     daemon = subprocess.Popen(argv)
     try:
         port = wait_for_port(port_file, daemon)
@@ -435,12 +431,8 @@ def main() -> int:
                         help="daemon --metrics-json path (smoke)")
     parser.add_argument("--access-log",
                         help="daemon --access-log path (smoke)")
-    parser.add_argument("--slow-ms", type=int,
-                        help="daemon --slow-ms threshold (smoke)")
     parser.add_argument("--sample-interval", type=int,
                         help="daemon --sample-interval in ms (smoke)")
-    parser.add_argument("--prom-textfile",
-                        help="daemon --prom-textfile path (smoke)")
     parser.add_argument("--watch", action="store_true",
                         help="poll `metrics` during load mode and print a"
                              " live windowed rate line")
