@@ -96,6 +96,101 @@ std::uint64_t file_size_of(int fd, const std::string& path) {
   return static_cast<std::uint64_t>(st.st_size);
 }
 
+/// Throws StoreError unless `header` — the first kLogHeaderSize bytes of a
+/// log of `size` bytes (unread when shorter) — is a sound log header.
+void check_log_header(const std::uint8_t* header, std::uint64_t size,
+                      const std::string& path) {
+  const std::string log = "evaluation store log '" + path + "'";
+  if (size < EvalStore::kLogHeaderSize)
+    throw StoreError(log + " is truncated: " + std::to_string(size) +
+                     " bytes is shorter than the 16-byte header");
+  if (std::memcmp(header, EvalStore::kLogMagic, 8) != 0)
+    throw StoreError("not an ftmc evaluation store: magic bytes of '" + path +
+                     "' are not \"FTMCSTOR\"");
+  if (const std::uint32_t version = load_u32(header + 8);
+      version != EvalStore::kVersion)
+    throw StoreError("unsupported evaluation store version " +
+                     std::to_string(version) + " in '" + path +
+                     "' (this build reads v" +
+                     std::to_string(EvalStore::kVersion) + ")");
+  if (const std::uint32_t reserved = load_u32(header + 12); reserved != 0)
+    throw StoreError(log + " has reserved header field " +
+                     std::to_string(reserved) + ", expected 0");
+}
+
+/// The first defect of index file `file` against a log of `log_size`
+/// bytes — header fields, then the slots digest — or "" when it is sound.
+/// Phrased to follow "index '<path>' ".
+std::string index_defect(std::span<const std::uint8_t> file,
+                         std::uint64_t log_size) {
+  if (file.size() < EvalStore::kIndexHeaderSize)
+    return "is truncated: " + std::to_string(file.size()) +
+           " bytes is shorter than the 48-byte header";
+  const std::uint8_t* header = file.data();
+  if (std::memcmp(header, EvalStore::kIndexMagic, 8) != 0)
+    return "has magic bytes that are not \"FTMCSIDX\"";
+  if (const std::uint32_t version = load_u32(header + 8);
+      version != EvalStore::kVersion)
+    return "has unsupported version " + std::to_string(version);
+  if (const std::uint32_t reserved = load_u32(header + 12); reserved != 0)
+    return "has reserved header field " + std::to_string(reserved) +
+           ", expected 0";
+  const std::uint64_t slot_count = load_u64(header + 16);
+  if (!std::has_single_bit(slot_count))
+    return "has slot count " + std::to_string(slot_count) +
+           ", not a power of two";
+  const std::uint64_t slot_bytes = file.size() - EvalStore::kIndexHeaderSize;
+  if (slot_count > slot_bytes / 16 || slot_bytes != slot_count * 16)
+    return "has " + std::to_string(file.size()) +
+           " bytes, which does not match " + std::to_string(slot_count) +
+           " slots";
+  if (const std::uint64_t records = load_u64(header + 24);
+      records > slot_count)
+    return "promises " + std::to_string(records) + " records for " +
+           std::to_string(slot_count) + " slots";
+  if (const std::uint64_t covered = load_u64(header + 32);
+      covered < EvalStore::kLogHeaderSize || covered > log_size)
+    return "covers " + std::to_string(covered) + " log bytes but the log has " +
+           std::to_string(log_size);
+  if (util::fnv1a_bytes(file.subspan(EvalStore::kIndexHeaderSize)) !=
+      load_u64(header + 40))
+    return "fails its slots digest";
+  return {};
+}
+
+/// Where a walk over a run of log records stopped: after `consumed` bytes
+/// of complete records whose digests match, at `defect` (nullptr when the
+/// run ended exactly at a record boundary).
+struct WalkEnd {
+  std::size_t consumed = 0;
+  const char* defect = nullptr;
+};
+
+/// The one log-record walker (open's tail scan, flush's sibling absorption,
+/// verify_store): calls visit(key, offset within `bytes`) for each complete,
+/// digest-verified record from the start of `bytes`, and stops at the first
+/// torn or damaged one.
+template <typename Visit>
+WalkEnd walk_records(std::span<const std::uint8_t> bytes, Visit&& visit) {
+  constexpr std::size_t kHeader = EvalStore::kRecordHeaderSize;
+  std::size_t off = 0;
+  while (off < bytes.size()) {
+    const std::size_t left = bytes.size() - off;
+    if (left < kHeader) return {off, "torn record header"};
+    const std::uint8_t* record = bytes.data() + off;
+    const std::uint64_t payload =
+        std::uint64_t{load_u32(record + 8)} + load_u32(record + 12);
+    if (payload > left - kHeader) return {off, "torn record payload"};
+    if (util::fnv1a_bytes({record + kHeader,
+                           static_cast<std::size_t>(payload)}) !=
+        load_u64(record + 16))
+      return {off, "record that fails its payload digest"};
+    visit(load_u64(record), off);
+    off += kHeader + static_cast<std::size_t>(payload);
+  }
+  return {off, nullptr};
+}
+
 }  // namespace
 
 EvalStore::EvalStore(std::string dir, EvalStoreOptions options)
@@ -113,7 +208,8 @@ EvalStore::EvalStore(std::string dir, EvalStoreOptions options)
   }
   try {
     open_log();
-    const bool index_ok = load_index();
+    const std::string unindexed = load_index();
+    const bool index_ok = unindexed.empty();
     const std::uint64_t scan_from =
         index_ok ? std::max<std::uint64_t>(stats_.log_bytes, kLogHeaderSize)
                  : kLogHeaderSize;
@@ -129,12 +225,13 @@ EvalStore::EvalStore(std::string dir, EvalStoreOptions options)
     stats_.log_bytes = log_valid_end_;
     if (!index_ok && !overlay_.empty()) {
       // The log holds records the index does not cover at all: the index
-      // file was missing, stale, or corrupted.  Rebuild it from the log —
+      // file was missing, stale, or damaged.  Rebuild it from the log —
       // loudly, so silent index loss cannot masquerade as a cold store.
       ++stats_.index_rebuilds;
       counters().rebuilds.add(1);
       util::log_warn("evaluation store '", dir_, "': rebuilding index from ",
-                     stats_.records, " logged records");
+                     stats_.records, " logged records (index ", unindexed,
+                     ")");
       if (!options_.read_only) persist_index_locked();
     }
     update_mapped_gauge_locked();
@@ -175,70 +272,39 @@ void EvalStore::open_log() {
     header.u32(0);  // reserved
     const std::vector<std::uint8_t> bytes = header.take();
     write_all(log_fd_, bytes.data(), bytes.size(), path);
-    if (options_.durable_appends && ::fsync(log_fd_) != 0)
-      fail("cannot fsync evaluation store log", path);
     log_file_size_ = kLogHeaderSize;
   }
-  if (log_file_size_ < kLogHeaderSize)
-    throw StoreError("evaluation store log '" + path + "' is truncated: " +
-                     std::to_string(log_file_size_) +
-                     " bytes is shorter than the 16-byte header");
-  std::uint8_t header[kLogHeaderSize];
-  pread_all(log_fd_, header, sizeof header, 0, path);
-  if (std::memcmp(header, kLogMagic, 8) != 0)
-    throw StoreError("not an ftmc evaluation store: magic bytes of '" + path +
-                     "' are not \"FTMCSTOR\"");
-  const std::uint32_t version = load_u32(header + 8);
-  if (version != kVersion)
-    throw StoreError("unsupported evaluation store version " +
-                     std::to_string(version) + " in '" + path +
-                     "' (this build reads v" + std::to_string(kVersion) +
-                     ")");
+  std::uint8_t header[kLogHeaderSize] = {};
+  if (log_file_size_ >= kLogHeaderSize)
+    pread_all(log_fd_, header, sizeof header, 0, path);
+  check_log_header(header, log_file_size_, path);
 }
 
-bool EvalStore::load_index() {
-  const std::string path = index_path();
-  if (!util::file_exists(path)) return false;
-  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) return false;
-  const std::uint64_t size = file_size_of(fd, path);
-  std::uint8_t header[kIndexHeaderSize];
-  if (size < kIndexHeaderSize) {
-    ::close(fd);
-    return false;
-  }
-  pread_all(fd, header, sizeof header, 0, path);
-  const std::uint64_t slot_count = load_u64(header + 16);
-  const std::uint64_t record_count = load_u64(header + 24);
-  const std::uint64_t covered = load_u64(header + 32);
-  const std::uint64_t slots_digest = load_u64(header + 40);
-  const bool plausible =
-      std::memcmp(header, kIndexMagic, 8) == 0 &&
-      load_u32(header + 8) == kVersion && slot_count > 0 &&
-      std::has_single_bit(slot_count) && record_count <= slot_count &&
-      size == kIndexHeaderSize + slot_count * 16 &&
-      covered >= kLogHeaderSize && covered <= log_file_size_;
-  if (!plausible) {
-    ::close(fd);
-    return false;
-  }
-  void* map = ::mmap(nullptr, static_cast<std::size_t>(size), PROT_READ,
-                     MAP_SHARED, fd, 0);
+std::string EvalStore::load_index() {
+  const int fd = ::open(index_path().c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return std::string("cannot be opened: ") + std::strerror(errno);
+  struct stat st {};
+  const std::size_t size =
+      ::fstat(fd, &st) == 0 ? static_cast<std::size_t>(st.st_size) : 0;
+  // An empty file maps nothing; index_defect reports it as truncated.
+  void* map = size > 0 ? ::mmap(nullptr, size, PROT_READ, MAP_SHARED, fd, 0)
+                       : nullptr;
+  const int map_errno = errno;
   ::close(fd);  // the mapping outlives the descriptor
-  if (map == MAP_FAILED) return false;
+  if (map == MAP_FAILED)
+    return std::string("cannot be mapped: ") + std::strerror(map_errno);
   const auto* bytes = static_cast<const std::uint8_t*>(map);
-  if (util::fnv1a_bytes({bytes + kIndexHeaderSize,
-                         static_cast<std::size_t>(slot_count * 16)}) !=
-      slots_digest) {
-    ::munmap(map, static_cast<std::size_t>(size));
-    return false;
+  if (std::string defect = index_defect({bytes, size}, log_file_size_);
+      !defect.empty()) {
+    if (map != nullptr) ::munmap(map, size);
+    return defect;
   }
   idx_map_ = bytes;
-  idx_map_size_ = static_cast<std::size_t>(size);
-  idx_slot_count_ = slot_count;
-  idx_record_count_ = record_count;
-  stats_.log_bytes = covered;  // where the tail scan starts
-  return true;
+  idx_map_size_ = size;
+  idx_slot_count_ = load_u64(bytes + 16);
+  idx_record_count_ = load_u64(bytes + 24);
+  stats_.log_bytes = load_u64(bytes + 32);  // where the tail scan starts
+  return {};
 }
 
 void EvalStore::scan_log_tail(std::uint64_t from) {
@@ -248,35 +314,17 @@ void EvalStore::scan_log_tail(std::uint64_t from) {
   const std::size_t len = static_cast<std::size_t>(log_file_size_ - from);
   std::vector<std::uint8_t> tail(len);
   pread_all(log_fd_, tail.data(), len, from, path);
-  std::size_t off = 0;
-  while (off + kRecordHeaderSize <= len) {
-    const std::uint64_t key = load_u64(tail.data() + off);
-    const std::uint64_t cand_bytes = load_u32(tail.data() + off + 8);
-    const std::uint64_t eval_bytes = load_u32(tail.data() + off + 12);
-    const std::uint64_t digest = load_u64(tail.data() + off + 16);
-    const std::uint64_t payload = cand_bytes + eval_bytes;
-    if (off + kRecordHeaderSize + payload > len) break;
-    const std::uint8_t* body = tail.data() + off + kRecordHeaderSize;
-    if (util::fnv1a_bytes({body, static_cast<std::size_t>(payload)}) !=
-        digest)
-      break;
-    overlay_[key] = from + off;
-    off += kRecordHeaderSize + static_cast<std::size_t>(payload);
-  }
-  log_valid_end_ = from + off;
+  const WalkEnd end =
+      walk_records(tail, [&](std::uint64_t key, std::size_t off) {
+        overlay_[key] = from + off;
+      });
+  log_valid_end_ = from + end.consumed;
   overlay_end_ = log_valid_end_;
+  if (end.defect == nullptr) return;
   const std::uint64_t torn = log_file_size_ - log_valid_end_;
-  if (torn == 0) return;
-  if (options_.strict_open)
-    throw StoreError(
-        "evaluation store log '" + path + "' has a torn " +
-        std::to_string(torn) + "-byte tail at offset " +
-        std::to_string(log_valid_end_) +
-        " (crash mid-append); reopen without strict_open to recover the "
-        "fully-written records");
   util::log_warn("evaluation store '", dir_, "': discarding torn ", torn,
-                 "-byte log tail at offset ", log_valid_end_,
-                 " (crash mid-append); ", overlay_.size(),
+                 "-byte log tail at offset ", log_valid_end_, " (",
+                 end.defect, ", crash mid-append); ", overlay_.size(),
                  " fully-written tail records recovered");
   stats_.torn_bytes_discarded += torn;
   counters().torn_bytes.add(torn);
@@ -341,40 +389,50 @@ std::optional<Evaluation> EvalStore::read_record_locked(
     std::uint64_t offset, std::uint64_t key, const Candidate& candidate,
     bool* candidate_matches) const {
   *candidate_matches = false;
-  const std::string path = log_path();
+  const auto damaged = [&](const std::string& what) {
+    return StoreError("evaluation store log '" + log_path() +
+                      "' record at offset " + std::to_string(offset) + " " +
+                      what);
+  };
   std::uint8_t header[kRecordHeaderSize];
   if (offset + kRecordHeaderSize <= log_map_size_)
     std::memcpy(header, log_map_ + offset, sizeof header);
   else
-    pread_all(log_fd_, header, sizeof header, offset, path);
-  if (load_u64(header) != key)
-    throw StoreError("evaluation store log '" + path +
-                     "' record at offset " + std::to_string(offset) +
-                     " does not carry the indexed key");
-  const std::size_t cand_bytes = load_u32(header + 8);
-  const std::size_t eval_bytes = load_u32(header + 12);
-  const std::size_t payload = cand_bytes + eval_bytes;
+    pread_all(log_fd_, header, sizeof header, offset, log_path());
+  if (load_u64(header) != key) throw damaged("does not carry the indexed key");
+  const std::uint64_t payload =
+      std::uint64_t{load_u32(header + 8)} + load_u32(header + 12);
+  const std::uint64_t body_at = offset + kRecordHeaderSize;
   std::vector<std::uint8_t> copy;
   const std::uint8_t* body;
-  if (offset + kRecordHeaderSize + payload <= log_map_size_) {
-    body = log_map_ + offset + kRecordHeaderSize;
+  if (body_at + payload <= log_map_size_) {
+    body = log_map_ + body_at;
   } else {
-    copy.resize(payload);
-    pread_all(log_fd_, copy.data(), payload, offset + kRecordHeaderSize,
-              path);
+    // Past the mapped prefix (appended since the last remap): the declared
+    // length is untrusted until it fits inside the log.
+    const std::uint64_t log_end = file_size_of(log_fd_, log_path());
+    const std::uint64_t held = log_end > body_at ? log_end - body_at : 0;
+    if (payload > held)
+      throw damaged("declares a " + std::to_string(payload) +
+                    "-byte payload but the log holds " +
+                    std::to_string(held) + " bytes past its header");
+    copy.resize(static_cast<std::size_t>(payload));
+    pread_all(log_fd_, copy.data(), copy.size(), body_at, log_path());
     body = copy.data();
   }
+  const std::span<const std::uint8_t> bytes(
+      body, static_cast<std::size_t>(payload));
+  if (util::fnv1a_bytes(bytes) != load_u64(header + 16))
+    throw damaged("fails its payload digest");
   try {
-    util::ByteReader in({body, payload}, "store record");
+    util::ByteReader in(bytes, "store record");
     const Candidate stored = read_candidate(in);
     if (!(stored == candidate)) return std::nullopt;  // collision -> miss
     Evaluation evaluation = read_evaluation(in);
     *candidate_matches = true;
     return evaluation;
   } catch (const util::ByteStreamError& error) {
-    throw StoreError("evaluation store log '" + path +
-                     "' record at offset " + std::to_string(offset) +
-                     " is corrupted: " + error.what());
+    throw damaged(std::string("is corrupted: ") + error.what());
   }
 }
 
@@ -459,10 +517,6 @@ void EvalStore::put(std::uint64_t key, const Candidate& candidate,
     ::flock(log_fd_, LOCK_UN);
     throw;
   }
-  if (options_.durable_appends && ::fsync(log_fd_) != 0) {
-    ::flock(log_fd_, LOCK_UN);
-    fail("cannot fsync evaluation store log", path);
-  }
   ::flock(log_fd_, LOCK_UN);
 
   if (!resident) ++stats_.records;
@@ -507,22 +561,13 @@ void EvalStore::absorb_sibling_records_locked() {
   const std::size_t len = static_cast<std::size_t>(log_end - from);
   std::vector<std::uint8_t> tail(len);
   pread_all(log_fd_, tail.data(), len, from, log_path());
-  std::size_t off = 0;
-  while (off + kRecordHeaderSize <= len) {
-    const std::uint64_t key = load_u64(tail.data() + off);
-    const std::uint64_t cand_bytes = load_u32(tail.data() + off + 8);
-    const std::uint64_t eval_bytes = load_u32(tail.data() + off + 12);
-    const std::uint64_t digest = load_u64(tail.data() + off + 16);
-    const std::uint64_t payload = cand_bytes + eval_bytes;
-    if (off + kRecordHeaderSize + payload > len) break;
-    const std::uint8_t* body = tail.data() + off + kRecordHeaderSize;
-    if (util::fnv1a_bytes({body, static_cast<std::size_t>(payload)}) !=
-        digest)
-      break;  // a sibling crashed mid-append; open() recovers/truncates
-    overlay_.emplace(key, from + off);  // our own newer re-put offsets win
-    off += kRecordHeaderSize + static_cast<std::size_t>(payload);
-  }
-  overlay_end_ = std::max(overlay_end_, from + off);
+  // A defect ends the walk: a sibling crashed mid-append, and the next
+  // open() recovers/truncates it.
+  const WalkEnd end =
+      walk_records(tail, [&](std::uint64_t key, std::size_t off) {
+        overlay_.emplace(key, from + off);  // our own newer re-put offsets win
+      });
+  overlay_end_ = std::max(overlay_end_, from + end.consumed);
 }
 
 void EvalStore::persist_index_locked() {
@@ -606,6 +651,66 @@ std::string store_directory(const std::string& root,
   for (int shift = 60; shift >= 0; shift -= 4)
     name.push_back(kHex[(system_digest >> shift) & 0xF]);
   return root + "/" + name;
+}
+
+std::uint64_t verify_store(const std::string& dir) {
+  const auto read = [](const std::string& path) {
+    try {
+      return util::read_file(path);
+    } catch (const std::exception& error) {
+      throw StoreError(error.what());
+    }
+  };
+  const std::string log_path = dir + "/evals.log";
+  const std::vector<std::uint8_t> log = read(log_path);
+  check_log_header(log.data(), log.size(), log_path);
+  std::unordered_map<std::uint64_t, std::uint64_t> records;  // offset -> key
+  const WalkEnd end = walk_records(
+      std::span(log).subspan(EvalStore::kLogHeaderSize),
+      [&](std::uint64_t key, std::size_t off) {
+        records.emplace(EvalStore::kLogHeaderSize + off, key);
+      });
+  if (end.defect != nullptr)
+    throw StoreError("evaluation store log '" + log_path + "' has a " +
+                     end.defect + " at offset " +
+                     std::to_string(EvalStore::kLogHeaderSize + end.consumed));
+
+  const std::string index_path = dir + "/evals.idx";
+  if (!util::file_exists(index_path)) return records.size();
+  const std::vector<std::uint8_t> index = read(index_path);
+  const auto damaged = [&](const std::string& what) {
+    return StoreError("evaluation store index '" + index_path + "' " + what);
+  };
+  if (const std::string defect = index_defect(index, log.size());
+      !defect.empty())
+    throw damaged(defect);
+  const std::uint64_t covered = load_u64(index.data() + 32);
+  if (covered != log.size() && !records.contains(covered))
+    throw damaged("covers " + std::to_string(covered) +
+                  " log bytes, which is not a record boundary");
+  const std::uint64_t slot_count = load_u64(index.data() + 16);
+  std::uint64_t occupied = 0;
+  for (std::uint64_t i = 0; i < slot_count; ++i) {
+    const std::uint8_t* slot =
+        index.data() + EvalStore::kIndexHeaderSize + i * 16;
+    const std::uint64_t offset = load_u64(slot + 8);
+    if (offset == 0) continue;
+    ++occupied;
+    const auto record = records.find(offset);
+    if (record == records.end() || offset >= covered)
+      throw damaged("slot " + std::to_string(i) + " points at offset " +
+                    std::to_string(offset) +
+                    ", not a record boundary inside the covered log");
+    if (record->second != load_u64(slot))
+      throw damaged("slot " + std::to_string(i) + " holds a key that the " +
+                    "record at offset " + std::to_string(offset) +
+                    " does not carry");
+  }
+  if (const std::uint64_t promised = load_u64(index.data() + 24);
+      occupied != promised)
+    throw damaged("promises " + std::to_string(promised) +
+                  " records but its slots hold " + std::to_string(occupied));
+  return records.size();
 }
 
 }  // namespace ftmc::core

@@ -30,12 +30,15 @@
 // Crash safety: appends are a single flock-guarded write(2), so a crash can
 // only tear the *tail* of the log.  Every record carries its own payload
 // digest; open() walks the log suffix not covered by the index, recovers
-// every fully-written record, and truncates the torn tail loudly (or, with
-// strict_open, rejects it with StoreError so tests and audits can observe
-// the damage).  The index is a pure cache of the log — when missing, stale,
-// or corrupted it is rebuilt from the log and the rebuild is counted.  The
-// log prefix and the index are both mmap'd read-only; records appended by
-// this process after open are served via pread until flush() remaps.
+// every fully-written record, and truncates the torn tail loudly.  Every
+// record read (find(), and put()'s residency check) verifies the digest
+// again, so a damaged record inside the indexed prefix is a StoreError,
+// never a wrong Evaluation.  The index is a pure cache of the log — when
+// missing, stale, or damaged it is rebuilt from the log and the rebuild is
+// counted and names the defect.  verify_store() is the audit path: it walks
+// the whole log and the index and throws on the first defect.  The log
+// prefix and the index are both mmap'd read-only; records appended by this
+// process after open are served via pread until flush() remaps.
 #pragma once
 
 #include <cstdint>
@@ -50,8 +53,9 @@
 
 namespace ftmc::core {
 
-/// Structural store damage (bad magic/version, unreadable files, torn tail
-/// under strict_open).  Ordinary misses and collisions are not errors.
+/// Structural store damage (bad magic/version, unreadable files, a record
+/// that fails its digest; under verify_store() also a torn tail or a damaged
+/// index).  Ordinary misses and collisions are not errors.
 class StoreError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
@@ -60,10 +64,6 @@ class StoreError : public std::runtime_error {
 struct EvalStoreOptions {
   /// Opens the log read-only and never writes the index back; put() throws.
   bool read_only = false;
-  /// Rejects a torn log tail with StoreError instead of truncating it.
-  bool strict_open = false;
-  /// fsync(2) the log after every append (durability over throughput).
-  bool durable_appends = false;
 };
 
 struct EvalStoreStats {
@@ -115,13 +115,10 @@ class EvalStore {
   std::string index_path() const { return dir_ + "/evals.idx"; }
 
  private:
-  struct TailRecord {
-    std::uint64_t key;
-    std::uint64_t offset;
-  };
-
   void open_log();
-  bool load_index();
+  /// Maps a sound index and returns ""; otherwise returns why it was not
+  /// loaded (missing file or the header/slots defect).
+  std::string load_index();
   void scan_log_tail(std::uint64_t from);
   void map_log(std::uint64_t length);
   void map_index(std::uint64_t file_size);
@@ -167,5 +164,15 @@ class EvalStore {
 /// the file's content digest (util::fnv1a_bytes of its bytes).
 std::string store_directory(const std::string& root,
                             std::uint64_t system_digest);
+
+/// Audits the store in directory `dir` without opening it for use: the log
+/// header (size, magic, version, reserved = 0), every record's digest with
+/// no torn tail, and — when evals.idx exists — the index header (magic,
+/// version, reserved = 0, power-of-two slot count, file size, coverage
+/// inside the log and on a record boundary, slots digest) and every
+/// occupied slot (on a record boundary of the same key, below the covered
+/// end; occupied slots = the header's record count).  Throws StoreError
+/// naming the first defect; returns the number of log records.
+std::uint64_t verify_store(const std::string& dir);
 
 }  // namespace ftmc::core

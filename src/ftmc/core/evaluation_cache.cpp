@@ -19,7 +19,6 @@ struct CacheCounters {
   obs::Counter misses{"cache.eval.misses"};
   obs::Counter insertions{"cache.eval.insertions"};
   obs::Counter evictions{"cache.eval.evictions"};
-  obs::Counter byte_evictions{"cache.eval.byte_evictions"};
 };
 
 CacheCounters& cache_counters() {
@@ -29,47 +28,25 @@ CacheCounters& cache_counters() {
 
 }  // namespace
 
-EvaluationCache::EvaluationCache(std::size_t capacity, std::size_t shards,
-                                 std::size_t capacity_bytes) {
+EvaluationCache::EvaluationCache(std::size_t capacity, std::size_t shards) {
   if (capacity == 0)
     throw std::invalid_argument("EvaluationCache: zero capacity");
   if (shards == 0) throw std::invalid_argument("EvaluationCache: zero shards");
   const std::size_t shard_count = std::bit_ceil(shards);
   capacity_ = std::max(capacity, shard_count);  // >= 1 entry per shard
-  capacity_bytes_ = capacity_bytes;
   shard_capacity_ = capacity_ / shard_count;
-  shard_byte_capacity_ = capacity_bytes_ / shard_count;
   shards_.reserve(shard_count);
   for (std::size_t i = 0; i < shard_count; ++i)
     shards_.push_back(std::make_unique<Shard>());
 }
 
-std::size_t EvaluationCache::entry_footprint(
-    const Candidate& candidate, const Evaluation& evaluation) noexcept {
-  std::size_t bytes = sizeof(Entry);
-  bytes += (candidate.allocation.size() + candidate.drop.size() + 7) / 8;
-  bytes += candidate.plan.size() * sizeof(hardening::TaskHardening);
-  for (const hardening::TaskHardening& task : candidate.plan)
-    bytes += task.replica_pes.size() * sizeof(model::ProcessorId);
-  bytes += candidate.base_mapping.size() * sizeof(model::ProcessorId);
-  bytes += evaluation.graph_wcrt.size() * sizeof(model::Time);
-  return bytes;
-}
-
-void EvaluationCache::evict_one(Shard& shard, bool byte_bound) {
+void EvaluationCache::evict_one(Shard& shard) {
   // Bounded shard: drop an arbitrary resident entry.  The DSE working set
   // is dominated by the recent archive, and a wrong eviction only costs
   // one recomputation.
-  const auto victim = shard.table.begin();
-  shard.bytes -= entry_footprint(victim->second.candidate,
-                                 victim->second.evaluation);
-  shard.table.erase(victim);
+  shard.table.erase(shard.table.begin());
   ++shard.evictions;
   cache_counters().evictions.add(1);
-  if (byte_bound) {
-    ++shard.byte_evictions;
-    cache_counters().byte_evictions.add(1);
-  }
 }
 
 std::optional<Evaluation> EvaluationCache::find(std::uint64_t key,
@@ -91,26 +68,15 @@ std::optional<Evaluation> EvaluationCache::find(std::uint64_t key,
 
 void EvaluationCache::insert(std::uint64_t key, const Candidate& candidate,
                              const Evaluation& evaluation) {
-  const std::size_t footprint = entry_footprint(candidate, evaluation);
   Shard& shard = shard_of(key);
   std::lock_guard lock(shard.mutex);
   const auto it = shard.table.find(key);
   if (it != shard.table.end()) {
-    shard.bytes -= entry_footprint(it->second.candidate,
-                                   it->second.evaluation);
     it->second = Entry{candidate, evaluation};
-    shard.bytes += footprint;
     return;
   }
-  if (shard.table.size() >= shard_capacity_) evict_one(shard, false);
-  if (shard_byte_capacity_ > 0)
-    // Make room under the byte bound before inserting, so the new entry is
-    // never its own victim (an oversized single entry is still admitted).
-    while (!shard.table.empty() &&
-           shard.bytes + footprint > shard_byte_capacity_)
-      evict_one(shard, true);
+  if (shard.table.size() >= shard_capacity_) evict_one(shard);
   shard.table.emplace(key, Entry{candidate, evaluation});
-  shard.bytes += footprint;
   ++shard.insertions;
   cache_counters().insertions.add(1);
 }
@@ -127,9 +93,7 @@ CacheStats EvaluationCache::stats() const {
     stats.misses += shard->misses;
     stats.insertions += shard->insertions;
     stats.evictions += shard->evictions;
-    stats.byte_evictions += shard->byte_evictions;
     stats.entries += shard->table.size();
-    stats.bytes += shard->bytes;
   }
   return stats;
 }
@@ -138,7 +102,6 @@ void EvaluationCache::clear() {
   for (auto& shard : shards_) {
     std::lock_guard lock(shard->mutex);
     shard->table.clear();
-    shard->bytes = 0;
   }
 }
 

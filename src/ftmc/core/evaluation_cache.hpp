@@ -27,22 +27,17 @@
 
 namespace ftmc::core {
 
-/// Aggregated cache counters.  Every per-shard contribution (counters,
-/// entry count, and byte tally) is read under that shard's stripe mutex in
-/// one critical section, so the snapshot is internally consistent: the
-/// invariant entries == insertions - evictions holds in every snapshot even
-/// while the pool is hammering the cache.
+/// Aggregated cache counters.  Every per-shard contribution (counters and
+/// entry count) is read under that shard's stripe mutex in one critical
+/// section, so the snapshot is internally consistent: the invariant
+/// entries == insertions - evictions holds in every snapshot even while the
+/// pool is hammering the cache.
 struct CacheStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
   std::uint64_t insertions = 0;
   std::uint64_t evictions = 0;
-  /// Subset of `evictions` forced by the byte bound rather than the entry
-  /// bound (zero when capacity_bytes() == 0).
-  std::uint64_t byte_evictions = 0;
   std::size_t entries = 0;
-  /// Estimated heap footprint of the resident entries.
-  std::size_t bytes = 0;
 
   std::uint64_t lookups() const noexcept { return hits + misses; }
   double hit_rate() const noexcept {
@@ -54,25 +49,16 @@ struct CacheStats {
 
 class EvaluationCache {
  public:
-  /// `capacity` bounds the total resident entries and `capacity_bytes`
-  /// (0 = unbounded) their estimated heap footprint; both are split evenly
-  /// across `shards`, which is rounded up to a power of two.  Whichever
-  /// bound trips first evicts.
+  /// `capacity` bounds the total resident entries; it is split evenly
+  /// across `shards`, which is rounded up to a power of two.
   explicit EvaluationCache(std::size_t capacity = 1 << 16,
-                           std::size_t shards = 16,
-                           std::size_t capacity_bytes = 0);
+                           std::size_t shards = 16);
 
   EvaluationCache(const EvaluationCache&) = delete;
   EvaluationCache& operator=(const EvaluationCache&) = delete;
 
   std::size_t capacity() const noexcept { return capacity_; }
-  std::size_t capacity_bytes() const noexcept { return capacity_bytes_; }
   std::size_t shard_count() const noexcept { return shards_.size(); }
-
-  /// Estimated resident footprint of one cached (candidate, evaluation)
-  /// pair — the unit the byte bound and CacheStats::bytes account in.
-  static std::size_t entry_footprint(const Candidate& candidate,
-                                     const Evaluation& evaluation) noexcept;
 
   /// Looks up `key` (as produced by Evaluator::candidate_key) and verifies
   /// the stored candidate matches exactly.  Counts a hit or a miss.
@@ -102,11 +88,9 @@ class EvaluationCache {
     std::uint64_t misses = 0;
     std::uint64_t insertions = 0;
     std::uint64_t evictions = 0;
-    std::uint64_t byte_evictions = 0;
-    std::size_t bytes = 0;  ///< sum of entry_footprint over `table`
   };
 
-  void evict_one(Shard& shard, bool byte_bound);
+  void evict_one(Shard& shard);
 
   Shard& shard_of(std::uint64_t key) noexcept {
     // digest() avalanches, so the top bits are as good as any; the bottom
@@ -115,9 +99,7 @@ class EvaluationCache {
   }
 
   std::size_t capacity_;
-  std::size_t capacity_bytes_;
   std::size_t shard_capacity_;
-  std::size_t shard_byte_capacity_;
   std::vector<std::unique_ptr<Shard>> shards_;
 };
 

@@ -295,7 +295,9 @@ Checkpoint decode_checkpoint(std::span<const std::uint8_t> bytes) {
     throw CheckpointError("unsupported checkpoint version " +
                           std::to_string(version) + " (this build reads v" +
                           std::to_string(kCheckpointVersion) + ")");
-  header.u32();  // reserved
+  if (const std::uint32_t reserved = header.u32(); reserved != 0)
+    throw CheckpointError("checkpoint header has reserved field " +
+                          std::to_string(reserved) + ", expected 0");
   const std::uint64_t payload_size = header.u64();
   const std::uint64_t expected_digest = header.u64();
   if (payload_size > bytes.size() - kHeaderSize)

@@ -20,16 +20,17 @@
 //
 //   offset  size  field
 //   0       8     magic "FTMCCKPT"
-//   8       4     format version (1)
+//   8       4     format version (2)
 //   12      4     reserved (0)
 //   16      8     payload size in bytes
 //   24      8     FNV-1a-64 digest of the payload (util::Fnv1aHasher)
 //   32      ...   payload (versioned field stream, see checkpoint.cpp)
 //
-// Forward compatibility: readers reject a version they do not know with a
-// loud error, verify the digest over exactly `payload size` bytes, and
-// ignore any trailing bytes after the payload (reserved for future
-// extensions appended by newer writers).
+// Forward compatibility: readers reject a version they do not know and a
+// non-zero reserved field with a loud error, verify the digest over exactly
+// `payload size` bytes, and ignore any trailing bytes after the payload
+// (reserved for future extensions appended by newer writers).  `ftmc check`
+// validates a snapshot with this reader (load_checkpoint).
 #pragma once
 
 #include <cstdint>
@@ -115,7 +116,8 @@ struct Checkpoint {
 std::vector<std::uint8_t> encode_checkpoint(const Checkpoint& checkpoint);
 
 /// Parses and fully validates a snapshot.  Throws CheckpointError on bad
-/// magic, unsupported version, truncated payload, or digest mismatch.
+/// magic, unsupported version, non-zero reserved field, truncated payload,
+/// or digest mismatch.
 Checkpoint decode_checkpoint(std::span<const std::uint8_t> bytes);
 
 /// Rotates existing snapshots (`path` -> `path.1` -> ...; see

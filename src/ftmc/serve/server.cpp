@@ -64,7 +64,6 @@ struct ServeCounters {
   /// via MetricsSnapshot::quantile (the `metrics` method and ftmc_top.py).
   obs::Histogram latency_ping{"serve.latency.ping"};
   obs::Histogram latency_systems{"serve.latency.systems"};
-  obs::Histogram latency_stats{"serve.latency.stats"};
   obs::Histogram latency_analyze{"serve.latency.analyze"};
   obs::Histogram latency_evaluate{"serve.latency.evaluate"};
   obs::Histogram latency_simulate{"serve.latency.simulate"};
@@ -82,7 +81,6 @@ struct ServeCounters {
     if (method == "ping") return latency_ping;
     if (method == "metrics") return latency_metrics;
     if (method == "health") return latency_health;
-    if (method == "stats") return latency_stats;
     if (method == "systems") return latency_systems;
     if (method == "shutdown") return latency_shutdown;
     return latency_other;
@@ -650,48 +648,6 @@ obs::Json Server::systems_json() const {
   return obs::Json::object().set("systems", std::move(list));
 }
 
-obs::Json Server::stats_json() const {
-  obs::Json systems = obs::Json::array();
-  for (const auto& sys : systems_) {
-    obs::Json entry = obs::Json::object();
-    entry.set("system", sys->path);
-    if (sys->cache != nullptr) {
-      const core::CacheStats cache = sys->cache->stats();
-      entry.set("cache", obs::Json::object()
-                             .set("hits", cache.hits)
-                             .set("misses", cache.misses)
-                             .set("insertions", cache.insertions)
-                             .set("evictions", cache.evictions)
-                             .set("byte_evictions", cache.byte_evictions)
-                             .set("entries", cache.entries)
-                             .set("bytes", cache.bytes));
-    }
-    if (sys->store != nullptr) {
-      const core::EvalStoreStats store = sys->store->stats();
-      entry.set("store",
-                obs::Json::object()
-                    .set("directory", sys->store->directory())
-                    .set("hits", store.hits)
-                    .set("misses", store.misses)
-                    .set("appends", store.appends)
-                    .set("records", store.records)
-                    .set("bytes_mapped", store.bytes_mapped)
-                    .set("log_bytes", store.log_bytes)
-                    .set("torn_bytes_discarded", store.torn_bytes_discarded)
-                    .set("index_rebuilds", store.index_rebuilds));
-    }
-    systems.push(std::move(entry));
-  }
-  return obs::Json::object()
-      .set("requests", stats_.requests.load(std::memory_order_relaxed))
-      .set("errors", stats_.errors.load(std::memory_order_relaxed))
-      .set("bytes_in", stats_.bytes_in.load(std::memory_order_relaxed))
-      .set("bytes_out", stats_.bytes_out.load(std::memory_order_relaxed))
-      .set("connections",
-           stats_.connections.load(std::memory_order_relaxed))
-      .set("systems", std::move(systems));
-}
-
 obs::Json Server::handle_metrics(const JsonValue& params) const {
   const std::string format = params.str_or("format", "json");
   const obs::MetricsSnapshot snap = obs::snapshot();
@@ -719,8 +675,8 @@ obs::Json Server::handle_metrics(const JsonValue& params) const {
                obs::Json::number(w.rate("sim.events"), 3));
   obs::Json latency = obs::Json::object();
   static constexpr const char* kMethods[] = {
-      "ping",  "systems", "stats",  "analyze",  "evaluate", "simulate",
-      "batch", "metrics", "health", "shutdown", "other"};
+      "ping",  "systems", "analyze", "evaluate", "simulate",
+      "batch", "metrics", "health",  "shutdown", "other"};
   for (const char* m : kMethods) {
     const std::string name = std::string("serve.latency.") + m;
     const obs::MetricValue* hist = w.delta.find(name);
@@ -808,7 +764,7 @@ obs::Json Server::dispatch(const JsonValue& root, bool allow_batch,
       throw std::runtime_error("request has no \"method\" member");
     // Work-bearing methods are refused while draining so a shutdown never
     // queues new analysis behind itself; introspection (ping, health,
-    // metrics, stats, systems, shutdown) still answers, which is what
+    // metrics, systems, shutdown) still answers, which is what
     // lets monitors watch the drain.  Checked at the envelope only: a
     // batch accepted before the drain finishes all of its items.
     if (allow_batch && stopping() &&
@@ -831,8 +787,6 @@ obs::Json Server::dispatch(const JsonValue& root, bool allow_batch,
     } else if (method == "shutdown") {
       stop_.store(true, std::memory_order_relaxed);
       result = obs::Json::object().set("stopping", true);
-    } else if (method == "stats") {
-      result = stats_json();
     } else if (method == "systems") {
       result = systems_json();
     } else if (method == "metrics") {
@@ -887,7 +841,6 @@ std::string Server::handle_request(const std::string& request,
   counters().requests.add(1);
   counters().bytes_in.add(request.size());
   stats_.requests.fetch_add(1, std::memory_order_relaxed);
-  stats_.bytes_in.fetch_add(request.size(), std::memory_order_relaxed);
   counters().inflight.add(1);
   stats_.inflight.fetch_add(1, std::memory_order_relaxed);
   info.bytes_in = request.size();
@@ -930,7 +883,6 @@ std::string Server::handle_request(const std::string& request,
   info.render_us = elapsed_us(render_start);
   info.bytes_out = text.size();
   counters().bytes_out.add(text.size());
-  stats_.bytes_out.fetch_add(text.size(), std::memory_order_relaxed);
   return text;
 }
 

@@ -39,7 +39,7 @@
 //
 // Methods: ping, systems, analyze, evaluate, simulate
 //          (params: profiles, fault_prob as a STRING, seed, hyperperiods),
-//          stats, batch (params.requests = array of request objects, fanned
+//          batch (params.requests = array of request objects, fanned
 //          out across the pool, results in request order), shutdown,
 //          metrics (full ftmc.metrics.v1 snapshot + windowed rates;
 //          params.format "prometheus" returns the text exposition), and
@@ -114,8 +114,6 @@ struct ServeOptions {
 struct ServeStats {
   std::atomic<std::uint64_t> requests{0};
   std::atomic<std::uint64_t> errors{0};
-  std::atomic<std::uint64_t> bytes_in{0};
-  std::atomic<std::uint64_t> bytes_out{0};
   std::atomic<std::uint64_t> connections{0};
   /// Requests currently inside handle() across all sessions (health).
   std::atomic<std::uint64_t> inflight{0};
@@ -159,8 +157,6 @@ class Server {
   /// Flushes every system's persistent store (fsync + index rewrite).
   void flush();
 
-  const ServeStats& stats() const noexcept { return stats_; }
-
  private:
   struct ResidentSystem;
   /// Per-request observation record (defined in server.cpp): request id,
@@ -203,7 +199,6 @@ class Server {
   /// One session: read frame -> handle inline -> write response, until
   /// EOF/stop.  Shared by serve_fd and every TCP session thread.
   int run_session(int in_fd, int out_fd, bool tcp);
-  obs::Json stats_json() const;
   obs::Json systems_json() const;
 
   ServeOptions options_;

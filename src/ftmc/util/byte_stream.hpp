@@ -2,12 +2,13 @@
 //
 // Every multi-byte integer is written least-significant byte first and every
 // double as the little-endian bytes of its IEEE-754 bit pattern, so payloads
-// (and their digests) are identical across platforms and verifiable from
-// tools/check_metrics.py.  The checkpoint codec (ftmc/dse/checkpoint.cpp) and
-// the persistent evaluation store (ftmc/core/eval_store.cpp) both build their
-// record formats on these primitives; a decode past the end of the buffer or
-// an absurd sequence length throws ByteStreamError with the caller-supplied
-// context string, so the error names which artifact is damaged.
+// (and their digests) are identical across platforms; `ftmc check` verifies
+// them offline with the same readers.  The checkpoint codec
+// (ftmc/dse/checkpoint.cpp) and the persistent evaluation store
+// (ftmc/core/eval_store.cpp) both build their record formats on these
+// primitives; a decode past the end of the buffer or an absurd sequence
+// length throws ByteStreamError with the caller-supplied context string, so
+// the error names which artifact is damaged.
 #pragma once
 
 #include <bit>

@@ -298,6 +298,12 @@ TEST(CheckpointFormat, RejectsUnknownVersion) {
   expect_rejects(std::move(bytes), "version");
 }
 
+TEST(CheckpointFormat, RejectsNonZeroReservedField) {
+  auto bytes = valid_bytes();
+  bytes[12] = 1;  // little-endian reserved field at offset 12
+  expect_rejects(std::move(bytes), "reserved field 1");
+}
+
 TEST(CheckpointFormat, RejectsTruncation) {
   const auto bytes = valid_bytes();
   for (const std::size_t keep :

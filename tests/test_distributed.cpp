@@ -299,28 +299,26 @@ TEST(Distributed, WarmSharedStoreServesEverySecondRunEvaluation) {
     use_fleet(options, fleet, path);
     const dse::CampaignResult result = campaign.run(options);
 
-    // Per-worker persistent-store traffic for this run (the workers are
-    // freshly spawned, so their stats cover exactly this campaign).
+    // Per-worker persistent-store traffic for this run: the workers are
+    // freshly spawned and hold one system each, so their process-wide
+    // store.* counters cover exactly this campaign's store.
     std::uint64_t appends = 0;
     std::uint64_t hits = 0;
     for (std::size_t i = 0; i < fleet.size(); ++i) {
-      const JsonValue stats = parse_json(fleet.call(
-          i, R"({"v": "ftmc.rpc.v1", "id": "s", "method": "stats"})"));
-      EXPECT_TRUE(stats.bool_or("ok", false));
-      const JsonValue* result = stats.get("result");
-      const JsonValue* systems =
-          result != nullptr ? result->get("systems") : nullptr;
-      if (systems == nullptr || systems->array.size() != 1) {
-        ADD_FAILURE() << "malformed stats response from worker " << i;
+      const JsonValue metrics = parse_json(fleet.call(
+          i, R"({"v": "ftmc.rpc.v1", "id": "m", "method": "metrics"})"));
+      EXPECT_TRUE(metrics.bool_or("ok", false));
+      const JsonValue* result = metrics.get("result");
+      const JsonValue* snapshot =
+          result != nullptr ? result->get("metrics") : nullptr;
+      const JsonValue* counters =
+          snapshot != nullptr ? snapshot->get("counters") : nullptr;
+      if (counters == nullptr || !counters->is_object()) {
+        ADD_FAILURE() << "malformed metrics response from worker " << i;
         continue;
       }
-      const JsonValue* store = systems->array[0].get("store");
-      if (store == nullptr) {
-        ADD_FAILURE() << "worker " << i << " has no persistent store";
-        continue;
-      }
-      appends += store->u64_or("appends", 0);
-      hits += store->u64_or("hits", 0);
+      appends += counters->u64_or("store.appends", 0);
+      hits += counters->u64_or("store.hits", 0);
     }
     return std::tuple(result.front.size(), appends, hits);
   };

@@ -1,8 +1,9 @@
 // Tests for the persistent memory-mapped evaluation store (eval_store.hpp):
 // round-trip and reopen persistence, index rebuilds, torn-tail crash
-// recovery (including a real fork + SIGKILL), cross-process sharing, and
-// the L1 (EvaluationCache) / L2 (EvalStore) flow through the Evaluator and
-// the GA.
+// recovery (including a real fork + SIGKILL), damaged records and headers
+// (the reader and verify_store), cross-process sharing, and the L1
+// (EvaluationCache) / L2 (EvalStore) flow through the Evaluator and the GA.
+// tests/test_reader_fuzz.cpp mutates whole stores at random.
 #include "ftmc/core/eval_store.hpp"
 
 #include <gtest/gtest.h>
@@ -86,6 +87,30 @@ std::uint64_t file_size(const std::string& path) {
   EXPECT_EQ(::stat(path.c_str(), &st), 0) << path;
   return static_cast<std::uint64_t>(st.st_size);
 }
+
+/// Overwrites `bytes` at `offset` of the file at `path`.
+void patch_file(const std::string& path, long offset,
+                const std::vector<std::uint8_t>& bytes) {
+  std::FILE* f = std::fopen(path.c_str(), "r+b");
+  ASSERT_NE(f, nullptr) << path;
+  ASSERT_EQ(std::fseek(f, offset, SEEK_SET), 0);
+  ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+  std::fclose(f);
+}
+
+/// The StoreError message of `action`, or "" when it does not throw one.
+template <typename Action>
+std::string store_error_of(Action&& action) {
+  try {
+    action();
+  } catch (const StoreError& error) {
+    return error.what();
+  }
+  return {};
+}
+
+/// Log offset of the first record (right after the 16-byte log header).
+constexpr long kFirstRecord = 16;
 
 // --- Round-trip and persistence ---------------------------------------------
 
@@ -229,27 +254,102 @@ TEST(EvalStore, TornTailTruncatedLoudlyByDefault) {
     EXPECT_TRUE(store.find(i, make_candidate(i)).has_value()) << i;
 }
 
-TEST(EvalStore, StrictOpenRejectsTornTailWithStoreError) {
+TEST(EvalStore, VerifyStoreRejectsTornTail) {
   const std::string dir = fresh_store_dir("strict");
   {
     EvalStore store(dir);
     store.put(1, make_candidate(1), make_evaluation(1));
   }
+  EXPECT_EQ(core::verify_store(dir), 1u);
   std::FILE* f = std::fopen((dir + "/evals.log").c_str(), "ab");
   ASSERT_NE(f, nullptr);
   std::fputs("torn!", f);
   std::fclose(f);
-  ASSERT_EQ(std::remove((dir + "/evals.idx").c_str()), 0);
-
-  EvalStoreOptions options;
-  options.strict_open = true;
-  try {
-    EvalStore store(dir, options);
-    FAIL() << "strict_open accepted a torn log tail";
-  } catch (const StoreError& error) {
-    EXPECT_NE(std::string(error.what()).find("torn"), std::string::npos)
-        << error.what();
+  // With the index (which covers the pre-tear log) and without it.
+  for (int pass = 0; pass < 2; ++pass) {
+    const std::string error =
+        store_error_of([&] { (void)core::verify_store(dir); });
+    EXPECT_NE(error.find("torn record header at offset"), std::string::npos)
+        << error;
+    std::remove((dir + "/evals.idx").c_str());
   }
+}
+
+TEST(EvalStore, VerifyStoreNamesIndexDefects) {
+  const std::string dir = fresh_store_dir("verify_index");
+  {
+    EvalStore store(dir);
+    for (std::uint64_t i = 0; i < 3; ++i)
+      store.put(i, make_candidate(i), make_evaluation(i));
+  }
+  ASSERT_EQ(core::verify_store(dir), 3u);
+  const std::string index = dir + "/evals.idx";
+  // Header bytes [24, 32) hold the record count; [48, ...) the slots.
+  patch_file(index, 24, {9});
+  EXPECT_NE(store_error_of([&] { (void)core::verify_store(dir); })
+                .find("promises 9 records but its slots hold 3"),
+            std::string::npos);
+  patch_file(index, 24, {3});
+  patch_file(index, 12, {1});  // reserved
+  EXPECT_NE(store_error_of([&] { (void)core::verify_store(dir); })
+                .find("reserved header field 1"),
+            std::string::npos);
+}
+
+// Every record read verifies the payload digest: a flipped evaluation byte
+// inside the indexed prefix (which open() does not rescan) is a StoreError
+// naming the offset, never a different Evaluation.
+TEST(EvalStore, FindRejectsARecordThatFailsItsDigest) {
+  const std::string dir = fresh_store_dir("digest");
+  { EvalStore store(dir); store.put(5, make_candidate(5), make_evaluation(5)); }
+  const std::string log = dir + "/evals.log";
+  const auto last = static_cast<long>(file_size(log)) - 1;  // last wcrt byte
+  patch_file(log, last, {0x7F});
+  EvalStore store(dir);
+  const std::string error =
+      store_error_of([&] { (void)store.find(5, make_candidate(5)); });
+  EXPECT_NE(error.find("record at offset 16 fails its payload digest"),
+            std::string::npos)
+      << error;
+  EXPECT_NE(store_error_of([&] {
+              store.put(5, make_candidate(5), make_evaluation(5));
+            }),
+            "");
+}
+
+// A record header's declared length is untrusted: one flipped high byte of
+// cand_bytes declares a ~4 GiB payload, which must be a StoreError naming
+// the offset, not a multi-GiB allocation.
+TEST(EvalStore, DeclaredRecordLengthIsBoundedByTheLog) {
+  const std::string dir = fresh_store_dir("length");
+  { EvalStore store(dir); store.put(2, make_candidate(2), make_evaluation(2)); }
+  patch_file(dir + "/evals.log", kFirstRecord + 8 + 3, {0xF0});
+  EvalStore store(dir);
+  const std::string error =
+      store_error_of([&] { (void)store.find(2, make_candidate(2)); });
+  EXPECT_NE(error.find("record at offset 16 declares a"), std::string::npos)
+      << error;
+}
+
+TEST(EvalStore, NonZeroReservedLogFieldIsAStoreError) {
+  const std::string dir = fresh_store_dir("log_reserved");
+  { EvalStore store(dir); store.put(1, make_candidate(1), make_evaluation(1)); }
+  patch_file(dir + "/evals.log", 12, {1});
+  const std::string error = store_error_of([&] { EvalStore store(dir); });
+  EXPECT_NE(error.find("reserved header field 1, expected 0"),
+            std::string::npos)
+      << error;
+}
+
+TEST(EvalStore, NonZeroReservedIndexFieldRebuildsTheIndex) {
+  const std::string dir = fresh_store_dir("idx_reserved");
+  { EvalStore store(dir); store.put(4, make_candidate(4), make_evaluation(4)); }
+  patch_file(dir + "/evals.idx", 12, {1});
+  EvalStore store(dir);
+  EXPECT_EQ(store.stats().index_rebuilds, 1u);
+  EXPECT_TRUE(store.find(4, make_candidate(4)).has_value());
+  store.flush();  // the rebuilt index is sound again
+  EXPECT_EQ(core::verify_store(dir), 1u);
 }
 
 TEST(EvalStore, KillNineMidRunRecoversEveryFullRecord) {

@@ -236,74 +236,6 @@ TEST(EvaluationCache, ConcurrentSharedCacheStaysConsistent) {
   EXPECT_GE(cache.stats().hits, stream.size() - 2 * unique.size());
 }
 
-// The byte tally in CacheStats must be exactly the sum of entry_footprint
-// over the resident entries — it is what the byte bound evicts against.
-TEST(EvaluationCache, BytesMatchEntryFootprints) {
-  const benchmarks::Benchmark benchmark = benchmarks::synth_benchmark(1);
-  const auto candidates = seeded_candidates(benchmark, 10, 67);
-  const sched::HolisticAnalysis backend;
-  const core::Evaluator evaluator(benchmark.arch, benchmark.apps, backend);
-
-  core::EvaluationCache cache;
-  std::size_t expected_bytes = 0;
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    const core::Evaluation evaluation = evaluator.evaluate(candidates[i]);
-    cache.insert(i, candidates[i], evaluation);
-    expected_bytes +=
-        core::EvaluationCache::entry_footprint(candidates[i], evaluation);
-  }
-  EXPECT_EQ(cache.stats().bytes, expected_bytes);
-  EXPECT_EQ(cache.stats().entries, candidates.size());
-
-  // Overwriting a key swaps footprints instead of double-counting.
-  const core::Evaluation other = evaluator.evaluate(candidates[1]);
-  cache.insert(0, candidates[1], other);
-  expected_bytes -=
-      core::EvaluationCache::entry_footprint(candidates[0],
-                                             evaluator.evaluate(candidates[0]));
-  expected_bytes +=
-      core::EvaluationCache::entry_footprint(candidates[1], other);
-  EXPECT_EQ(cache.stats().bytes, expected_bytes);
-  EXPECT_EQ(cache.stats().entries, candidates.size());
-
-  cache.clear();
-  EXPECT_EQ(cache.stats().bytes, 0u);
-}
-
-// A byte-bounded cache must stay under capacity_bytes(), attribute those
-// evictions to byte_evictions, and never change evaluation results.
-TEST(EvaluationCache, ByteCapacityEvictsAndStaysBounded) {
-  const benchmarks::Benchmark benchmark = benchmarks::synth_benchmark(1);
-  const auto candidates = seeded_candidates(benchmark, 40, 71);
-  const sched::HolisticAnalysis backend;
-  const core::Evaluator reference(benchmark.arch, benchmark.apps, backend);
-
-  // Room for roughly three entries, far below the 1<<16 entry bound, so
-  // every eviction in this test is forced by bytes alone.
-  const std::size_t budget =
-      3 * core::EvaluationCache::entry_footprint(
-              candidates[0], reference.evaluate(candidates[0])) +
-      16;
-  core::EvaluationCache cache(/*capacity=*/1 << 16, /*shards=*/1,
-                              /*capacity_bytes=*/budget);
-  EXPECT_EQ(cache.capacity_bytes(), budget);
-  core::Evaluator::Options options;
-  options.cache = &cache;
-  const core::Evaluator cached(benchmark.arch, benchmark.apps, backend,
-                               options);
-
-  for (int sweep = 0; sweep < 2; ++sweep)
-    for (const core::Candidate& candidate : candidates)
-      expect_identical(cached.evaluate(candidate),
-                       reference.evaluate(candidate));
-
-  const core::CacheStats stats = cache.stats();
-  EXPECT_LE(stats.bytes, budget);
-  EXPECT_GT(stats.byte_evictions, 0u);
-  EXPECT_EQ(stats.byte_evictions, stats.evictions);  // bytes tripped first
-  EXPECT_EQ(stats.entries, stats.insertions - stats.evictions);
-}
-
 // Snapshot consistency under concurrency: while workers hammer a bounded
 // shared cache, every stats() snapshot must satisfy the per-shard invariant
 // entries == insertions - evictions (each shard is read in one critical
@@ -318,18 +250,14 @@ TEST(EvaluationCache, StatsSnapshotsStayConsistentUnderLoad) {
   for (const auto& candidate : unique)
     evaluations.push_back(reference.evaluate(candidate));
 
-  const std::size_t budget = 4 * core::EvaluationCache::entry_footprint(
-                                     unique[0], evaluations[0]);
-  core::EvaluationCache cache(/*capacity=*/8, /*shards=*/4,
-                              /*capacity_bytes=*/budget);
+  core::EvaluationCache cache(/*capacity=*/8, /*shards=*/4);
 
   std::atomic<bool> done{false};
   std::atomic<std::size_t> bad_snapshots{0};
   std::thread sampler([&] {
     while (!done.load()) {
       const core::CacheStats snapshot = cache.stats();
-      if (snapshot.entries != snapshot.insertions - snapshot.evictions ||
-          snapshot.byte_evictions > snapshot.evictions)
+      if (snapshot.entries != snapshot.insertions - snapshot.evictions)
         bad_snapshots.fetch_add(1);
     }
   });

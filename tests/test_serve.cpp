@@ -488,22 +488,21 @@ TEST(Server, DrainRefusesWorkMethodsButAnswersIntrospection) {
   }
   // ...while introspection still answers so monitors can watch the drain.
   for (const char* method :
-       {"ping", "health", "metrics", "stats", "systems", "shutdown"}) {
+       {"ping", "health", "metrics", "systems", "shutdown"}) {
     const std::string response = server.handle(
         std::string(R"({"v": "ftmc.rpc.v1", "method": ")") + method + "\"}");
     EXPECT_TRUE(parse_json(response).bool_or("ok", false)) << response;
   }
 }
 
-TEST(Server, StatsAndShutdown) {
-  const std::string path = write_demo_system("stats");
+TEST(Server, ShutdownStopsTheServer) {
+  const std::string path = write_demo_system("shutdown");
   Server server(demo_options(path));
   (void)server.handle(R"({"v": "ftmc.rpc.v1", "method": "ping"})");
-  const JsonValue stats =
-      expect_ok(server.handle(R"({"v": "ftmc.rpc.v1", "method": "stats"})"));
-  EXPECT_GE(stats.u64_or("requests", 0), 2u);
-  ASSERT_EQ(stats.get("systems")->array.size(), 1u);
-  EXPECT_EQ(stats.get("systems")->array[0].str_or("system", ""), path);
+  // `stats` was folded into `health` and `metrics`.
+  EXPECT_EQ(expect_error_code(
+                server.handle(R"({"v": "ftmc.rpc.v1", "method": "stats"})")),
+            "unknown_method");
 
   EXPECT_FALSE(server.stopping());
   const JsonValue shutdown =
@@ -1032,7 +1031,6 @@ TEST(ServeObservability, ResponsesByteIdenticalWithTelemetryEnabled) {
       R"({"v": "ftmc.rpc.v1", "id": "x3", "method": "simulate",)"
       R"( "params": {"profiles": 50, "fault_prob": "0.25", "seed": 9}})",
       R"({"v": "ftmc.rpc.v1", "id": 44, "method": "ping"})",
-      R"({"v": "ftmc.rpc.v1", "method": "stats"})",
       R"({"v": "ftmc.rpc.v1", "id": "x5", "method": "nope"})",  // error path must match too
       R"(not json at all)",                 // parse-error path as well
   };

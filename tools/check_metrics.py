@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Validate ftmc telemetry artifacts.
 
-Seven kinds of input, all optional, each repeatable:
+Five kinds of input, all optional, each repeatable:
 
   --metrics FILE        a --metrics-json export; must be a valid
                         `ftmc.metrics.v1` document (schema marker, integer
@@ -19,20 +19,6 @@ Seven kinds of input, all optional, each repeatable:
                         string `bench` key.  The `serve` and `distributed`
                         summaries must also report identical responses and
                         meet their speedup floors on hosts with >= 4 cores.
-  --checkpoint FILE     an `ftmc.ckpt.v1` snapshot written by the DSE
-                        checkpointer; must carry the FTMCCKPT magic, a known
-                        format version, a complete payload, and an FNV-1a-64
-                        payload digest that matches (see
-                        src/ftmc/dse/checkpoint.hpp for the layout).
-  --store DIR           a persistent evaluation store directory (either one
-                        store with an evals.log, or a --cache-dir root whose
-                        sys-* children are stores).  The log must carry the
-                        FTMCSTOR magic and a known version, every record's
-                        FNV-1a-64 payload digest must match with no torn
-                        tail, and the evals.idx snapshot (when present) must
-                        have a valid header, a matching slots digest, and
-                        slots that point at real records of the same key
-                        (see src/ftmc/core/eval_store.hpp for the layout).
   --access-log FILE     an `ftmc serve --access-log` JSONL stream; every
                         record must carry the full schema (ts_ms, id,
                         method, ok, byte counts, the five us.* latency
@@ -60,6 +46,9 @@ Cross-cutting checks:
 Exits 0 when every artifact checks out; prints one line per violation and
 exits 1 otherwise.  CI runs this over the artifacts of the bench-smoke,
 kill-and-resume, serve-smoke and distributed-smoke jobs.
+
+Checkpoints and evaluation stores are binary formats with C++ readers; they
+are validated by those readers through `ftmc check PATH...`, not here.
 """
 
 from __future__ import annotations
@@ -67,15 +56,9 @@ from __future__ import annotations
 import argparse
 import json
 import re
-import struct
 import sys
 
 SCHEMA = "ftmc.metrics.v1"
-
-CHECKPOINT_MAGIC = b"FTMCCKPT"
-CHECKPOINT_VERSIONS = (2,)
-CHECKPOINT_HEADER = struct.Struct("<8sIIQQ")  # magic, version, reserved,
-# payload size, FNV-1a-64 payload digest
 
 # Telemetry keys that legitimately differ between an uninterrupted run and
 # a resumed one (cold caches, different machine load).  Everything else in
@@ -273,194 +256,6 @@ def check_distributed_summary(path: str, summary: dict) -> None:
     if summary.get("identical") is not True:
         fail(path, "distributed fronts are not byte-identical across arms")
     gated_speedup(path, summary, "speedup", 2.0)
-
-
-def fnv1a64(data: bytes) -> int:
-    """util::Fnv1aHasher: FNV-1a over the bytes + splitmix64 finalizer."""
-    mask = 0xFFFFFFFFFFFFFFFF
-    state = 0xCBF29CE484222325
-    for byte in data:
-        state = ((state ^ byte) * 0x100000001B3) & mask
-    z = (state + 0x9E3779B97F4A7C15) & mask
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
-    return z ^ (z >> 31)
-
-
-def check_checkpoint(path: str) -> None:
-    try:
-        with open(path, "rb") as handle:
-            blob = handle.read()
-    except OSError as exc:
-        fail(path, f"not readable: {exc}")
-        return
-    if len(blob) < CHECKPOINT_HEADER.size:
-        fail(path, f"truncated header: {len(blob)} bytes")
-        return
-    magic, version, reserved, payload_size, digest = CHECKPOINT_HEADER.unpack(
-        blob[: CHECKPOINT_HEADER.size]
-    )
-    if magic != CHECKPOINT_MAGIC:
-        fail(path, f"bad magic {magic!r} (expected {CHECKPOINT_MAGIC!r})")
-        return
-    if version not in CHECKPOINT_VERSIONS:
-        fail(path, f"unsupported checkpoint version {version}")
-        return
-    if reserved != 0:
-        fail(path, f"reserved header field is {reserved}, expected 0")
-    payload = blob[
-        CHECKPOINT_HEADER.size: CHECKPOINT_HEADER.size + payload_size
-    ]
-    if len(payload) != payload_size:
-        fail(
-            path,
-            f"truncated payload: header promises {payload_size} bytes,"
-            f" file carries {len(payload)}",
-        )
-        return
-    actual = fnv1a64(payload)
-    if actual != digest:
-        fail(
-            path,
-            f"payload digest mismatch: header {digest:#018x},"
-            f" computed {actual:#018x}",
-        )
-
-
-STORE_LOG_MAGIC = b"FTMCSTOR"
-STORE_INDEX_MAGIC = b"FTMCSIDX"
-STORE_VERSIONS = (1,)
-STORE_LOG_HEADER = struct.Struct("<8sII")  # magic, version, reserved
-STORE_RECORD_HEADER = struct.Struct("<QIIQ")  # key, cand, eval, digest
-STORE_INDEX_HEADER = struct.Struct("<8sIIQQQQ")  # magic, version, reserved,
-# slot count, record count, covered log bytes, slots digest
-
-
-def check_store_log(path: str) -> dict[int, int] | None:
-    """Walks the record log; returns {offset: key} or None on failure."""
-    try:
-        with open(path, "rb") as handle:
-            blob = handle.read()
-    except OSError as exc:
-        fail(path, f"not readable: {exc}")
-        return None
-    if len(blob) < STORE_LOG_HEADER.size:
-        fail(path, f"truncated header: {len(blob)} bytes")
-        return None
-    magic, version, reserved = STORE_LOG_HEADER.unpack(
-        blob[: STORE_LOG_HEADER.size]
-    )
-    if magic != STORE_LOG_MAGIC:
-        fail(path, f"bad magic {magic!r} (expected {STORE_LOG_MAGIC!r})")
-        return None
-    if version not in STORE_VERSIONS:
-        fail(path, f"unsupported store version {version}")
-        return None
-    if reserved != 0:
-        fail(path, f"reserved header field is {reserved}, expected 0")
-    records: dict[int, int] = {}
-    offset = STORE_LOG_HEADER.size
-    while offset < len(blob):
-        if offset + STORE_RECORD_HEADER.size > len(blob):
-            fail(path, f"torn record header at offset {offset}")
-            return None
-        key, cand_bytes, eval_bytes, digest = STORE_RECORD_HEADER.unpack(
-            blob[offset: offset + STORE_RECORD_HEADER.size]
-        )
-        body_at = offset + STORE_RECORD_HEADER.size
-        body_end = body_at + cand_bytes + eval_bytes
-        if body_end > len(blob):
-            fail(path, f"torn record payload at offset {offset}")
-            return None
-        if fnv1a64(blob[body_at:body_end]) != digest:
-            fail(path, f"record at offset {offset}: payload digest mismatch")
-            return None
-        records[offset] = key
-        offset = body_end
-    return records
-
-
-def check_store_index(path: str, records: dict[int, int],
-                      log_size: int) -> None:
-    try:
-        with open(path, "rb") as handle:
-            blob = handle.read()
-    except OSError as exc:
-        fail(path, f"not readable: {exc}")
-        return
-    if len(blob) < STORE_INDEX_HEADER.size:
-        fail(path, f"truncated header: {len(blob)} bytes")
-        return
-    (magic, version, reserved, slot_count, record_count, covered,
-     slots_digest) = STORE_INDEX_HEADER.unpack(
-        blob[: STORE_INDEX_HEADER.size]
-    )
-    if magic != STORE_INDEX_MAGIC:
-        fail(path, f"bad magic {magic!r} (expected {STORE_INDEX_MAGIC!r})")
-        return
-    if version not in STORE_VERSIONS:
-        fail(path, f"unsupported index version {version}")
-        return
-    if reserved != 0:
-        fail(path, f"reserved header field is {reserved}, expected 0")
-    if slot_count == 0 or slot_count & (slot_count - 1):
-        fail(path, f"slot count {slot_count} is not a power of two")
-        return
-    if len(blob) != STORE_INDEX_HEADER.size + slot_count * 16:
-        fail(path, f"size {len(blob)} does not match {slot_count} slots")
-        return
-    if covered > log_size:
-        fail(path, f"covers {covered} log bytes but the log has {log_size}")
-    slots = blob[STORE_INDEX_HEADER.size:]
-    if fnv1a64(slots) != slots_digest:
-        fail(path, "slots digest mismatch")
-        return
-    occupied = 0
-    for i in range(slot_count):
-        key, offset = struct.unpack_from("<QQ", slots, i * 16)
-        if offset == 0:
-            continue
-        occupied += 1
-        if offset not in records:
-            fail(path, f"slot {i} points at offset {offset},"
-                       " not a record boundary")
-        elif records[offset] != key:
-            fail(path, f"slot {i}: key {key:#x} != record key"
-                       f" {records[offset]:#x} at offset {offset}")
-    if occupied != record_count:
-        fail(path, f"header promises {record_count} records,"
-                   f" slots hold {occupied}")
-
-
-def check_store(directory: str) -> None:
-    import os
-
-    if os.path.isfile(os.path.join(directory, "evals.log")):
-        stores = [directory]
-    else:
-        try:
-            children = sorted(os.listdir(directory))
-        except OSError as exc:
-            fail(directory, f"not listable: {exc}")
-            return
-        stores = [
-            os.path.join(directory, child)
-            for child in children
-            if child.startswith("sys-")
-            and os.path.isfile(os.path.join(directory, child, "evals.log"))
-        ]
-        if not stores:
-            fail(directory, "no evals.log here and no sys-* store children")
-            return
-    for store in stores:
-        log_path = os.path.join(store, "evals.log")
-        records = check_store_log(log_path)
-        if records is None:
-            continue
-        index_path = os.path.join(store, "evals.idx")
-        if os.path.isfile(index_path):
-            check_store_index(index_path, records,
-                              os.path.getsize(log_path))
 
 
 ACCESS_LOG_STAGES = ("read", "parse", "dispatch", "render", "write")
@@ -702,8 +497,6 @@ def main() -> int:
     parser.add_argument("--metrics", action="append", default=[])
     parser.add_argument("--trace", action="append", default=[])
     parser.add_argument("--bench-output", action="append", default=[])
-    parser.add_argument("--checkpoint", action="append", default=[])
-    parser.add_argument("--store", action="append", default=[])
     parser.add_argument("--access-log", action="append", default=[])
     parser.add_argument("--prom", action="append", default=[])
     parser.add_argument("--expect-counter", action="append", default=[])
@@ -715,15 +508,13 @@ def main() -> int:
         args.metrics
         or args.trace
         or args.bench_output
-        or args.checkpoint
-        or args.store
         or args.access_log
         or args.prom
         or args.compare_jsonl
     ):
         parser.error(
             "nothing to check; pass --metrics/--trace/--bench-output/"
-            "--checkpoint/--store/--access-log/--prom/--compare-jsonl"
+            "--access-log/--prom/--compare-jsonl"
         )
     if args.expect_counter and not args.metrics:
         parser.error("--expect-counter requires at least one --metrics")
@@ -740,10 +531,6 @@ def main() -> int:
         check_trace(path)
     for path in args.bench_output:
         check_bench_output(path)
-    for path in args.checkpoint:
-        check_checkpoint(path)
-    for path in args.store:
-        check_store(path)
     for path in args.access_log:
         check_access_log(path)
     for path in args.prom:
@@ -756,8 +543,6 @@ def main() -> int:
         len(args.metrics)
         + len(args.trace)
         + len(args.bench_output)
-        + len(args.checkpoint)
-        + len(args.store)
         + len(args.access_log)
         + len(args.prom)
         + len(args.compare_jsonl)

@@ -21,6 +21,10 @@
 //   ftmc campaign <system.ftmc> [options]    distributed island campaign
 //       everything optimize takes, plus --workers=N --worker-hosts=H:P,...
 //       --worker-threads=N --migration-every=N (10) --migration-size=N (4)
+//   ftmc check PATH...                       validate checkpoints (files)
+//                                            and evaluation stores (a store
+//                                            directory or a --cache-dir root)
+//                                            with the production readers
 //
 // analyze, simulate, serve, optimize and campaign also take the telemetry
 // flags --metrics-json=FILE, --chrome-trace=FILE and --quiet.
@@ -32,10 +36,12 @@
 // The system file format is documented in ftmc/io/text_format.hpp; `ftmc
 // optimize --out=` writes a full system + candidate file that `analyze` and
 // `simulate` accept.
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -71,6 +77,7 @@ namespace {
 int usage() {
   std::cerr <<
       "usage: ftmc <command> <system.ftmc> [options]\n"
+      "       ftmc check PATH...\n"
       "commands:\n"
       "  info      print a model summary\n"
       "  dot       emit Graphviz (hardened view when a candidate exists)\n"
@@ -109,6 +116,11 @@ int usage() {
       "            [--migration-every=N]  (island epoch length, default 10;\n"
       "            0 = independent shards, run in seed order)\n"
       "            [--migration-size=N] (default 4)\n"
+      "  check     validate ftmc.ckpt.v1 checkpoints (files) and evaluation\n"
+      "            stores (a store directory, or a --cache-dir root whose\n"
+      "            sys-* children are stores) with the readers optimize and\n"
+      "            serve use; one line per valid artifact, exit 1 if any is\n"
+      "            damaged\n"
       "checkpointing (optimize/campaign; SIGINT/SIGTERM drain the in-flight\n"
       "generation, write a final snapshot, and exit 0):\n"
       "  --checkpoint=FILE     write ftmc.ckpt.v1 snapshots here\n"
@@ -520,6 +532,59 @@ int cmd_serve(int argc, char** argv) {
   return code;
 }
 
+// `ftmc check PATH...`: every argument is an artifact — a regular file is a
+// checkpoint, a directory one evaluation store (it holds evals.log) or a
+// --cache-dir root whose sys-* children are stores.  The production readers
+// do the validation, so the audit can never be laxer than a resume or an
+// open.  Each valid artifact prints one stdout line; each damaged one prints
+// the reader's error on stderr and makes the exit code 1.
+int cmd_check(int argc, char** argv) {
+  namespace fs = std::filesystem;
+  bool damaged = false;
+  const auto report = [&damaged](const std::string& path,
+                                 const std::string& error) {
+    std::cerr << path << ": " << error << '\n';
+    damaged = true;
+  };
+  const auto check_store = [&](const std::string& dir) {
+    try {
+      const std::uint64_t records = core::verify_store(dir);
+      std::cout << dir << ": evaluation store, " << records << " records\n";
+    } catch (const core::StoreError& error) {
+      report(dir, error.what());
+    }
+  };
+  for (int i = 2; i < argc; ++i) {
+    const std::string path = argv[i];
+    std::error_code ignored;
+    if (!fs::is_directory(path, ignored)) {
+      try {
+        const dse::Checkpoint checkpoint = dse::load_checkpoint(path);
+        std::cout << path << ": checkpoint v" << dse::kCheckpointVersion
+                  << ", generation " << checkpoint.generation << ", "
+                  << checkpoint.archive.size() << " archived individuals\n";
+      } catch (const dse::CheckpointError& error) {
+        report(path, error.what());
+      }
+      continue;
+    }
+    if (fs::exists(fs::path(path) / "evals.log", ignored)) {
+      check_store(path);
+      continue;
+    }
+    std::vector<std::string> stores;
+    for (const fs::directory_entry& entry : fs::directory_iterator(path))
+      if (entry.is_directory() &&
+          entry.path().filename().string().rfind("sys-", 0) == 0)
+        stores.push_back(entry.path().string());
+    if (stores.empty())
+      report(path, "no evals.log here and no sys-* store children");
+    std::sort(stores.begin(), stores.end());
+    for (const std::string& store : stores) check_store(store);
+  }
+  return damaged ? 1 : 0;
+}
+
 bool has_flag(int argc, char** argv, const char* name) {
   const std::string wanted = std::string("--") + name;
   for (int i = 3; i < argc; ++i)
@@ -535,7 +600,7 @@ int main(int argc, char** argv) {
   const bool known = command == "info" || command == "dot" ||
                      command == "analyze" || command == "simulate" ||
                      command == "optimize" || command == "campaign" ||
-                     command == "serve";
+                     command == "serve" || command == "check";
   if (!known) {
     std::cerr << "error: unknown command '" << command << "'\n";
     return usage();
@@ -543,8 +608,9 @@ int main(int argc, char** argv) {
   // A known command with no file is a targeted complaint, not a usage dump:
   // the user got the command right and only needs the missing piece.
   if (argc < 3) {
-    std::cerr << "error: " << command
-              << ": missing <system.ftmc> argument\n";
+    std::cerr << "error: " << command << ": missing "
+              << (command == "check" ? "PATH" : "<system.ftmc>")
+              << " argument\n";
     return 2;
   }
   // Progress goes through the leveled logger; results go to stdout.
@@ -552,6 +618,8 @@ int main(int argc, char** argv) {
                                          ? util::LogLevel::kWarn
                                          : util::LogLevel::kInfo);
   try {
+    // check reads artifacts, not a system file.
+    if (command == "check") return cmd_check(argc, argv);
     {
       // Probe the system file up front so a bad path names the file instead
       // of surfacing as a parse error (or worse, a generic usage message).

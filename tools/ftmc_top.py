@@ -30,8 +30,8 @@ import sys
 import time
 from pathlib import Path
 
-METHODS = ("ping", "systems", "stats", "analyze", "evaluate", "simulate",
-           "batch", "metrics", "health", "shutdown", "other")
+METHODS = ("ping", "systems", "analyze", "evaluate", "simulate", "batch",
+           "metrics", "health", "shutdown", "other")
 
 
 def send_frame(sock: socket.socket, payload: bytes) -> None:

@@ -10,7 +10,7 @@ Modes (one required):
   --request JSON        send one request to a running daemon (--port or
                         --port-file) and print the response JSON.
   --smoke N             spawn a daemon over --system (needs --ftmc), send N
-                        mixed requests (ping / systems / stats / analyze /
+                        mixed requests (ping / systems / health / analyze /
                         evaluate / simulate round-robin), require ok:true on
                         every one, then ask it to shut down and require exit
                         code 0.  With --diff, the analyze and simulate
@@ -115,7 +115,7 @@ def wait_for_port(port_file: Path, daemon: subprocess.Popen,
 
 
 def smoke_request(i: int, system: str) -> dict:
-    method = ("ping", "systems", "stats", "analyze", "evaluate",
+    method = ("ping", "systems", "health", "analyze", "evaluate",
               "simulate")[i % 6]
     request: dict = {"id": i, "method": method}
     if method == "simulate":
