@@ -154,7 +154,7 @@ class Server {
   /// True once a shutdown request or stop_requested() drain began.
   bool stopping() const;
 
-  /// Flushes every system's persistent store (fsync + index rewrite).
+  /// Flushes every system's persistent store (an fsync of its log).
   void flush();
 
  private:

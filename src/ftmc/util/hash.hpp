@@ -1,13 +1,17 @@
-// Stable 64-bit content hashing for cache keys and fingerprints.
+// Stable 64-bit content hashing for cache keys, fingerprints and record
+// digests.
 //
 // The evaluation-memoization layer (ftmc/core/evaluation_cache.hpp) keys
 // cached results by a hash of the decoded candidate, so the hash must be
 // deterministic across runs, platforms, and library versions — std::hash
 // guarantees none of that.  FNV-1a over an explicit byte feed gives a
 // stable, order-sensitive digest; the final avalanche step (splitmix64's
-// finalizer) decorrelates the low bits used for shard selection.
+// finalizer) decorrelates the low bits used for shard selection.  Bulk
+// byte digests that are re-checked on every read (evaluation store
+// records) use the word-wise WordHasher instead, eight bytes per step.
 #pragma once
 
+#include <bit>
 #include <concepts>
 #include <cstdint>
 #include <cstring>
@@ -79,12 +83,13 @@ class Fnv1aHasher {
   std::uint64_t state_ = kOffsetBasis;
 };
 
-/// Word-wise hash for in-memory dedup keys that are never persisted
-/// (Algorithm 1's scenario edit lists, the batch kernel's lane signatures):
-/// one multiply-xorshift step per 64-bit word instead of FNV-1a's eight byte
-/// steps.  Each step is a bijection of the state, so two sequences of equal
-/// length that differ in a single word never collide.  Digests may change
-/// between versions; anything written to disk or the wire uses Fnv1aHasher.
+/// Word-wise hash: one multiply-xorshift step per 64-bit word instead of
+/// FNV-1a's eight byte steps.  Each step is a bijection of the state, so two
+/// sequences of equal length that differ in a single word never collide.
+/// It keys in-memory dedup (Algorithm 1's scenario edit lists, the batch
+/// kernel's lane signatures) and, through word_digest, the evaluation
+/// store's record digests, so its digests are persisted: tests/test_hash.cpp
+/// pins them.
 class WordHasher {
  public:
   template <std::integral T>
@@ -100,10 +105,35 @@ class WordHasher {
   std::uint64_t state_ = 0;
 };
 
-/// Finalized digest of a raw byte span (checkpoint payloads, store records).
+/// Finalized FNV-1a digest of a raw byte span (checkpoint payloads, system
+/// file digests).
 inline std::uint64_t fnv1a_bytes(std::span<const std::uint8_t> bytes) noexcept {
   Fnv1aHasher hasher;
   for (std::uint8_t byte : bytes) hasher.feed_byte(byte);
+  return hasher.digest();
+}
+
+/// WordHasher digest of a raw byte span (evaluation store records): its
+/// little-endian 64-bit words, then the zero-padded tail word when the
+/// length is not a multiple of 8, then the byte length.
+inline std::uint64_t word_digest(std::span<const std::uint8_t> bytes) noexcept {
+  const auto load = [](const std::uint8_t* p) {
+    std::uint64_t word = 0;
+    std::memcpy(&word, p, sizeof word);
+    if constexpr (std::endian::native == std::endian::big)
+      word = __builtin_bswap64(word);
+    return word;
+  };
+  WordHasher hasher;
+  const std::size_t whole = bytes.size() / 8 * 8;
+  for (std::size_t at = 0; at < whole; at += 8)
+    hasher.feed(load(bytes.data() + at));
+  if (whole < bytes.size()) {
+    std::uint8_t tail[8] = {};
+    std::memcpy(tail, bytes.data() + whole, bytes.size() - whole);
+    hasher.feed(load(tail));
+  }
+  hasher.feed(static_cast<std::uint64_t>(bytes.size()));
   return hasher.digest();
 }
 

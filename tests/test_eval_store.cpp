@@ -1,7 +1,8 @@
 // Tests for the persistent memory-mapped evaluation store (eval_store.hpp):
-// round-trip and reopen persistence, index rebuilds, torn-tail crash
-// recovery (including a real fork + SIGKILL), damaged records and headers
-// (the reader and verify_store), cross-process sharing, and the L1
+// round-trip and reopen persistence, torn-tail crash recovery (including a
+// real fork + SIGKILL), damaged records and headers (open, the read-time
+// checks and verify_store), cross-process sharing (a reader beside a writer,
+// an open beside an append in flight, two concurrent flushes), and the L1
 // (EvaluationCache) / L2 (EvalStore) flow through the Evaluator and the GA.
 // tests/test_reader_fuzz.cpp mutates whole stores at random.
 #include "ftmc/core/eval_store.hpp"
@@ -39,7 +40,6 @@ using core::StoreError;
 std::string fresh_store_dir(const std::string& name) {
   const std::string dir = ::testing::TempDir() + "ftmc_store_" + name;
   std::remove((dir + "/evals.log").c_str());
-  std::remove((dir + "/evals.idx").c_str());
   ::rmdir(dir.c_str());
   return dir;
 }
@@ -136,10 +136,9 @@ TEST(EvalStore, SurvivesReopen) {
     EvalStore store(dir);
     for (std::uint64_t i = 0; i < 5; ++i)
       store.put(i, make_candidate(i), make_evaluation(i));
-  }  // destructor flushes (fsync + index rewrite)
+  }  // destructor flushes (fsync)
   EvalStore reopened(dir);
   EXPECT_EQ(reopened.stats().records, 5u);
-  EXPECT_GT(reopened.stats().bytes_mapped, 0u);
   for (std::uint64_t i = 0; i < 5; ++i) {
     const auto found = reopened.find(i, make_candidate(i));
     ASSERT_TRUE(found.has_value()) << i;
@@ -178,42 +177,6 @@ TEST(EvalStore, ReadOnlyRejectsPut) {
                StoreError);
 }
 
-// --- Index lifecycle --------------------------------------------------------
-
-TEST(EvalStore, RebuildsIndexFromLogWhenMissing) {
-  const std::string dir = fresh_store_dir("rebuild");
-  {
-    EvalStore store(dir);
-    for (std::uint64_t i = 0; i < 6; ++i)
-      store.put(i, make_candidate(i), make_evaluation(i));
-  }
-  ASSERT_EQ(std::remove((dir + "/evals.idx").c_str()), 0);
-  EvalStore store(dir);
-  EXPECT_GE(store.stats().index_rebuilds, 1u);
-  EXPECT_EQ(store.stats().records, 6u);
-  for (std::uint64_t i = 0; i < 6; ++i)
-    EXPECT_TRUE(store.find(i, make_candidate(i)).has_value()) << i;
-  // The rebuilt index was persisted: a third open needs no rebuild.
-  EXPECT_TRUE(util::file_exists(dir + "/evals.idx"));
-}
-
-TEST(EvalStore, RejectsCorruptIndexMagicByRebuilding) {
-  const std::string dir = fresh_store_dir("idxmagic");
-  {
-    EvalStore store(dir);
-    store.put(9, make_candidate(9), make_evaluation(9));
-  }
-  // Stomp the index magic; the index is a pure cache of the log, so the
-  // store must fall back to a rebuild instead of failing the open.
-  std::FILE* f = std::fopen((dir + "/evals.idx").c_str(), "r+b");
-  ASSERT_NE(f, nullptr);
-  std::fputs("BADMAGIC", f);
-  std::fclose(f);
-  EvalStore store(dir);
-  EXPECT_GE(store.stats().index_rebuilds, 1u);
-  EXPECT_TRUE(store.find(9, make_candidate(9)).has_value());
-}
-
 // --- Corruption and crash safety --------------------------------------------
 
 TEST(EvalStore, BadLogMagicIsAStoreError) {
@@ -243,9 +206,6 @@ TEST(EvalStore, TornTailTruncatedLoudlyByDefault) {
   std::fclose(f);
   const std::uint64_t torn_size = file_size(log);
 
-  // The index still covers the pre-tear log, so force a full tail scan.
-  ASSERT_EQ(std::remove((dir + "/evals.idx").c_str()), 0);
-
   EvalStore store(dir);
   EXPECT_EQ(store.stats().torn_bytes_discarded, sizeof(garbage));
   EXPECT_EQ(store.stats().records, 4u);
@@ -265,50 +225,84 @@ TEST(EvalStore, VerifyStoreRejectsTornTail) {
   ASSERT_NE(f, nullptr);
   std::fputs("torn!", f);
   std::fclose(f);
-  // With the index (which covers the pre-tear log) and without it.
-  for (int pass = 0; pass < 2; ++pass) {
-    const std::string error =
-        store_error_of([&] { (void)core::verify_store(dir); });
-    EXPECT_NE(error.find("torn record header at offset"), std::string::npos)
-        << error;
-    std::remove((dir + "/evals.idx").c_str());
-  }
+  const std::string error =
+      store_error_of([&] { (void)core::verify_store(dir); });
+  EXPECT_NE(error.find("torn record header at offset"), std::string::npos)
+      << error;
 }
 
-TEST(EvalStore, VerifyStoreNamesIndexDefects) {
-  const std::string dir = fresh_store_dir("verify_index");
+// A damaged record anywhere in the log ends the valid log at open, exactly
+// like a torn tail: the digest covers the key and both lengths as well as
+// the payload, so each flip is caught.  A writable open truncates there, a
+// read-only open stops reading there; the records after it become misses.
+TEST(EvalStore, OpenEndsTheLogAtTheFirstDamagedRecord) {
+  const std::string dir = fresh_store_dir("damaged");
+  const std::string log = dir + "/evals.log";
+  std::vector<std::uint64_t> ends;  // log size after each append
   {
     EvalStore store(dir);
-    for (std::uint64_t i = 0; i < 3; ++i)
+    for (std::uint64_t i = 0; i < 4; ++i) {
       store.put(i, make_candidate(i), make_evaluation(i));
+      ends.push_back(file_size(log));
+    }
   }
-  ASSERT_EQ(core::verify_store(dir), 3u);
-  const std::string index = dir + "/evals.idx";
-  // Header bytes [24, 32) hold the record count; [48, ...) the slots.
-  patch_file(index, 24, {9});
-  EXPECT_NE(store_error_of([&] { (void)core::verify_store(dir); })
-                .find("promises 9 records but its slots hold 3"),
-            std::string::npos);
-  patch_file(index, 24, {3});
-  patch_file(index, 12, {1});  // reserved
-  EXPECT_NE(store_error_of([&] { (void)core::verify_store(dir); })
-                .find("reserved header field 1"),
-            std::string::npos);
+  const std::vector<std::uint8_t> intact = util::read_file(log);
+  const std::uint64_t second = ends[0];
+  const std::uint64_t torn = intact.size() - second;
+  const auto expect_first_record_only = [&](EvalStore& store) {
+    EXPECT_EQ(store.stats().records, 1u);
+    EXPECT_EQ(store.stats().log_bytes, second);
+    EXPECT_EQ(store.stats().torn_bytes_discarded, torn);
+    EXPECT_TRUE(store.find(0, make_candidate(0)).has_value());
+    for (std::uint64_t i = 1; i < 4; ++i)
+      EXPECT_FALSE(store.find(i, make_candidate(i)).has_value()) << i;
+  };
+  // Record layout: digest u64 | key u64 | cand_bytes u32 | eval_bytes u32 |
+  // payload.  Flip a key byte, a length byte and a payload byte.
+  for (const std::uint64_t at : {second + 8, second + 16, second + 24 + 5}) {
+    SCOPED_TRACE("flipped byte at offset " + std::to_string(at));
+    std::vector<std::uint8_t> damaged = intact;
+    damaged[at] ^= 0x01;
+    util::write_file_atomic(log, damaged);
+
+    const std::string error =
+        store_error_of([&] { (void)core::verify_store(dir); });
+    EXPECT_NE(error.find("record that fails its digest at offset " +
+                         std::to_string(second)),
+              std::string::npos)
+        << error;
+
+    EvalStoreOptions read_only;
+    read_only.read_only = true;
+    {
+      EvalStore store(dir, read_only);
+      expect_first_record_only(store);
+    }
+    EXPECT_EQ(util::read_file(log), damaged);  // a read-only open writes nothing
+
+    {
+      EvalStore store(dir);
+      expect_first_record_only(store);
+    }
+    EXPECT_EQ(file_size(log), second);  // truncated at the damaged record
+    EXPECT_EQ(core::verify_store(dir), 1u);
+  }
 }
 
-// Every record read verifies the payload digest: a flipped evaluation byte
-// inside the indexed prefix (which open() does not rescan) is a StoreError
-// naming the offset, never a different Evaluation.
+// Every record read verifies the record digest again, because the file can
+// change under an open store: a flipped evaluation byte of a record that
+// open() already verified is a StoreError naming the offset, never a
+// different Evaluation.
 TEST(EvalStore, FindRejectsARecordThatFailsItsDigest) {
   const std::string dir = fresh_store_dir("digest");
   { EvalStore store(dir); store.put(5, make_candidate(5), make_evaluation(5)); }
   const std::string log = dir + "/evals.log";
+  EvalStore store(dir);
   const auto last = static_cast<long>(file_size(log)) - 1;  // last wcrt byte
   patch_file(log, last, {0x7F});
-  EvalStore store(dir);
   const std::string error =
       store_error_of([&] { (void)store.find(5, make_candidate(5)); });
-  EXPECT_NE(error.find("record at offset 16 fails its payload digest"),
+  EXPECT_NE(error.find("record at offset 16 fails its digest"),
             std::string::npos)
       << error;
   EXPECT_NE(store_error_of([&] {
@@ -318,13 +312,14 @@ TEST(EvalStore, FindRejectsARecordThatFailsItsDigest) {
 }
 
 // A record header's declared length is untrusted: one flipped high byte of
-// cand_bytes declares a ~4 GiB payload, which must be a StoreError naming
-// the offset, not a multi-GiB allocation.
+// cand_bytes (record bytes [16, 20)) of a record open() already verified
+// declares a ~4 GiB payload, which must be a StoreError naming the offset,
+// not a multi-GiB allocation.
 TEST(EvalStore, DeclaredRecordLengthIsBoundedByTheLog) {
   const std::string dir = fresh_store_dir("length");
   { EvalStore store(dir); store.put(2, make_candidate(2), make_evaluation(2)); }
-  patch_file(dir + "/evals.log", kFirstRecord + 8 + 3, {0xF0});
   EvalStore store(dir);
+  patch_file(dir + "/evals.log", kFirstRecord + 16 + 3, {0xF0});
   const std::string error =
       store_error_of([&] { (void)store.find(2, make_candidate(2)); });
   EXPECT_NE(error.find("record at offset 16 declares a"), std::string::npos)
@@ -341,15 +336,16 @@ TEST(EvalStore, NonZeroReservedLogFieldIsAStoreError) {
       << error;
 }
 
-TEST(EvalStore, NonZeroReservedIndexFieldRebuildsTheIndex) {
-  const std::string dir = fresh_store_dir("idx_reserved");
-  { EvalStore store(dir); store.put(4, make_candidate(4), make_evaluation(4)); }
-  patch_file(dir + "/evals.idx", 12, {1});
-  EvalStore store(dir);
-  EXPECT_EQ(store.stats().index_rebuilds, 1u);
-  EXPECT_TRUE(store.find(4, make_candidate(4)).has_value());
-  store.flush();  // the rebuilt index is sound again
-  EXPECT_EQ(core::verify_store(dir), 1u);
+TEST(EvalStore, VersionOneLogIsAStoreError) {
+  const std::string dir = fresh_store_dir("version1");
+  { EvalStore store(dir); store.put(1, make_candidate(1), make_evaluation(1)); }
+  patch_file(dir + "/evals.log", 8, {1});  // version u32 = 1
+  for (const std::string& error :
+       {store_error_of([&] { EvalStore store(dir); }),
+        store_error_of([&] { (void)core::verify_store(dir); })})
+    EXPECT_NE(error.find("unsupported evaluation store version 1"),
+              std::string::npos)
+        << error;
 }
 
 TEST(EvalStore, KillNineMidRunRecoversEveryFullRecord) {
@@ -370,7 +366,7 @@ TEST(EvalStore, KillNineMidRunRecoversEveryFullRecord) {
   ASSERT_TRUE(WIFSIGNALED(status));
   ASSERT_EQ(WTERMSIG(status), SIGKILL);
 
-  // No index was ever written; reopen must recover all 7 from the log.
+  // Nothing was flushed; reopen must recover all 7 from the log.
   EvalStore store(dir);
   EXPECT_EQ(store.stats().records, 7u);
   EXPECT_EQ(store.stats().torn_bytes_discarded, 0u);
@@ -415,6 +411,113 @@ TEST(EvalStore, SecondProcessReadsWhatTheFirstWrote) {
   ASSERT_TRUE(WIFEXITED(status));
   EXPECT_EQ(WEXITSTATUS(status), 0);
   EXPECT_EQ(writer.stats().records, 10u);
+}
+
+// An open must not mistake another process's append in flight for a torn
+// tail, which it would truncate: it takes the append lock before it sizes
+// the log.  A forked writer appends kAppends records while this process
+// opens the same store writable in a loop until the writer exits.  Without
+// the lock, an open cuts an append in flight in most rounds, and the log
+// loses every record from the cut on.
+TEST(EvalStore, OpenDoesNotTruncateAnAppendInFlight) {
+  constexpr std::uint64_t kAppends = 3000;
+  constexpr int kRounds = 6;
+  std::vector<Candidate> candidates;
+  for (std::uint64_t variant = 0; variant < 6; ++variant)
+    candidates.push_back(make_candidate(variant));
+  const auto candidate_of = [&](std::uint64_t key) -> const Candidate& {
+    return candidates[key % candidates.size()];
+  };
+  for (int round = 0; round < kRounds; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    const std::string dir = fresh_store_dir("open_vs_append");
+    { EvalStore create(dir); }  // the log header exists before the race
+    const pid_t pid = ::fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+      int code = 0;
+      try {
+        EvalStore writer(dir);
+        for (std::uint64_t key = 0; key < kAppends; ++key)
+          writer.put(key, candidate_of(key), make_evaluation(key));
+      } catch (...) {
+        code = 1;
+      }
+      ::_exit(code);
+    }
+    std::uint64_t torn = 0;
+    int opens = 0;
+    int status = 0;
+    while (::waitpid(pid, &status, WNOHANG) == 0) {
+      const EvalStore opener(dir);
+      torn += opener.stats().torn_bytes_discarded;
+      ++opens;
+    }
+    ASSERT_TRUE(WIFEXITED(status));
+    EXPECT_EQ(WEXITSTATUS(status), 0);
+    EXPECT_EQ(torn, 0u) << "over " << opens << " opens";
+    EvalStore store(dir);
+    EXPECT_EQ(store.stats().torn_bytes_discarded, 0u);
+    EXPECT_EQ(store.stats().records, kAppends);
+    std::uint64_t found = 0;
+    for (std::uint64_t key = 0; key < kAppends; ++key)
+      found += store.find(key, candidate_of(key)).has_value() ? 1 : 0;
+    EXPECT_EQ(found, kAppends);
+  }
+}
+
+// Two processes that share a store and flush at the same moment (two
+// `ftmc serve` daemons on one --cache-dir, stopped by one signal) must both
+// succeed, and a reopen must find every record either of them appended.
+TEST(EvalStore, ConcurrentFlushesBothSucceed) {
+  constexpr std::uint64_t kPerWriter = 40;
+  const std::string dir = fresh_store_dir("concurrent_flush");
+  { EvalStore create(dir); }
+  int ready[2];
+  int go[2];
+  ASSERT_EQ(::pipe(ready), 0);
+  ASSERT_EQ(::pipe(go), 0);
+  pid_t writers[2];
+  for (std::uint64_t w = 0; w < 2; ++w) {
+    writers[w] = ::fork();
+    ASSERT_GE(writers[w], 0);
+    if (writers[w] == 0) {
+      int code = 0;
+      try {
+        EvalStore store(dir);
+        for (std::uint64_t i = 0; i < kPerWriter; ++i) {
+          const std::uint64_t key = w * kPerWriter + i;
+          store.put(key, make_candidate(key), make_evaluation(key));
+        }
+        // Meet the sibling at the barrier, then flush together.
+        char byte = 0;
+        if (::write(ready[1], "r", 1) != 1 || ::read(go[0], &byte, 1) != 1)
+          code = 2;
+        store.flush();
+      } catch (...) {
+        code = 1;
+      }
+      ::_exit(code);
+    }
+  }
+  char bytes[2];
+  for (std::size_t got = 0; got < sizeof bytes;) {
+    const ssize_t n = ::read(ready[0], bytes + got, sizeof bytes - got);
+    ASSERT_GT(n, 0);
+    got += static_cast<std::size_t>(n);
+  }
+  ASSERT_EQ(::write(go[1], "gg", 2), 2);
+  for (const int fd : {ready[0], ready[1], go[0], go[1]}) ::close(fd);
+  for (const pid_t pid : writers) {
+    int status = 0;
+    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+    ASSERT_TRUE(WIFEXITED(status));
+    EXPECT_EQ(WEXITSTATUS(status), 0);
+  }
+  EvalStore store(dir);
+  EXPECT_EQ(store.stats().records, 2 * kPerWriter);
+  for (std::uint64_t key = 0; key < 2 * kPerWriter; ++key)
+    EXPECT_TRUE(store.find(key, make_candidate(key)).has_value()) << key;
 }
 
 // --- Evaluator L1/L2 flow ---------------------------------------------------

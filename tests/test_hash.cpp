@@ -1,10 +1,11 @@
-// Regression pins for the one FNV-1a construction in the codebase
-// (util/hash.hpp).  These digests key persisted artifacts — checkpoint
-// payload digests, evaluation-store records and index slots, evaluation
-// cache keys — so an accidental change to the hash constants, the feed
-// order, or the finalizer would silently orphan every store and checkpoint
-// on disk.  The literals below were produced by the current construction;
-// a failure here means the on-disk format changed, not that the pin is
+// Regression pins for the two hash constructions in the codebase
+// (util/hash.hpp).  Their digests key and guard persisted artifacts —
+// FNV-1a: checkpoint payload digests, evaluation cache and store keys,
+// store directory names; WordHasher (word_digest): evaluation-store record
+// digests — so an accidental change to the hash constants, the feed order,
+// or the finalizer would silently orphan every store and checkpoint on
+// disk.  The literals below were produced by the current constructions; a
+// failure here means the on-disk format changed, not that the pin is
 // stale.
 #include "ftmc/util/hash.hpp"
 
@@ -19,6 +20,7 @@ namespace {
 
 using ftmc::util::Fnv1aHasher;
 using ftmc::util::fnv1a_bytes;
+using ftmc::util::word_digest;
 using ftmc::util::WordHasher;
 
 TEST(Hash, PinnedConstants) {
@@ -87,9 +89,9 @@ TEST(Hash, OrderSensitive) {
   EXPECT_NE(ab.digest(), ba.digest());
 }
 
-// The in-memory dedup hash (not persisted, so nothing is pinned): equal
-// sequences agree, and sequences of equal length that differ in one word —
-// in its low or only in its high bits — or in word order do not collide.
+// The word-wise hash: equal sequences agree, and sequences of equal length
+// that differ in one word — in its low or only in its high bits — or in
+// word order do not collide.
 TEST(Hash, WordHasherSeparatesSingleWordEdits) {
   const auto digest = [](std::initializer_list<std::int64_t> words) {
     WordHasher hasher;
@@ -101,6 +103,37 @@ TEST(Hash, WordHasherSeparatesSingleWordEdits) {
   EXPECT_NE(base, digest({1, 2, 3, 5}));
   EXPECT_NE(base, digest({1 | (std::int64_t{1} << 62), 2, 3, 4}));
   EXPECT_NE(base, digest({2, 1, 3, 4}));
+}
+
+TEST(Hash, PinnedWordHasherDigests) {
+  EXPECT_EQ(WordHasher().digest(), 0xe220a8397b1dcdafULL);
+  WordHasher hasher;
+  for (std::uint64_t value : {1ULL, 2ULL, 3ULL}) hasher.feed(value);
+  EXPECT_EQ(hasher.digest(), 0xb4c282ed538ea72dULL);
+}
+
+// word_digest: the little-endian 64-bit words, then the zero-padded tail
+// word, then the byte length.
+TEST(Hash, PinnedWordDigest) {
+  std::vector<std::uint8_t> bytes(17);
+  for (std::size_t i = 0; i < bytes.size(); ++i)
+    bytes[i] = static_cast<std::uint8_t>(i + 1);
+  const std::span<const std::uint8_t> all(bytes);
+  EXPECT_EQ(word_digest({}), 0xe220a8397b1dcdafULL);
+  EXPECT_EQ(word_digest(all.first(16)), 0x823d8fefe3970e13ULL);
+  EXPECT_EQ(word_digest(all), 0xa447c2795ac18a1bULL);
+
+  WordHasher little_endian;
+  little_endian.feed(std::uint64_t{0x0807060504030201ULL});
+  little_endian.feed(std::uint64_t{8});
+  EXPECT_EQ(word_digest(all.first(8)), little_endian.digest());
+
+  // The length tells a zero-padded tail from explicit zero bytes.
+  const std::uint8_t abc[] = {'a', 'b', 'c', 0};
+  EXPECT_EQ(word_digest(std::span<const std::uint8_t>(abc, 3)),
+            0x3b5044c6264682f7ULL);
+  EXPECT_EQ(word_digest(std::span<const std::uint8_t>(abc, 4)),
+            0xd6bdddb7caf6f0c9ULL);
 }
 
 }  // namespace

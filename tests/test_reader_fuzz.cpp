@@ -1,24 +1,26 @@
 // Mutation harness for the two binary readers: the checkpoint reader
 // (dse::load_checkpoint) and the persistent evaluation store
-// (core::verify_store, and EvalStore's open, index rebuild and find).
+// (core::verify_store, and EvalStore's open and find).
 //
 // The corpus is generated here: the `ftmc.ckpt.v1` snapshot of a short GA
-// run on the demo system, and a flushed 48-record DT-med store with its
-// index.  Each iteration derives mutants from them: bit flips (half of them
-// inside the first 64 bytes, where the headers are), truncations, and
-// splices of a prefix onto a suffix of the same file or of its sibling;
-// some store mutants also lose their index, which is a valid store.  The
+// run on the demo system, and the log of a flushed 48-record DT-med store
+// (the store's only file).  Each iteration derives mutants from them: bit
+// flips (half of them inside the first 64 bytes, where the headers are),
+// truncations, and splices of a prefix onto a suffix of the same file; a
+// quarter of the store mutants are instead cut at a record boundary and
+// then get a run of whole records appended, which is a valid store.  The
 // contract:
 //
 //  - load_checkpoint and verify_store either succeed or throw
 //    CheckpointError / StoreError: no crash, no hang, no other exception
 //    (CI's asan-ubsan job runs this at FTMC_FUZZ_ITERS=300);
 //  - they reject every mutant that changes a digested range or a header
-//    field: for a store with its index any change to the index or to the
-//    log's bytes (appended bytes may be valid records; without the index
-//    record keys are not digested), for a checkpoint any change to its
-//    header or declared payload (trailing bytes are ignored by design, so
-//    those mutants must load);
+//    field: for a store any change to the log's bytes, except cutting it at
+//    a record boundary and appending whole valid records (a store's length
+//    is recorded nowhere, so those are valid, smaller or larger stores and
+//    must verify); for a checkpoint any change to its header or declared
+//    payload (trailing bytes are ignored by design, so those mutants must
+//    load);
 //  - a production open followed by a find of every stored candidate
 //    returns the stored Evaluation, a miss, or a StoreError — never a
 //    different Evaluation.
@@ -36,6 +38,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -89,7 +92,7 @@ struct StoredEvaluation {
 struct Corpus {
   Bytes checkpoint;
   Bytes log;
-  Bytes index;
+  std::vector<Bytes> log_records;  ///< the log's records, byte for byte
   std::vector<StoredEvaluation> records;
 };
 
@@ -114,7 +117,6 @@ const Corpus& corpus() {
     const benchmarks::Benchmark dt_med = benchmarks::dt_med_benchmark();
     const std::string dir = scratch("dtmed_store");
     std::remove((dir + "/evals.log").c_str());
-    std::remove((dir + "/evals.idx").c_str());
     {
       core::EvalStore store(dir);
       core::Evaluator::Options evaluator_options;
@@ -135,16 +137,26 @@ const Corpus& corpus() {
         c.records.push_back(
             {key, candidate, evaluation_bytes(evaluator.evaluate(candidate))});
       }
-    }  // the destructor flushes: fsync + index covering the whole log
+    }  // the destructor flushes (fsync)
     c.log = util::read_file(dir + "/evals.log");
-    c.index = util::read_file(dir + "/evals.idx");
+    // Split the trusted log into its records: a 24-byte header whose bytes
+    // [16, 24) hold the two payload lengths, then the payload.
+    for (std::size_t at = core::EvalStore::kLogHeaderSize; at < c.log.size();) {
+      util::ByteReader lengths(
+          std::span(c.log).subspan(at + 16, 8), "corpus record lengths");
+      const std::size_t size = core::EvalStore::kRecordHeaderSize +
+                               lengths.u32() + lengths.u32();
+      c.log_records.emplace_back(c.log.begin() + at,
+                                 c.log.begin() + at + size);
+      at += size;
+    }
     return c;
   }();
   return instance;
 }
 
-/// One mutant of `original`; `sibling` donates suffixes to splices.
-Bytes mutate(const Bytes& original, const Bytes& sibling, util::Rng& rng) {
+/// One mutant of `original`.
+Bytes mutate(const Bytes& original, util::Rng& rng) {
   Bytes bytes = original;
   switch (rng.index(3)) {
     case 0: {  // flip bits, half of them where the headers are
@@ -161,17 +173,51 @@ Bytes mutate(const Bytes& original, const Bytes& sibling, util::Rng& rng) {
     case 1:  // truncate
       bytes.resize(rng.index(bytes.size() + 1));
       return bytes;
-    default: {  // splice a prefix onto a suffix of this file or its sibling
-      const Bytes& donor = rng.chance(0.5) ? original : sibling;
+    default: {  // splice a prefix onto a suffix of the same file
       // A quarter keep the whole file: pure appends.
       if (!rng.chance(0.25)) bytes.resize(rng.index(original.size() + 1));
       bytes.insert(bytes.end(),
-                   donor.begin() + static_cast<std::ptrdiff_t>(
-                                       rng.index(donor.size() + 1)),
-                   donor.end());
+                   original.begin() + static_cast<std::ptrdiff_t>(
+                                          rng.index(original.size() + 1)),
+                   original.end());
       return bytes;
     }
   }
+}
+
+/// A valid store by construction: the corpus log cut at a random record
+/// boundary, then a random run of its records appended.
+Bytes cut_and_append(const Corpus& c, util::Rng& rng) {
+  const std::size_t n = c.log_records.size();
+  Bytes log(c.log.begin(), c.log.begin() + core::EvalStore::kLogHeaderSize);
+  const auto append = [&log](const Bytes& record) {
+    log.insert(log.end(), record.begin(), record.end());
+  };
+  const std::size_t kept = rng.index(n + 1);
+  for (std::size_t i = 0; i < kept; ++i) append(c.log_records[i]);
+  const std::size_t from = rng.index(n + 1);
+  const std::size_t count = rng.index(n - from + 1);
+  for (std::size_t i = from; i < from + count; ++i) append(c.log_records[i]);
+  return log;
+}
+
+/// True when `log` is the corpus log's header followed by whole records of
+/// the corpus log: exactly the mutants that are valid stores.
+bool whole_records(const Corpus& c, const Bytes& log) {
+  const std::size_t header = core::EvalStore::kLogHeaderSize;
+  if (log.size() < header ||
+      !std::equal(c.log.begin(), c.log.begin() + header, log.begin()))
+    return false;
+  for (std::size_t at = header; at < log.size();) {
+    const auto record = std::find_if(
+        c.log_records.begin(), c.log_records.end(), [&](const Bytes& r) {
+          return r.size() <= log.size() - at &&
+                 std::equal(r.begin(), r.end(), log.begin() + at);
+        });
+    if (record == c.log_records.end()) return false;
+    at += record->size();
+  }
+  return true;
 }
 
 struct Outcomes {
@@ -202,14 +248,11 @@ void check_checkpoint_mutant(const Bytes& original, const Bytes& mutant,
 }
 
 void check_store_mutant(const Corpus& c, const Bytes& log,
-                        const std::optional<Bytes>& index,
                         Outcomes& outcomes) {
   const std::string dir = scratch("mutant_store");
   std::remove((dir + "/evals.log").c_str());
-  std::remove((dir + "/evals.idx").c_str());
   ::mkdir(dir.c_str(), 0755);
   write_bytes(dir + "/evals.log", log);
-  if (index.has_value()) write_bytes(dir + "/evals.idx", *index);
 
   bool verified = false;
   try {
@@ -218,25 +261,12 @@ void check_store_mutant(const Corpus& c, const Bytes& log,
   } catch (const core::StoreError&) {
   }
   ++(verified ? outcomes.accepted : outcomes.rejected);
-  if (index.has_value()) {
-    // The index covers every record of the corpus, so any change to it or
-    // to the log's bytes must be rejected.  Bytes appended to the log may
-    // be well-formed records (a splice that repeats a run of them), which a
-    // sibling writer could have appended too.
-    const bool appended =
-        log.size() > c.log.size() &&
-        std::equal(c.log.begin(), c.log.end(), log.begin());
-    if ((!appended && log != c.log) || *index != c.index) {
-      EXPECT_FALSE(verified) << "verify_store accepted a changed store";
-    } else if (!appended) {
-      EXPECT_TRUE(verified) << "verify_store rejected an unchanged store";
-    }
-  } else if (log == c.log) {
-    // Without the index, record keys are not digested and a log cut at a
-    // record boundary is a valid, smaller store: only an intact log must
-    // verify, and the find contract below still applies to the rest.
-    EXPECT_TRUE(verified) << "verify_store rejected an index-less store";
-  }
+  // Every record digest covers its key, lengths and payload, so any change
+  // to the log's bytes must be rejected, except a cut at a record boundary
+  // followed by whole valid records: nothing records a store's length.
+  EXPECT_EQ(verified, whole_records(c, log))
+      << (verified ? "verify_store accepted a changed store"
+                   : "verify_store rejected a valid store");
 
   try {
     core::EvalStore store(dir);
@@ -267,8 +297,10 @@ TEST(ReaderFuzz, MutatedCheckpointsAndStoresFailWithNamedErrors) {
               static_cast<unsigned long long>(base_seed), iters);
   const Corpus& c = corpus();
   ASSERT_EQ(c.records.size(), 48u);
+  ASSERT_EQ(c.log_records.size(), 48u);
 
-  // Rebuilds and torn tails are expected here; keep their warnings quiet.
+  // Damaged records and torn tails are expected here; keep their warnings
+  // quiet.
   util::Logger& logger = util::Logger::instance();
   const util::LogLevel level = logger.level();
   logger.set_level(util::LogLevel::kError);
@@ -285,31 +317,13 @@ TEST(ReaderFuzz, MutatedCheckpointsAndStoresFailWithNamedErrors) {
                  " FTMC_FUZZ_ITERS=1)");
     util::Rng rng(seed * 0x9E3779B97F4A7C15ULL + 5);
     for (std::size_t m = 0; m < kCheckpointMutants; ++m)
-      check_checkpoint_mutant(c.checkpoint,
-                              mutate(c.checkpoint, c.checkpoint, rng),
+      check_checkpoint_mutant(c.checkpoint, mutate(c.checkpoint, rng),
                               checkpoints);
-    for (std::size_t m = 0; m < kStoreMutants; ++m) {
-      Bytes log = c.log;
-      std::optional<Bytes> index = c.index;
-      switch (rng.index(5)) {
-        case 0:
-        case 1:
-          log = mutate(c.log, c.index, rng);
-          break;
-        case 2:
-          index = mutate(c.index, c.log, rng);
-          break;
-        case 3:
-          log = mutate(c.log, c.index, rng);
-          index = mutate(c.index, c.log, rng);
-          break;
-        default:  // no index: the open rebuilds it from the log
-          index.reset();
-          if (rng.chance(0.5)) log = mutate(c.log, c.index, rng);
-          break;
-      }
-      check_store_mutant(c, log, index, stores);
-    }
+    for (std::size_t m = 0; m < kStoreMutants; ++m)
+      check_store_mutant(c,
+                         rng.chance(0.25) ? cut_and_append(c, rng)
+                                          : mutate(c.log, rng),
+                         stores);
     if (::testing::Test::HasFailure()) break;  // one seed is enough to debug
   }
   logger.set_level(level);

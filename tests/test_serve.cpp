@@ -302,7 +302,6 @@ TEST(Server, PersistentStoreWarmsAFreshServer) {
   const std::string shard = core::store_directory(
       cache_dir, util::fnv1a_bytes(util::read_file(path)));
   std::remove((shard + "/evals.log").c_str());
-  std::remove((shard + "/evals.idx").c_str());
   {
     ServeOptions options = demo_options(path);
     options.cache_dir = cache_dir;
