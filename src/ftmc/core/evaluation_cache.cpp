@@ -33,8 +33,7 @@ EvaluationCache::EvaluationCache(std::size_t capacity, std::size_t shards) {
     throw std::invalid_argument("EvaluationCache: zero capacity");
   if (shards == 0) throw std::invalid_argument("EvaluationCache: zero shards");
   const std::size_t shard_count = std::bit_ceil(shards);
-  capacity_ = std::max(capacity, shard_count);  // >= 1 entry per shard
-  shard_capacity_ = capacity_ / shard_count;
+  shard_capacity_ = std::max(capacity / shard_count, std::size_t{1});
   shards_.reserve(shard_count);
   for (std::size_t i = 0; i < shard_count; ++i)
     shards_.push_back(std::make_unique<Shard>());
@@ -96,13 +95,6 @@ CacheStats EvaluationCache::stats() const {
     stats.entries += shard->table.size();
   }
   return stats;
-}
-
-void EvaluationCache::clear() {
-  for (auto& shard : shards_) {
-    std::lock_guard lock(shard->mutex);
-    shard->table.clear();
-  }
 }
 
 }  // namespace ftmc::core

@@ -57,9 +57,6 @@ class EvaluationCache {
   EvaluationCache(const EvaluationCache&) = delete;
   EvaluationCache& operator=(const EvaluationCache&) = delete;
 
-  std::size_t capacity() const noexcept { return capacity_; }
-  std::size_t shard_count() const noexcept { return shards_.size(); }
-
   /// Looks up `key` (as produced by Evaluator::candidate_key) and verifies
   /// the stored candidate matches exactly.  Counts a hit or a miss.
   std::optional<Evaluation> find(std::uint64_t key,
@@ -72,9 +69,6 @@ class EvaluationCache {
 
   /// Consistent aggregate over all shards.
   CacheStats stats() const;
-
-  /// Drops all entries; counters are preserved.
-  void clear();
 
  private:
   struct Entry {
@@ -98,7 +92,6 @@ class EvaluationCache {
     return *shards_[(key >> 48) & (shards_.size() - 1)];
   }
 
-  std::size_t capacity_;
   std::size_t shard_capacity_;
   std::vector<std::unique_ptr<Shard>> shards_;
 };

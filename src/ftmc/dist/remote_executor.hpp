@@ -1,13 +1,13 @@
 // RemoteExecutor: dse::Executor that evaluates on an `ftmc serve` worker.
 //
-// The GA decodes and memoizes locally; only memo misses reach the
-// executor.  RemoteExecutor ships each batch as one ftmc.rpc.v1 `batch`
-// request of `evaluate` sub-requests carrying the genotype in the
-// params.chromosome wire format plus the campaign seed.  The worker
-// re-runs the same content-seeded decode + repair (a pure function of
-// genotype and seed), evaluates, and answers every Evaluation field at
-// round-trip precision — so a remote campaign's trajectory is bitwise
-// identical to an in-process one.
+// The GA decodes locally and hands every offspring to the executor; the
+// worker's L1 and store answer repeats.  RemoteExecutor ships each batch
+// as one ftmc.rpc.v1 `batch` request of `evaluate` sub-requests carrying
+// the genotype in the params.chromosome wire format plus the campaign
+// seed.  The worker re-runs the same content-seeded decode + repair (a
+// pure function of genotype and seed), evaluates, and answers every
+// Evaluation field at round-trip precision — so a remote campaign's
+// trajectory is bitwise identical to an in-process one.
 //
 // Transport failures (worker died, hung up, answered a structured error)
 // throw dse::ExecutorError; the campaign's retry machinery resumes the

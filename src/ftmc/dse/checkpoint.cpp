@@ -239,13 +239,6 @@ std::string TrajectoryOptions::mismatch(const TrajectoryOptions& other) const {
   return {};
 }
 
-std::uint64_t TrajectoryOptions::digest() const {
-  Writer out;
-  put(out, *this);
-  const std::vector<std::uint8_t> bytes = out.take();
-  return payload_digest(bytes);
-}
-
 std::vector<std::uint8_t> encode_checkpoint(const Checkpoint& checkpoint) {
   Writer body;
   put(body, checkpoint.options);
@@ -253,15 +246,11 @@ std::vector<std::uint8_t> encode_checkpoint(const Checkpoint& checkpoint) {
   body.u8(checkpoint.finished);
   body.u64(checkpoint.evaluations);
   body.f64(checkpoint.best_feasible_power);
-  body.u64(checkpoint.cache_fingerprint);
   for (std::uint64_t word : checkpoint.master.words) body.u64(word);
   body.u8(checkpoint.master.has_cached_normal ? 1 : 0);
   body.f64(checkpoint.master.cached_normal);
   body.size(checkpoint.archive.size());
   for (const Individual& individual : checkpoint.archive)
-    put(body, individual);
-  body.size(checkpoint.population.size());
-  for (const Individual& individual : checkpoint.population)
     put(body, individual);
   body.size(checkpoint.history.size());
   for (const GenerationStats& stats : checkpoint.history) put(body, stats);
@@ -321,7 +310,6 @@ Checkpoint decode_checkpoint(std::span<const std::uint8_t> bytes) {
     checkpoint.finished = in.u8();
     checkpoint.evaluations = in.u64();
     checkpoint.best_feasible_power = in.f64();
-    checkpoint.cache_fingerprint = in.u64();
     for (std::uint64_t& word : checkpoint.master.words) word = in.u64();
     checkpoint.master.has_cached_normal = in.u8() != 0;
     checkpoint.master.cached_normal = in.f64();
@@ -329,10 +317,6 @@ Checkpoint decode_checkpoint(std::span<const std::uint8_t> bytes) {
     checkpoint.archive.reserve(archive);
     for (std::size_t i = 0; i < archive; ++i)
       checkpoint.archive.push_back(get_individual(in));
-    const std::size_t population = in.length(1);
-    checkpoint.population.reserve(population);
-    for (std::size_t i = 0; i < population; ++i)
-      checkpoint.population.push_back(get_individual(in));
     const std::size_t history = in.length(13 * 8);
     checkpoint.history.reserve(history);
     for (std::size_t i = 0; i < history; ++i)

@@ -4,27 +4,29 @@
 // A checkpoint captures the complete search state at a generation boundary
 // (after SPEA2 environmental selection, before mating): the archive, the
 // master RNG stream, the generation counter, run totals, the per-generation
-// telemetry history, and a field-by-field digest of every option that shapes
-// the trajectory.  Because decode randomness is seeded from chromosome
-// content and the evaluation caches are pure memoization (see ga.cpp), this
-// boundary state is sufficient for the headline guarantee: kill at any
-// generation boundary, resume, and the final archive and per-generation
-// trajectory telemetry are bitwise identical to the uninterrupted run.
-// Cache/thread knobs are deliberately excluded from the options digest —
-// they are trajectory-neutral.  Cache *contents* are not checkpointed
-// (resume restarts with a cold cache), so the timing/cache-hit telemetry
-// fields of post-resume generations may differ; the trajectory fields
-// (generation, feasibility, power, evaluations) never do.
+// telemetry history, and every option that shapes the trajectory, field by
+// field.  Because decode randomness is seeded from chromosome content and
+// the evaluation cache is pure memoization (see ga.cpp), this boundary
+// state is sufficient for the headline guarantee: kill at any generation
+// boundary, resume, and the final archive and per-generation trajectory
+// telemetry are bitwise identical to the uninterrupted run.  Thread and
+// pool knobs are deliberately left out of the recorded options — they are
+// trajectory-neutral.  Cache *contents* are not checkpointed (resume
+// restarts with a cold cache), so the timing/cache-hit telemetry fields of
+// post-resume generations may differ; the trajectory fields (generation,
+// feasibility, power, evaluations) never do.
 //
 // On-disk layout (all integers little-endian):
 //
 //   offset  size  field
 //   0       8     magic "FTMCCKPT"
-//   8       4     format version (2)
+//   8       4     format version (3)
 //   12      4     reserved (0)
 //   16      8     payload size in bytes
 //   24      8     FNV-1a-64 digest of the payload (util::Fnv1aHasher)
-//   32      ...   payload (versioned field stream, see checkpoint.cpp)
+//   32      ...   payload: trajectory options, generation, finished flag,
+//                 run totals, RNG state, archive, history (field stream,
+//                 see checkpoint.cpp)
 //
 // Forward compatibility: readers reject a version they do not know and a
 // non-zero reserved field with a loud error, verify the digest over exactly
@@ -46,7 +48,7 @@ namespace ftmc::dse {
 
 inline constexpr char kCheckpointMagic[8] = {'F', 'T', 'M', 'C',
                                              'C', 'K', 'P', 'T'};
-inline constexpr std::uint32_t kCheckpointVersion = 2;
+inline constexpr std::uint32_t kCheckpointVersion = 3;
 
 /// Any checkpoint defect a caller must not retry around: bad magic,
 /// unsupported version, truncation, checksum mismatch, or a trajectory
@@ -59,8 +61,9 @@ class CheckpointError : public std::runtime_error {
 
 /// The subset of GaOptions that determines the search trajectory, flattened
 /// into named scalar fields so a resume mismatch can be reported by field
-/// name.  Threads, checkpoint cadence, and the cache knobs are excluded:
-/// they change wall-clock and cache-hit telemetry, never the trajectory.
+/// name.  Threads, scenario parallelism, the executor and checkpoint
+/// cadence are excluded: they change wall-clock and cache-hit telemetry,
+/// never the trajectory.
 struct TrajectoryOptions {
   std::uint64_t population = 0;
   std::uint64_t offspring = 0;
@@ -87,28 +90,20 @@ struct TrajectoryOptions {
   /// Name of the first field whose value differs from `other` (empty string
   /// when the two are identical).
   std::string mismatch(const TrajectoryOptions& other) const;
-
-  /// Stable content digest (doubles fed bit-exactly).
-  std::uint64_t digest() const;
 };
 
 /// Complete `ftmc.ckpt.v1` snapshot.  `generation` is the boundary the
 /// snapshot was taken at: its selection and telemetry are already inside
-/// `archive`/`history`, and resume continues with that generation's mating
-/// step.  `population` is empty at every boundary the GA writes (offspring
-/// have been merged into the archive) but is part of the format.
+/// `archive`/`history` (the offspring have been merged into the archive),
+/// and resume continues with that generation's mating step.
 struct Checkpoint {
   TrajectoryOptions options;
   std::uint64_t generation = 0;
   std::uint8_t finished = 0;  ///< run completed; resume just reconstructs
   std::uint64_t evaluations = 0;
   double best_feasible_power = 0.0;  ///< NaN until a feasible point exists
-  /// Digest of the evaluator configuration the caches were keyed under
-  /// (informational: caches are rebuilt cold on resume).
-  std::uint64_t cache_fingerprint = 0;
   util::RngState master;
   std::vector<Individual> archive;
-  std::vector<Individual> population;
   std::vector<GenerationStats> history;
 };
 

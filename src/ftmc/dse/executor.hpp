@@ -2,12 +2,14 @@
 //
 // The optimizer decodes + repairs chromosomes locally (the archive and the
 // checkpoint format need the candidate and the repaired genotype), then
-// hands the batch of evaluations to an Executor.  Decode randomness is
-// seeded from the chromosome's content hash, so decode + repair +
-// evaluation is a pure function of (genotype, campaign seed): any backend
-// that re-runs that pipeline — in this process or in an `ftmc serve`
-// worker on another machine — produces bit-identical Evaluations, which is
-// what keeps the search trajectory independent of the executor choice.
+// hands the whole batch — every offspring of the generation, repeats
+// included — to an Executor, whose cache answers the repeats.  Decode
+// randomness is seeded from the chromosome's content hash, so decode +
+// repair + evaluation is a pure function of (genotype, campaign seed): any
+// backend that re-runs that pipeline — in this process or in an `ftmc
+// serve` worker on another machine — produces bit-identical Evaluations,
+// which is what keeps the search trajectory independent of the executor
+// choice.
 //
 // InProcessExecutor reproduces the pre-executor fused loop exactly;
 // RemoteExecutor (src/ftmc/dist/) ships the pre-repair genotypes over the

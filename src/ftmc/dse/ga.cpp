@@ -6,7 +6,6 @@
 #include <limits>
 #include <mutex>
 #include <optional>
-#include <unordered_map>
 
 #include "ftmc/dse/checkpoint.hpp"
 #include "ftmc/dse/executor.hpp"
@@ -22,15 +21,6 @@ void GaOptions::validate() const {
     throw std::invalid_argument("GaOptions: population must be >= 1");
   if (offspring == 0)
     throw std::invalid_argument("GaOptions: offspring must be >= 1");
-  if (!cache_evaluations && evaluator.cache != nullptr)
-    throw std::invalid_argument(
-        "GaOptions: cache_evaluations=false contradicts the caller-provided "
-        "evaluator.cache — clear one of them (a provided cache is always "
-        "used)");
-  if (cache_evaluations && cache_capacity == 0)
-    throw std::invalid_argument(
-        "GaOptions: cache_capacity must be >= 1 while cache_evaluations is "
-        "set (use cache_evaluations=false to disable memoization)");
   if (!parallel_scenarios && evaluator.scenario_pool != nullptr)
     throw std::invalid_argument(
         "GaOptions: parallel_scenarios=false contradicts the caller-provided "
@@ -56,7 +46,6 @@ namespace {
 struct GaCounters {
   obs::Counter generations{"dse.generations"};
   obs::Counter evaluations{"dse.evaluations"};
-  obs::Counter decode_memo_hits{"dse.decode_memo_hits"};
   obs::Counter resume_generations{"dse.resume.generations_restored"};
   obs::Histogram eval_us{"dse.eval_us"};
 };
@@ -92,13 +81,14 @@ GaResult GeneticOptimizer::run(const GaOptions& options) const {
   std::mutex observer_mutex;
 
   // Run-local memoization + scenario parallelism: all workers share one
-  // cache and, when enabled, fan each candidate's Algorithm-1 scenarios
-  // out over the same (nesting-safe) pool.  Caller-provided cache/pool in
+  // cache (the run's only memo: it answers every repeated candidate) and,
+  // when enabled, fan each candidate's Algorithm-1 scenarios out over the
+  // same (nesting-safe) pool.  Caller-provided cache/pool in
   // options.evaluator take precedence.
   std::optional<core::EvaluationCache> cache;
   core::Evaluator::Options evaluator_options = options.evaluator;
-  if (options.cache_evaluations && evaluator_options.cache == nullptr) {
-    cache.emplace(std::max<std::size_t>(options.cache_capacity, 1));
+  if (evaluator_options.cache == nullptr) {
+    cache.emplace();
     evaluator_options.cache = &*cache;
   }
   if (options.parallel_scenarios &&
@@ -119,23 +109,6 @@ GaResult GeneticOptimizer::run(const GaOptions& options) const {
   GaResult result;
   result.best_feasible_power = std::numeric_limits<double>::quiet_NaN();
 
-  // Genotype-level memo in front of the candidate cache.  Decode randomness
-  // is seeded from the chromosome's content hash, so decode + repair +
-  // evaluation is a pure function of the genotype (for a fixed options
-  // seed): a recurring chromosome can skip the whole pipeline, including
-  // the reliability-repair attempts that make decoding itself expensive.
-  // Exact genotype equality guards against hash collisions, mirroring the
-  // EvaluationCache contract (a collision degrades to a miss, never to a
-  // wrong result).
-  struct DecodeMemoEntry {
-    Chromosome genotype;  ///< pre-repair content (the key's preimage)
-    Chromosome repaired;  ///< post-Lamarckian-repair genotype
-    core::Candidate candidate;
-    core::Evaluation evaluation;
-  };
-  std::mutex memo_mutex;
-  std::unordered_map<std::uint64_t, DecodeMemoEntry> decode_memo;
-
   // Per-batch counters, copied into the following generation's stats.
   struct BatchStats {
     std::size_t evaluations = 0;
@@ -149,18 +122,18 @@ GaResult GeneticOptimizer::run(const GaOptions& options) const {
 
   // Evaluates a batch of chromosomes; repair mutates the chromosomes in
   // place (Lamarckian), so the batch is taken by reference.  Three phases:
-  // (1) parallel decode-memo lookup + decode/repair, (2) one executor call
-  // covering every memo miss (so a remote backend sees the whole
-  // generation as one batch), (3) sequential fold of the outcomes back
-  // into individuals, memo, and telemetry.  The phases compute exactly
-  // what the pre-executor fused loop did, in a batch-friendly order.
+  // (1) parallel decode + repair, (2) one executor call covering the whole
+  // batch (so a remote backend sees the whole generation as one batch, and
+  // the L1 — or a worker's L1 and store — answers repeated candidates),
+  // (3) sequential fold of the outcomes into individuals, the observer and
+  // telemetry.  The phases compute exactly what the pre-executor fused loop
+  // did, in a batch-friendly order.
   auto evaluate_batch = [&](std::vector<Chromosome>& batch) {
     obs::Span batch_span("ga.evaluate_batch");
     std::vector<Individual> individuals(batch.size());
     std::vector<double> latencies(batch.size(), 0.0);
-    std::vector<std::uint64_t> keys(batch.size(), 0);
     std::vector<Chromosome> genotypes(batch.size());
-    std::vector<char> memoized(batch.size(), 0);
+    std::vector<EvalRequest> requests(batch.size());
     const auto start = std::chrono::steady_clock::now();
 
     pool.parallel_for(batch.size(), [&](std::size_t index) {
@@ -170,80 +143,37 @@ GaResult GeneticOptimizer::run(const GaOptions& options) const {
       // Decode randomness (random repair) is seeded from the chromosome's
       // content, not the population slot: identical genotypes then repair
       // to identical candidates no matter where or when they recur.  That
-      // determinism is what makes the genotype memo and the candidate
-      // cache sound — and keeps the run reproducible for a fixed seed.
+      // determinism is what makes the candidate cache sound — and keeps the
+      // run reproducible for a fixed seed.
       const std::uint64_t key = chromosome_hash(batch[index], options.seed);
-      keys[index] = key;
-
-      bool memo_hit = false;
-      if (options.cache_evaluations) {
-        std::lock_guard lock(memo_mutex);
-        const auto found = decode_memo.find(key);
-        if (found != decode_memo.end() &&
-            found->second.genotype == batch[index]) {
-          batch[index] = found->second.repaired;  // Lamarckian write-back
-          individual.chromosome = found->second.repaired;
-          individual.candidate = found->second.candidate;
-          individual.evaluation = found->second.evaluation;
-          memo_hit = true;
-          ga_counters().decode_memo_hits.add(1);
-        }
-      }
-
-      if (!memo_hit) {
-        genotypes[index] = batch[index];  // pre-repair wire form
-        util::Rng rng(key);
-        individual.candidate = decoder.decode(batch[index], rng);
-        individual.chromosome = batch[index];
-      }
-      memoized[index] = memo_hit ? 1 : 0;
+      genotypes[index] = batch[index];  // pre-repair wire form
+      util::Rng rng(key);
+      individual.candidate = decoder.decode(batch[index], rng);
+      individual.chromosome = batch[index];
+      requests[index] = EvalRequest{&genotypes[index], &individual.candidate,
+                                    key};
       latencies[index] = std::chrono::duration<double, std::micro>(
                              std::chrono::steady_clock::now() -
                              candidate_start)
                              .count();
     });
 
-    std::vector<std::size_t> pending;
-    pending.reserve(batch.size());
-    for (std::size_t index = 0; index < batch.size(); ++index)
-      if (memoized[index] == 0) pending.push_back(index);
-
-    std::vector<EvalRequest> requests(pending.size());
     std::vector<EvalOutcome> outcomes;
-    for (std::size_t slot = 0; slot < pending.size(); ++slot) {
-      const std::size_t index = pending[slot];
-      requests[slot].genotype = &genotypes[index];
-      requests[slot].candidate = &individuals[index].candidate;
-      requests[slot].key = keys[index];
-    }
     executor->evaluate(requests, outcomes);
 
-    std::size_t hits = batch.size() - pending.size();
+    std::size_t hits = 0;
     std::size_t scenarios = 0;
     std::size_t solves = 0;
-    for (std::size_t slot = 0; slot < pending.size(); ++slot) {
-      const std::size_t index = pending[slot];
+    for (std::size_t index = 0; index < batch.size(); ++index) {
       Individual& individual = individuals[index];
-      individual.evaluation = outcomes[slot].evaluation;
-      latencies[index] += outcomes[slot].latency_us;
-      if (outcomes[slot].cache_hit) {
+      individual.evaluation = outcomes[index].evaluation;
+      latencies[index] += outcomes[index].latency_us;
+      if (outcomes[index].cache_hit) {
         ++hits;
       } else {
         scenarios += individual.evaluation.scenario_count;
         solves += individual.evaluation.scenario_solves;
       }
-      if (options.cache_evaluations) {
-        std::lock_guard lock(memo_mutex);
-        if (decode_memo.size() < options.cache_capacity)
-          decode_memo.emplace(
-              keys[index],
-              DecodeMemoEntry{std::move(genotypes[index]), batch[index],
-                              individual.candidate, individual.evaluation});
-      }
-    }
-
-    for (std::size_t index = 0; index < batch.size(); ++index) {
-      Individual& individual = individuals[index];
       individual.objectives =
           objectives_of(individual.evaluation, options.optimize_service);
       if (observer_) {
@@ -306,7 +236,6 @@ GaResult GeneticOptimizer::run(const GaOptions& options) const {
     snapshot.finished = finished ? 1 : 0;
     snapshot.evaluations = result.evaluations;
     snapshot.best_feasible_power = result.best_feasible_power;
-    snapshot.cache_fingerprint = snapshot.options.digest();
     snapshot.master = master.state();
     snapshot.archive = archive;
     snapshot.history = result.history;
@@ -352,7 +281,6 @@ GaResult GeneticOptimizer::run(const GaOptions& options) const {
                           options.resume->options);
     master.restore(options.resume->master);
     archive = options.resume->archive;
-    population = options.resume->population;
     result.history = options.resume->history;
     result.evaluations = options.resume->evaluations;
     result.best_feasible_power = options.resume->best_feasible_power;

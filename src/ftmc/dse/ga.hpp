@@ -42,8 +42,8 @@ struct GenerationStats {
   /// Candidates evaluated for this generation (initial population for
   /// generation 0, the offspring batch otherwise).
   std::size_t evaluations = 0;
-  /// Of those, how many were served from the shared EvaluationCache /
-  /// recomputed (always 0 / evaluations when the cache is disabled).
+  /// Of those, how many the executor answered from a cache (the shared
+  /// EvaluationCache, or a worker's cache and store) / analyzed fresh.
   std::size_t cache_hits = 0;
   std::size_t cache_misses = 0;
   /// cache_hits / evaluations for this generation's batch.
@@ -74,20 +74,6 @@ struct GaOptions {
   std::size_t threads = 0;  ///< 0 = hardware concurrency
   /// Bi-objective power/service exploration (Figure 5) vs. power only.
   bool optimize_service = true;
-  /// Memoize evaluations in an EvaluationCache shared by all GA workers.
-  /// The cached value is exactly what evaluation would have produced, so
-  /// the search trajectory is identical either way (guarded by the cache
-  /// differential tests).
-  ///
-  /// Precedence (enforced by validate()): a caller-provided
-  /// `evaluator.cache` is used as-is and `cache_capacity` then only bounds
-  /// the genotype memo; with no caller cache, the GA builds a run-local one
-  /// of `cache_capacity` entries.  Setting cache_evaluations=false while
-  /// also providing `evaluator.cache` is a contradiction and validate()
-  /// rejects it — there are no silent "ignored when set" rules.
-  bool cache_evaluations = true;
-  /// Total entry bound of the run-local cache and the genotype memo.
-  std::size_t cache_capacity = 1 << 16;
   /// Fan Algorithm 1's transition scenarios out over the same worker pool
   /// that evaluates candidates (nesting-safe; drains generation tails when
   /// there are fewer pending candidates than threads).
@@ -99,6 +85,13 @@ struct GaOptions {
   bool parallel_scenarios = true;
   VariationOptions variation;
   Decoder::Options decoder;
+  /// Evaluations are memoized in one EvaluationCache shared by all GA
+  /// workers: a caller-provided `evaluator.cache` is used as-is, otherwise
+  /// the GA builds a run-local one of the default capacity.  Every
+  /// offspring is decoded and handed to the executor, so the cache answers
+  /// every repeated candidate.  The cached value is exactly what evaluation
+  /// would have produced, so the trajectory matches an uncached executor's
+  /// (the trajectory tests in test_ga.cpp hold the two together).
   core::Evaluator::Options evaluator;
   /// Called after each generation's selection (from the driving thread).
   /// On resume it is also replayed for every restored generation, so a
@@ -123,7 +116,7 @@ struct GaOptions {
   /// checkpoint_path is set, and returns with GaResult::interrupted.
   std::function<bool()> stop_requested;
 
-  /// Evaluation backend for memo-missing candidates (see executor.hpp).
+  /// Evaluation backend for every decoded offspring (see executor.hpp).
   /// nullptr runs a run-local InProcessExecutor over the GA's own
   /// evaluator and pool — bit-for-bit the pre-executor behavior.  The
   /// executor choice never alters the trajectory (evaluations are pure
@@ -137,9 +130,9 @@ struct GaOptions {
   /// without a disk round-trip per epoch.
   bool capture_final_snapshot = false;
 
-  /// Validates field ranges and resolves the overlapping cache/pool knobs
-  /// with the precedence documented above.  Throws std::invalid_argument
-  /// naming the offending field(s).  run() calls this first.
+  /// Validates field ranges and resolves the overlapping pool knobs with
+  /// the precedence documented above.  Throws std::invalid_argument naming
+  /// the offending field(s).  run() calls this first.
   void validate() const;
 };
 
@@ -158,8 +151,9 @@ struct GaResult {
   /// Index of the last completed generation boundary.
   std::size_t last_generation = 0;
   std::vector<GenerationStats> history;
-  /// Final counters of the run-local EvaluationCache (all zero when
-  /// caching was disabled).
+  /// Final counters of the evaluator's EvaluationCache (the caller's or
+  /// the run-local one).  They count only what the GA's own evaluator saw,
+  /// so they stay zero when a caller's executor evaluates elsewhere.
   core::CacheStats cache;
   /// The run-ending boundary snapshot, when capture_final_snapshot was
   /// set (null otherwise, and on the resume-of-finished-run fast path).
@@ -170,9 +164,10 @@ struct GaResult {
 
 class GeneticOptimizer {
  public:
-  /// Observes every evaluated candidate (called from worker threads under
-  /// an internal mutex).  Used by the Section-5.2 experiment to classify
-  /// candidates by dropping-enabled vs. dropping-disabled feasibility.
+  /// Observes every evaluated candidate (called from the thread driving
+  /// run(), in batch order, under an internal mutex).  Used by the
+  /// Section-5.2 experiment to classify candidates by dropping-enabled vs.
+  /// dropping-disabled feasibility.
   using EvalObserver = std::function<void(const core::Candidate&,
                                           const core::Evaluation&)>;
 

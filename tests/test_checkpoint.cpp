@@ -171,7 +171,7 @@ TEST(CheckpointResume, KillAtEveryBoundaryResumesBitwiseIdentical) {
 }
 
 // The WCRT backend is constructed outside GaOptions: swapping it on resume
-// must pass the TrajectoryOptions digest check AND land on the exact same
+// must pass the TrajectoryOptions check AND land on the exact same
 // trajectory whenever the two backends compute bitwise-identical bounds —
 // here the test-only seed kernel (tests/oracle/) and the production one.
 TEST(CheckpointResume, ResumeWithKernelModeFlippedIsIdentical) {
@@ -202,7 +202,7 @@ TEST(CheckpointResume, ResumeWithKernelModeFlippedIsIdentical) {
   auto resumed_options = options;
   resumed_options.resume = &snapshot;
   // Oracle run killed mid-way, resumed on the production kernel: no
-  // CheckpointError from the digest check, identical trajectory.
+  // CheckpointError from the options check, identical trajectory.
   const GaResult resumed = fast.run(resumed_options);
   EXPECT_FALSE(resumed.interrupted);
   expect_same_trajectory(uninterrupted, resumed);
@@ -296,6 +296,12 @@ TEST(CheckpointFormat, RejectsUnknownVersion) {
   bytes[8] = static_cast<std::uint8_t>(
       dse::kCheckpointVersion + 1);  // little-endian version field at offset 8
   expect_rejects(std::move(bytes), "version");
+
+  // Version 2 carried a cache fingerprint and an always-empty population
+  // in its payload; this build names it rather than misreading it.
+  auto v2 = valid_bytes();
+  v2[8] = 2;
+  expect_rejects(std::move(v2), "unsupported checkpoint version 2");
 }
 
 TEST(CheckpointFormat, RejectsNonZeroReservedField) {
@@ -360,7 +366,7 @@ TEST(CheckpointResume, OptionsMismatchNamesTheField) {
   // Trajectory-neutral knobs must NOT block a resume.
   auto retuned = options;
   retuned.threads = 1;
-  retuned.cache_evaluations = false;
+  retuned.parallel_scenarios = false;
   retuned.checkpoint_path.clear();
   retuned.resume = &snapshot;
   EXPECT_NO_THROW((void)rig.optimizer.run(retuned));
@@ -373,27 +379,16 @@ TEST(CheckpointFormat, TrajectoryMismatchReportsFirstDifferingField) {
   EXPECT_EQ(a.mismatch(b), "");
   b.crossover_rate = a.crossover_rate + 0.125;
   EXPECT_EQ(a.mismatch(b), "variation.crossover_rate");
-  EXPECT_NE(a.digest(), b.digest());
 }
 
 // --- Options validation -----------------------------------------------------
 
 TEST(GaOptionsValidate, RejectsContradictoryKnobs) {
   GaRig rig;
-  core::EvaluationCache cache;
-  auto options = tiny_options();
-  options.cache_evaluations = false;
-  options.evaluator.cache = &cache;
-  EXPECT_THROW(rig.optimizer.run(options), std::invalid_argument);
-
   util::ThreadPool pool(1);
-  options = tiny_options();
+  auto options = tiny_options();
   options.parallel_scenarios = false;
   options.evaluator.scenario_pool = &pool;
-  EXPECT_THROW(rig.optimizer.run(options), std::invalid_argument);
-
-  options = tiny_options();
-  options.cache_capacity = 0;
   EXPECT_THROW(rig.optimizer.run(options), std::invalid_argument);
 
   options = tiny_options();

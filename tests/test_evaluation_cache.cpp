@@ -185,24 +185,6 @@ TEST(EvaluationCache, KeyCollisionDegradesToMiss) {
   EXPECT_FALSE(cache.find(key, candidates[1]).has_value());
 }
 
-TEST(EvaluationCache, ClearResetsEntriesAndServesFreshMisses) {
-  const benchmarks::Benchmark benchmark = benchmarks::synth_benchmark(1);
-  const auto candidates = seeded_candidates(benchmark, 4, 41);
-  const sched::HolisticAnalysis backend;
-  core::EvaluationCache cache;
-  core::Evaluator::Options options;
-  options.cache = &cache;
-  const core::Evaluator evaluator(benchmark.arch, benchmark.apps, backend,
-                                  options);
-  for (const auto& candidate : candidates) evaluator.evaluate(candidate);
-  EXPECT_EQ(cache.stats().entries, candidates.size());
-  cache.clear();
-  EXPECT_EQ(cache.stats().entries, 0u);
-  bool hit = true;
-  evaluator.evaluate(candidates[0], &hit);
-  EXPECT_FALSE(hit);
-}
-
 // Many threads sharing one cache over a shuffled duplicate-rich stream:
 // every result must still equal the uncached reference.
 TEST(EvaluationCache, ConcurrentSharedCacheStaysConsistent) {

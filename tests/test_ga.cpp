@@ -5,7 +5,9 @@
 #include <atomic>
 #include <cmath>
 
+#include "ftmc/dse/executor.hpp"
 #include "ftmc/sched/holistic.hpp"
+#include "ftmc/util/thread_pool.hpp"
 #include "helpers.hpp"
 
 namespace {
@@ -130,10 +132,36 @@ TEST(Ga, ArchiveRespectsPopulationBound) {
   EXPECT_LE(result.archive.size(), options.population);
 }
 
-// Memoization must never steer the search: for a fixed seed, the run with
-// the evaluation cache enabled and the run with it disabled must walk the
+// Reference leg of the memoization differential: an InProcessExecutor over
+// an Evaluator with no cache and no store, passed as GaOptions::executor,
+// so every offspring is analyzed fresh.  It mirrors the GA's own backend
+// (same pool size, same scenario fan-out) minus the memo, and it lives
+// here rather than behind a production switch: the GA always has its L1.
+struct UncachedExecutor {
+  UncachedExecutor(const GaRig& rig, const GaOptions& options)
+      : pool(options.threads),
+        evaluator(rig.arch, rig.apps, rig.backend,
+                  reference_options(options, pool)),
+        executor(evaluator, pool) {}
+
+  static core::Evaluator::Options reference_options(const GaOptions& options,
+                                                    util::ThreadPool& pool) {
+    core::Evaluator::Options evaluator = options.evaluator;
+    evaluator.cache = nullptr;
+    evaluator.store = nullptr;
+    evaluator.scenario_pool = options.parallel_scenarios ? &pool : nullptr;
+    return evaluator;
+  }
+
+  util::ThreadPool pool;
+  core::Evaluator evaluator;
+  dse::InProcessExecutor executor;
+};
+
+// Memoization must never steer the search: for a fixed seed, the cached
+// run and the run through the uncached reference executor must walk the
 // exact same trajectory — identical archive objectives, identical
-// chromosomes, identical best power (ISSUE 1 differential guarantee).
+// chromosomes, identical best power.
 void expect_same_trajectory(const GaResult& a, const GaResult& b) {
   EXPECT_EQ(a.evaluations, b.evaluations);
   if (std::isnan(a.best_feasible_power)) {
@@ -149,14 +177,20 @@ void expect_same_trajectory(const GaResult& a, const GaResult& b) {
   }
 }
 
+// The reference leg never reports a cache hit, so it really ran uncached.
+void expect_uncached(const GaResult& result) {
+  for (const auto& stats : result.history) EXPECT_EQ(stats.cache_hits, 0u);
+}
+
 TEST(Ga, CacheOnOffTrajectoriesIdentical) {
   GaRig rig;
-  auto cached = tiny_options();
-  cached.cache_evaluations = true;
+  const auto cached = tiny_options();
   auto uncached = tiny_options();
-  uncached.cache_evaluations = false;
-  expect_same_trajectory(rig.optimizer.run(cached),
-                         rig.optimizer.run(uncached));
+  UncachedExecutor reference(rig, uncached);
+  uncached.executor = &reference.executor;
+  const GaResult uncached_result = rig.optimizer.run(uncached);
+  expect_uncached(uncached_result);
+  expect_same_trajectory(rig.optimizer.run(cached), uncached_result);
 }
 
 TEST(Ga, ParallelScenariosOnOffTrajectoriesIdentical) {
@@ -170,24 +204,23 @@ TEST(Ga, ParallelScenariosOnOffTrajectoriesIdentical) {
 }
 
 TEST(Ga, SeedPathEqualsOptimizedPath) {
-  // Both knobs together: the full optimized configuration against the full
-  // seed-path configuration.
+  // The full optimized configuration (L1, parallel scenarios) against the
+  // full seed path (uncached executor, sequential scenarios).
   GaRig rig;
   auto optimized = tiny_options();
-  optimized.cache_evaluations = true;
   optimized.parallel_scenarios = true;
   auto seed_path = tiny_options();
-  seed_path.cache_evaluations = false;
   seed_path.parallel_scenarios = false;
-  expect_same_trajectory(rig.optimizer.run(optimized),
-                         rig.optimizer.run(seed_path));
+  UncachedExecutor reference(rig, seed_path);
+  seed_path.executor = &reference.executor;
+  const GaResult seed_result = rig.optimizer.run(seed_path);
+  expect_uncached(seed_result);
+  expect_same_trajectory(rig.optimizer.run(optimized), seed_result);
 }
 
 TEST(Ga, CacheStatisticsAreReportedAndConsistent) {
   GaRig rig;
-  auto options = tiny_options();
-  options.cache_evaluations = true;
-  const GaResult result = rig.optimizer.run(options);
+  const GaResult result = rig.optimizer.run(tiny_options());
 
   std::size_t evaluations = 0, hits = 0, misses = 0;
   for (const auto& stats : result.history) {
@@ -203,10 +236,10 @@ TEST(Ga, CacheStatisticsAreReportedAndConsistent) {
   EXPECT_EQ(hits + misses, result.evaluations);
   // The tiny instance converges quickly, so repeats must occur.
   EXPECT_GT(hits, 0u);
-  // The candidate cache's own counters never exceed the combined totals
-  // (the genotype memo answers some repeats before the cache sees them).
-  EXPECT_LE(result.cache.hits, hits);
-  EXPECT_GT(result.cache.lookups(), 0u);
+  // One memo per run: every offspring reaches the candidate cache, which
+  // answers every repeat the per-generation stats count.
+  EXPECT_EQ(result.cache.hits, hits);
+  EXPECT_EQ(result.cache.lookups(), result.evaluations);
 }
 
 TEST(Ga, ExternalCacheIsSharedAcrossRuns) {

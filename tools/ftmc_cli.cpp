@@ -16,7 +16,7 @@
 //       --seeds=A,B,... (multi-seed campaign) --threads=N (hardware)
 //       --checkpoint=FILE --checkpoint-every=N --resume=FILE
 //       --max-seconds=S --max-evaluations=N --retries=N
-//       --no-cache --sequential-scenarios --no-dropping --power-only
+//       --sequential-scenarios --no-dropping --power-only
 //       --out=<file> --front-json=<file>
 //   ftmc campaign <system.ftmc> [options]    distributed island campaign
 //       everything optimize takes, plus --workers=N --worker-hosts=H:P,...
@@ -101,8 +101,8 @@ int usage() {
       "  optimize  genetic design-space exploration\n"
       "            [--generations=N] [--population=N] [--seed=S]\n"
       "            [--seeds=A,B,...]  (multi-seed campaign, merged front)\n"
-      "            [--threads=N] [--no-cache] [--sequential-scenarios]\n"
-      "            [--no-dropping] [--power-only] [--out=FILE]\n"
+      "            [--threads=N] [--sequential-scenarios] [--no-dropping]\n"
+      "            [--power-only] [--out=FILE]\n"
       "            [--telemetry-jsonl=FILE]  (per-generation stats stream)\n"
       "            [--front-json=FILE]       (final front as JSON)\n"
       "            [--max-seconds=S] [--max-evaluations=N] [--retries=N]\n"
@@ -279,7 +279,6 @@ int run_campaign(const io::SystemSpec& spec, int argc, char** argv,
   options.offspring = options.population;
   options.seed = cli_options.seed;
   options.threads = common.threads;
-  options.cache_evaluations = !cli_options.no_cache;
   options.parallel_scenarios = !cli_options.sequential_scenarios;
   options.optimize_service = !cli_options.power_only;
   if (cli_options.no_dropping) {
@@ -301,7 +300,7 @@ int run_campaign(const io::SystemSpec& spec, int argc, char** argv,
   const std::string cache_dir = cli_options.cache_dir;
 
   // Worker fleet: spawn local `ftmc serve` processes and/or connect to
-  // external ones, then evaluate every memo miss remotely.  Workers re-run
+  // external ones, then evaluate every offspring remotely.  Workers re-run
   // the same content-seeded decode, so the campaign trajectory — and the
   // final front — is bitwise identical to the in-process run.
   std::optional<dist::WorkerFleet> fleet;
