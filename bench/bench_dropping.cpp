@@ -37,7 +37,8 @@ struct BenchmarkOutcome {
   double power_with_dropping = 0.0;
   double power_without_dropping = 0.0;
   double rescue_ratio = 0.0;       // share of candidates rescued by dropping
-  double reexecution_share = 0.0;  // of applied hardenings in final Pareto
+  double reexecution_share = 0.0;  // of applied hardenings, over every
+                                   // explored candidate
   std::size_t evaluations = 0;
 };
 

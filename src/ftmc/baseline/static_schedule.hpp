@@ -47,7 +47,9 @@ struct StaticSchedule {
 /// performs in this scenario.
 using FaultScenario = std::vector<int>;
 
-/// Job count of one hyperperiod (scenario vector length).
+/// Job count of one hyperperiod (scenario vector length).  A test hook:
+/// tests size a FaultScenario with it without knowing the private job
+/// layout; production callers only pass scenarios enumerate_scenarios made.
 std::size_t job_count(const hardening::HardenedSystem& system);
 
 /// All scenarios with at most `max_faults` total faults, each job bounded

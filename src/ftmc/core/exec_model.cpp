@@ -2,12 +2,6 @@
 
 namespace ftmc::core {
 
-model::Time nominal_wcet(const model::Task& task,
-                         const hardening::HardenedTaskInfo& info) noexcept {
-  if (info.role == hardening::TaskRole::kPassiveReplica) return 0;
-  return task.wcet + (info.pays_detection ? task.detection_overhead : 0);
-}
-
 model::Time critical_wcet(const model::Task& task,
                           const hardening::HardenedTaskInfo& info) noexcept {
   if (info.role == hardening::TaskRole::kPassiveReplica) return task.wcet;
@@ -33,12 +27,6 @@ sched::ExecBounds critical_bounds(
   const model::Time dt =
       info.pays_detection ? task.detection_overhead : 0;
   return {task.bcet + dt, critical_wcet(task, info)};
-}
-
-sched::ExecBounds trigger_bounds(
-    const model::Task& task,
-    const hardening::HardenedTaskInfo& info) noexcept {
-  return critical_bounds(task, info);
 }
 
 std::vector<sched::ExecBounds> nominal_bounds_of(

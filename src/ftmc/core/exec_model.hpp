@@ -1,4 +1,4 @@
-// Execution-time bounds of hardened tasks in the three analysis roles of
+// Execution-time bounds of hardened tasks in the analysis roles of
 // Algorithm 1 (Section 3).
 //
 //  - nominal_bounds: the normal (fault-free) state.  Re-executable tasks pay
@@ -7,10 +7,9 @@
 //  - critical_bounds: a task caught in the critical region of some state
 //    transition.  Re-executable tasks may re-execute up to k times, so their
 //    WCET follows Eq. (1): (wcet + dt) * (k + 1); passive standbys may or
-//    may not be activated: [0, wcet].
-//  - trigger_bounds: the task v whose first fault *causes* the transition —
-//    it certainly re-executes (or is certainly activated), same upper bound
-//    as critical_bounds.
+//    may not be activated: [0, wcet].  The trigger v, whose first fault
+//    *causes* the transition, certainly re-executes (or is certainly
+//    activated) and takes these same bounds.
 #pragma once
 
 #include "ftmc/hardening/hardening.hpp"
@@ -18,11 +17,6 @@
 #include "ftmc/sched/analysis.hpp"
 
 namespace ftmc::core {
-
-/// WCET of one attempt in the normal state (includes dt for re-executable
-/// tasks); exceeding this switches the system to the critical state.
-model::Time nominal_wcet(const model::Task& task,
-                         const hardening::HardenedTaskInfo& info) noexcept;
 
 /// Eq. (1): worst-case execution including all re-executions.
 model::Time critical_wcet(const model::Task& task,
@@ -32,9 +26,6 @@ sched::ExecBounds nominal_bounds(
     const model::Task& task, const hardening::HardenedTaskInfo& info) noexcept;
 
 sched::ExecBounds critical_bounds(
-    const model::Task& task, const hardening::HardenedTaskInfo& info) noexcept;
-
-sched::ExecBounds trigger_bounds(
     const model::Task& task, const hardening::HardenedTaskInfo& info) noexcept;
 
 /// Nominal bounds for every task of a hardened system, flat order.

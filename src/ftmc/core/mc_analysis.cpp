@@ -227,7 +227,7 @@ McAnalysisResult McAnalysis::analyze(const model::Architecture& arch,
   // work units.  Two optimizations, both observationally invisible:
   //
   //  1. Dedup: a scenario's bounds vector is a pure function of the
-  //     trigger's normal-state window (trigger_bounds == critical_bounds),
+  //     trigger's normal-state window (the trigger keeps critical_bounds),
   //     so triggers whose windows classify every task identically produce
   //     byte-identical backend invocations.  The backend is a deterministic
   //     pure function, so each distinct bounds vector is analyzed once and
@@ -258,7 +258,7 @@ McAnalysisResult McAnalysis::analyze(const model::Architecture& arch,
   //
   // Classification of task w in the scenario triggered by v (Algorithm 1
   // lines 12-27) reads the per-task tables: the trigger certainly
-  // re-executes or is activated, Eq. (1) (trigger_bounds ==
+  // re-executes or is activated, Eq. (1) (it keeps its
   // critical_bounds, no edit); a task finished before the trigger's window
   // opens runs in the normal state (lines 14-17; nominal bounds are [0, 0]
   // for passive standbys); a dropped task that starts only after the

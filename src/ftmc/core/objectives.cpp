@@ -6,14 +6,6 @@
 
 namespace ftmc::core {
 
-Allocation allocation_from_mapping(const model::Architecture& arch,
-                                   const hardening::HardenedSystem& system) {
-  Allocation allocation(arch.processor_count(), false);
-  for (const model::ProcessorId pe : system.mapping.flat())
-    allocation.at(pe.value) = true;
-  return allocation;
-}
-
 double critical_state_probability(const model::Architecture& arch,
                                   const hardening::HardenedSystem& system) {
   const model::ApplicationSet& apps = system.apps;
@@ -159,10 +151,6 @@ double service_value(const model::ApplicationSet& apps,
     service += graph.service_value();
   }
   return service;
-}
-
-double max_service_value(const model::ApplicationSet& apps) {
-  return service_value(apps, std::vector<bool>(apps.graph_count(), false));
 }
 
 }  // namespace ftmc::core

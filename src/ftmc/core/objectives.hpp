@@ -21,10 +21,6 @@ namespace ftmc::core {
 /// One flag per PE: allocated (powered) or not.
 using Allocation = std::vector<bool>;
 
-/// Allocation that powers exactly the PEs used by `system`'s mapping.
-Allocation allocation_from_mapping(const model::Architecture& arch,
-                                   const hardening::HardenedSystem& system);
-
 /// Probability that at least one critical-state transition (a re-execution
 /// or a passive-standby activation) happens within one hyperperiod.
 double critical_state_probability(const model::Architecture& arch,
@@ -56,8 +52,5 @@ double expected_power(const model::Architecture& arch,
 /// from the finite sum.
 double service_value(const model::ApplicationSet& apps,
                      const std::vector<bool>& drop);
-
-/// Service value when nothing is dropped (the achievable maximum).
-double max_service_value(const model::ApplicationSet& apps);
 
 }  // namespace ftmc::core

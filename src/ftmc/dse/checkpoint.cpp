@@ -247,8 +247,6 @@ std::vector<std::uint8_t> encode_checkpoint(const Checkpoint& checkpoint) {
   body.u64(checkpoint.evaluations);
   body.f64(checkpoint.best_feasible_power);
   for (std::uint64_t word : checkpoint.master.words) body.u64(word);
-  body.u8(checkpoint.master.has_cached_normal ? 1 : 0);
-  body.f64(checkpoint.master.cached_normal);
   body.size(checkpoint.archive.size());
   for (const Individual& individual : checkpoint.archive)
     put(body, individual);
@@ -311,8 +309,6 @@ Checkpoint decode_checkpoint(std::span<const std::uint8_t> bytes) {
     checkpoint.evaluations = in.u64();
     checkpoint.best_feasible_power = in.f64();
     for (std::uint64_t& word : checkpoint.master.words) word = in.u64();
-    checkpoint.master.has_cached_normal = in.u8() != 0;
-    checkpoint.master.cached_normal = in.f64();
     const std::size_t archive = in.length(1);
     checkpoint.archive.reserve(archive);
     for (std::size_t i = 0; i < archive; ++i)

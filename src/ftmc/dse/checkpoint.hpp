@@ -20,13 +20,13 @@
 //
 //   offset  size  field
 //   0       8     magic "FTMCCKPT"
-//   8       4     format version (3)
+//   8       4     format version (4)
 //   12      4     reserved (0)
 //   16      8     payload size in bytes
 //   24      8     FNV-1a-64 digest of the payload (util::Fnv1aHasher)
 //   32      ...   payload: trajectory options, generation, finished flag,
-//                 run totals, RNG state, archive, history (field stream,
-//                 see checkpoint.cpp)
+//                 run totals, the four RNG state words, archive, history
+//                 (field stream, see checkpoint.cpp)
 //
 // Forward compatibility: readers reject a version they do not know and a
 // non-zero reserved field with a loud error, verify the digest over exactly
@@ -48,7 +48,7 @@ namespace ftmc::dse {
 
 inline constexpr char kCheckpointMagic[8] = {'F', 'T', 'M', 'C',
                                              'C', 'K', 'P', 'T'};
-inline constexpr std::uint32_t kCheckpointVersion = 3;
+inline constexpr std::uint32_t kCheckpointVersion = 4;
 
 /// Any checkpoint defect a caller must not retry around: bad magic,
 /// unsupported version, truncation, checksum mismatch, or a trajectory

@@ -59,8 +59,6 @@ enum class TaskRole : std::uint8_t {
   kVoter,           ///< majority voter
 };
 
-const char* to_string(TaskRole role) noexcept;
-
 /// Per-task annotation of the transformed set, flat-aligned with T'.
 struct HardenedTaskInfo {
   TaskRole role = TaskRole::kOriginal;

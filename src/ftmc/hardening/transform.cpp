@@ -73,16 +73,6 @@ const char* to_string(Technique technique) noexcept {
   return "?";
 }
 
-const char* to_string(TaskRole role) noexcept {
-  switch (role) {
-    case TaskRole::kOriginal: return "original";
-    case TaskRole::kActiveReplica: return "active-replica";
-    case TaskRole::kPassiveReplica: return "passive-replica";
-    case TaskRole::kVoter: return "voter";
-  }
-  return "?";
-}
-
 void validate_plan(const model::ApplicationSet& apps, const HardeningPlan& plan,
                    std::size_t processor_count) {
   if (plan.size() != apps.task_count())

@@ -1,7 +1,7 @@
 #include "ftmc/io/dot_export.hpp"
 
 #include <ostream>
-#include <sstream>
+#include <string>
 
 #include "ftmc/io/text_format.hpp"
 
@@ -11,7 +11,11 @@ namespace {
 
 /// Node identifier unique across graphs ("g0_t3").
 std::string node_id(std::uint32_t graph, std::uint32_t task) {
-  return "g" + std::to_string(graph) + "_t" + std::to_string(task);
+  std::string id = "g";
+  id += std::to_string(graph);
+  id += "_t";
+  id += std::to_string(task);
+  return id;
 }
 
 void open_cluster(std::ostream& out, std::uint32_t index,
@@ -99,19 +103,6 @@ void write_dot(std::ostream& out, const model::Architecture& arch,
     out << "  }\n";
   }
   out << "}\n";
-}
-
-std::string to_dot(const model::ApplicationSet& apps) {
-  std::ostringstream out;
-  write_dot(out, apps);
-  return out.str();
-}
-
-std::string to_dot(const model::Architecture& arch,
-                   const hardening::HardenedSystem& system) {
-  std::ostringstream out;
-  write_dot(out, arch, system);
-  return out.str();
 }
 
 }  // namespace ftmc::io

@@ -4,7 +4,6 @@
 #pragma once
 
 #include <iosfwd>
-#include <string>
 
 #include "ftmc/hardening/hardening.hpp"
 #include "ftmc/model/application_set.hpp"
@@ -19,9 +18,5 @@ void write_dot(std::ostream& out, const model::ApplicationSet& apps);
 /// standby activation (control) edges are dashed.
 void write_dot(std::ostream& out, const model::Architecture& arch,
                const hardening::HardenedSystem& system);
-
-std::string to_dot(const model::ApplicationSet& apps);
-std::string to_dot(const model::Architecture& arch,
-                   const hardening::HardenedSystem& system);
 
 }  // namespace ftmc::io

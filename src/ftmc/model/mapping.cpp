@@ -2,14 +2,6 @@
 
 namespace ftmc::model {
 
-std::vector<TaskRef> Mapping::tasks_on(const ApplicationSet& apps,
-                                       ProcessorId processor) const {
-  std::vector<TaskRef> result;
-  for (std::size_t i = 0; i < assignment_.size(); ++i)
-    if (assignment_[i] == processor) result.push_back(apps.task_ref(i));
-  return result;
-}
-
 bool Mapping::within(std::size_t processor_count) const noexcept {
   for (ProcessorId id : assignment_)
     if (id.value >= processor_count) return false;

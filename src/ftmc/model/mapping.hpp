@@ -41,10 +41,6 @@ class Mapping {
   /// Flat-order view (aligned with ApplicationSet::all_tasks()).
   const std::vector<ProcessorId>& flat() const noexcept { return assignment_; }
 
-  /// Tasks mapped to a given processor, in flat order.
-  std::vector<TaskRef> tasks_on(const ApplicationSet& apps,
-                                ProcessorId processor) const;
-
   /// True if every assignment is below `processor_count`.
   bool within(std::size_t processor_count) const noexcept;
 

@@ -1,6 +1,5 @@
 #include "ftmc/model/task_graph.hpp"
 
-#include <algorithm>
 #include <queue>
 #include <stdexcept>
 #include <unordered_set>
@@ -102,23 +101,6 @@ void TaskGraph::check_acyclic_and_order() {
   }
   if (topo_order_.size() != tasks_.size())
     throw std::invalid_argument("TaskGraph '" + name_ + "': graph is cyclic");
-}
-
-std::vector<std::uint32_t> TaskGraph::predecessors(std::uint32_t task) const {
-  std::vector<std::uint32_t> result;
-  for (std::uint32_t c : in_channels(task)) result.push_back(channels_[c].src);
-  std::sort(result.begin(), result.end());
-  result.erase(std::unique(result.begin(), result.end()), result.end());
-  return result;
-}
-
-std::vector<std::uint32_t> TaskGraph::successors(std::uint32_t task) const {
-  std::vector<std::uint32_t> result;
-  for (std::uint32_t c : out_channels(task))
-    result.push_back(channels_[c].dst);
-  std::sort(result.begin(), result.end());
-  result.erase(std::unique(result.begin(), result.end()), result.end());
-  return result;
 }
 
 Time TaskGraph::total_wcet() const noexcept {

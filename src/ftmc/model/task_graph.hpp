@@ -77,10 +77,6 @@ class TaskGraph {
     return out_channels_.at(task);
   }
 
-  /// Predecessor / successor task indices.
-  std::vector<std::uint32_t> predecessors(std::uint32_t task) const;
-  std::vector<std::uint32_t> successors(std::uint32_t task) const;
-
   /// Tasks with no incoming / outgoing channels.
   const std::vector<std::uint32_t>& sources() const noexcept {
     return sources_;

@@ -68,6 +68,7 @@ class TimeSeriesSampler {
   void start();
   /// Stops and joins the background thread; idempotent.
   void stop();
+  /// Whether the background thread runs.  A test hook, like sample_count().
   bool running() const noexcept;
 
   /// Takes one sample synchronously: registry snapshot, delta against the
@@ -79,7 +80,8 @@ class TimeSeriesSampler {
   /// time (everything retained when 0).
   Window window(double max_seconds = 0.0) const;
 
-  /// Total samples taken since construction (not capped by the ring).
+  /// Total samples taken since construction (not capped by the ring).  A
+  /// test hook: production reads samples only through window().
   std::uint64_t sample_count() const noexcept;
 
  private:

@@ -20,7 +20,8 @@ class Logger {
   LogLevel level() const noexcept { return level_; }
 
   /// Redirects output (default std::clog). Caller keeps ownership; pass
-  /// nullptr to restore the default sink.
+  /// nullptr to restore the default sink.  A test hook: tests capture log
+  /// lines with it; production code always logs to the default sink.
   void set_sink(std::ostream* sink) noexcept;
 
   void write(LogLevel level, const std::string& message);

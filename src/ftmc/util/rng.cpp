@@ -1,8 +1,5 @@
 #include "ftmc/util/rng.hpp"
 
-#include <cmath>
-#include <numbers>
-
 namespace ftmc::util {
 namespace {
 
@@ -70,35 +67,10 @@ bool Rng::chance(double p) noexcept {
   return uniform_real() < p;
 }
 
-double Rng::exponential(double lambda) {
-  if (lambda <= 0.0)
-    throw std::invalid_argument("Rng::exponential: lambda <= 0");
-  double u = uniform_real();
-  // Avoid log(0).
-  if (u <= 0.0) u = 0x1.0p-53;
-  return -std::log(u) / lambda;
-}
-
-double Rng::normal(double mean, double stddev) noexcept {
-  if (has_cached_normal_) {
-    has_cached_normal_ = false;
-    return mean + stddev * cached_normal_;
-  }
-  double u1 = uniform_real();
-  if (u1 <= 0.0) u1 = 0x1.0p-53;
-  const double u2 = uniform_real();
-  const double r = std::sqrt(-2.0 * std::log(u1));
-  const double theta = 2.0 * std::numbers::pi * u2;
-  cached_normal_ = r * std::sin(theta);
-  has_cached_normal_ = true;
-  return mean + stddev * r * std::cos(theta);
-}
-
 Rng Rng::split() { return Rng((*this)() ^ 0xd1b54a32d192ed03ULL); }
 
 RngState Rng::state() const noexcept {
-  return RngState{{state_[0], state_[1], state_[2], state_[3]},
-                  has_cached_normal_, cached_normal_};
+  return RngState{{state_[0], state_[1], state_[2], state_[3]}};
 }
 
 void Rng::restore(const RngState& state) {
@@ -106,8 +78,6 @@ void Rng::restore(const RngState& state) {
       0)
     throw std::invalid_argument("Rng::restore: all-zero state");
   for (std::size_t i = 0; i < 4; ++i) state_[i] = state.words[i];
-  has_cached_normal_ = state.has_cached_normal;
-  cached_normal_ = state.cached_normal;
 }
 
 }  // namespace ftmc::util

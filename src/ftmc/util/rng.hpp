@@ -15,14 +15,11 @@
 
 namespace ftmc::util {
 
-/// Complete serializable generator state: the four xoshiro256** words plus
-/// the Box–Muller half-pair cache of normal().  restore() resumes the exact
-/// output sequence, so a checkpointed consumer (the DSE engine) replays the
-/// same draws it would have made uninterrupted.
+/// Complete serializable generator state: the four xoshiro256** words.
+/// restore() resumes the exact output sequence, so a checkpointed consumer
+/// (the DSE engine) replays the same draws it would have made uninterrupted.
 struct RngState {
   std::array<std::uint64_t, 4> words{};
-  bool has_cached_normal = false;
-  double cached_normal = 0.0;
 
   bool operator==(const RngState&) const = default;
 };
@@ -55,12 +52,6 @@ class Rng {
 
   /// Bernoulli trial with success probability p (clamped to [0,1]).
   bool chance(double p) noexcept;
-
-  /// Exponentially distributed variate with rate `lambda` (> 0).
-  double exponential(double lambda);
-
-  /// Gaussian variate (Box–Muller) with the given mean / standard deviation.
-  double normal(double mean, double stddev) noexcept;
 
   /// Uniformly chosen element of a non-empty span.
   template <typename T>
@@ -97,8 +88,6 @@ class Rng {
 
  private:
   std::uint64_t state_[4];
-  bool has_cached_normal_ = false;
-  double cached_normal_ = 0.0;
 };
 
 }  // namespace ftmc::util

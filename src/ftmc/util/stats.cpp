@@ -1,34 +1,15 @@
 #include "ftmc/util/stats.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 namespace ftmc::util {
 
 void RunningStats::add(double sample) noexcept {
-  if (count_ == 0) {
-    min_ = max_ = sample;
-  } else {
-    min_ = std::min(min_, sample);
-    max_ = std::max(max_, sample);
-  }
   ++count_;
   const double delta = sample - mean_;
   mean_ += delta / static_cast<double>(count_);
-  m2_ += delta * (sample - mean_);
 }
-
-double RunningStats::min() const noexcept { return min_; }
-double RunningStats::max() const noexcept { return max_; }
-double RunningStats::mean() const noexcept { return mean_; }
-
-double RunningStats::variance() const noexcept {
-  if (count_ < 2) return 0.0;
-  return m2_ / static_cast<double>(count_ - 1);
-}
-
-double RunningStats::stddev() const noexcept { return std::sqrt(variance()); }
 
 double percentile(std::vector<double> samples, double q) {
   if (samples.empty()) throw std::invalid_argument("percentile: no samples");

@@ -1,5 +1,5 @@
 // Small descriptive-statistics helpers used by the Monte-Carlo simulator and
-// the experiment benches (min/max/mean/percentiles over WCRT samples).
+// the experiment benches (mean and percentiles over WCRT samples).
 #pragma once
 
 #include <cstddef>
@@ -8,25 +8,17 @@
 
 namespace ftmc::util {
 
-/// Streaming accumulator: O(1) memory for min/max/mean/variance (Welford).
+/// Streaming mean (Welford's update): O(1) memory, no stored samples.
 class RunningStats {
  public:
   void add(double sample) noexcept;
 
   std::size_t count() const noexcept { return count_; }
-  double min() const noexcept;
-  double max() const noexcept;
-  double mean() const noexcept;
-  /// Unbiased sample variance; 0 for fewer than two samples.
-  double variance() const noexcept;
-  double stddev() const noexcept;
+  double mean() const noexcept { return mean_; }
 
  private:
   std::size_t count_ = 0;
-  double min_ = 0.0;
-  double max_ = 0.0;
   double mean_ = 0.0;
-  double m2_ = 0.0;
 };
 
 /// Percentile of a sample set via linear interpolation (q in [0,1]).

@@ -20,7 +20,6 @@ std::string Table::cell(double value, int precision) {
   return out.str();
 }
 
-std::string Table::cell(std::int64_t value) { return std::to_string(value); }
 std::string Table::cell(std::size_t value) { return std::to_string(value); }
 
 namespace {
@@ -60,17 +59,6 @@ void print_row(std::ostream& os, const std::vector<std::size_t>& widths,
   os << '\n';
 }
 
-std::string csv_escape(const std::string& cell) {
-  if (cell.find_first_of(",\"\n") == std::string::npos) return cell;
-  std::string out = "\"";
-  for (char ch : cell) {
-    if (ch == '"') out += '"';
-    out += ch;
-  }
-  out += '"';
-  return out;
-}
-
 }  // namespace
 
 void Table::print(std::ostream& os) const {
@@ -84,18 +72,6 @@ void Table::print(std::ostream& os) const {
   }
   for (const auto& row : rows_) print_row(os, widths, row);
   print_rule(os, widths);
-}
-
-void Table::print_csv(std::ostream& os) const {
-  auto emit = [&os](const std::vector<std::string>& row) {
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      if (c != 0) os << ',';
-      os << csv_escape(row[c]);
-    }
-    os << '\n';
-  };
-  if (!header_.empty()) emit(header_);
-  for (const auto& row : rows_) emit(row);
 }
 
 }  // namespace ftmc::util

@@ -1,4 +1,4 @@
-// ASCII / CSV table emission for the experiment benches.  Every bench binary
+// ASCII table emission for the experiment benches.  Every bench binary
 // reproduces a paper table or figure series; Table renders them uniformly.
 #pragma once
 
@@ -9,8 +9,8 @@
 
 namespace ftmc::util {
 
-/// Column-aligned text table with an optional title, printable as aligned
-/// ASCII (for terminals) or CSV (for downstream plotting).
+/// Column-aligned text table with an optional title, printed as aligned
+/// ASCII.
 class Table {
  public:
   explicit Table(std::string title = {}) : title_(std::move(title)) {}
@@ -23,7 +23,6 @@ class Table {
 
   /// Convenience: formats arithmetic cells with fixed precision.
   static std::string cell(double value, int precision = 2);
-  static std::string cell(std::int64_t value);
   static std::string cell(std::size_t value);
 
   std::size_t row_count() const noexcept { return rows_.size(); }
@@ -31,9 +30,6 @@ class Table {
 
   /// Aligned, boxed ASCII rendering.
   void print(std::ostream& os) const;
-
-  /// RFC-4180-ish CSV (quotes cells containing separators/quotes).
-  void print_csv(std::ostream& os) const;
 
  private:
   std::string title_;

@@ -1,11 +1,12 @@
 // Shared fixtures for the test suite: small platforms, application sets,
-// decoded random candidates, bitwise result comparators for the
-// differential kernel tests, the fuzz harnesses' environment knobs, and the
-// docs/PROTOCOL.md example reader.
+// graph adjacency, decoded random candidates, bitwise result comparators for
+// the differential kernel tests, the fuzz harnesses' environment knobs, and
+// the docs/PROTOCOL.md example reader.
 #pragma once
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
@@ -64,6 +65,30 @@ inline model::TaskGraph chain_graph(const std::string& name,
   else
     builder.reliability(sv_or_f);
   return builder.build();
+}
+
+/// Distinct predecessor task indices of `task`, ascending (the sources of
+/// its in_channels).
+inline std::vector<std::uint32_t> predecessors(const model::TaskGraph& graph,
+                                               std::uint32_t task) {
+  std::vector<std::uint32_t> result;
+  for (const std::uint32_t c : graph.in_channels(task))
+    result.push_back(graph.channels()[c].src);
+  std::sort(result.begin(), result.end());
+  result.erase(std::unique(result.begin(), result.end()), result.end());
+  return result;
+}
+
+/// Distinct successor task indices of `task`, ascending (the destinations
+/// of its out_channels).
+inline std::vector<std::uint32_t> successors(const model::TaskGraph& graph,
+                                             std::uint32_t task) {
+  std::vector<std::uint32_t> result;
+  for (const std::uint32_t c : graph.out_channels(task))
+    result.push_back(graph.channels()[c].dst);
+  std::sort(result.begin(), result.end());
+  result.erase(std::unique(result.begin(), result.end()), result.end());
+  return result;
 }
 
 /// One critical 2-task chain + one droppable 2-task chain, same period.

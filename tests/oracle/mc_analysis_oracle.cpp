@@ -11,6 +11,13 @@ namespace {
 
 using Bounds = std::vector<sched::ExecBounds>;
 
+/// The trigger v, whose first fault causes the transition, certainly
+/// re-executes or is activated: Eq. (1), its critical bounds.
+sched::ExecBounds trigger_bounds(const model::Task& task,
+                                 const hardening::HardenedTaskInfo& info) {
+  return core::critical_bounds(task, info);
+}
+
 /// Graphs outside the drop set meet their deadlines under `wcrt_of`.
 template <class WcrtOf>
 bool non_dropped_meet_deadlines(const model::ApplicationSet& apps,
@@ -98,7 +105,7 @@ core::McAnalysisResult mc_analyze(const sched::SchedulingAnalysis& backend,
       const sched::TaskWindow& window = result.normal.windows[w];
       if (w == v) {
         // The trigger certainly re-executes / is activated (Eq. (1)).
-        bounds[w] = core::trigger_bounds(task(w), system.info[w]);
+        bounds[w] = trigger_bounds(task(w), system.info[w]);
       } else if (window.max_finish < v_min_start) {
         // Finished before any fault can occur: normal state.
         bounds[w] = core::nominal_bounds(task(w), system.info[w]);

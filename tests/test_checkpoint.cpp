@@ -14,6 +14,7 @@
 #include <cmath>
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ftmc/dse/campaign.hpp"
@@ -298,10 +299,14 @@ TEST(CheckpointFormat, RejectsUnknownVersion) {
   expect_rejects(std::move(bytes), "version");
 
   // Version 2 carried a cache fingerprint and an always-empty population
-  // in its payload; this build names it rather than misreading it.
+  // in its payload, version 3 a Box-Muller cache after the RNG words; this
+  // build names them rather than misreading them.
   auto v2 = valid_bytes();
   v2[8] = 2;
   expect_rejects(std::move(v2), "unsupported checkpoint version 2");
+  auto v3 = valid_bytes();
+  v3[8] = 3;
+  expect_rejects(std::move(v3), "unsupported checkpoint version 3");
 }
 
 TEST(CheckpointFormat, RejectsNonZeroReservedField) {
@@ -434,16 +439,21 @@ TEST(CheckpointPersistence, KeepLastKRotation) {
 TEST(RngState, RestoreResumesExactSequence) {
   util::Rng rng(99);
   for (int i = 0; i < 17; ++i) (void)rng.index(1000);
-  (void)rng.normal(0.0, 1.0);  // leave a cached Box-Muller half-pair
   const util::RngState state = rng.state();
 
-  std::vector<double> expected;
-  for (int i = 0; i < 32; ++i) expected.push_back(rng.normal(0.0, 1.0));
+  std::vector<std::pair<double, std::size_t>> expected;
+  for (int i = 0; i < 32; ++i) {
+    const double real = rng.uniform_real(-1.0, 1.0);
+    expected.emplace_back(real, rng.index(1000));
+  }
 
   util::Rng other(1);  // different seed, fully overwritten by restore
   other.restore(state);
-  for (int i = 0; i < 32; ++i)
-    EXPECT_EQ(other.normal(0.0, 1.0), expected[i]) << "draw " << i;
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(other.uniform_real(-1.0, 1.0), expected[i].first)
+        << "draw " << i;
+    EXPECT_EQ(other.index(1000), expected[i].second) << "draw " << i;
+  }
 }
 
 TEST(RngState, AllZeroStateIsRejected) {

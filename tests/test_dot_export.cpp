@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <sstream>
+#include <string>
+
 #include "ftmc/benchmarks/cruise.hpp"
 #include "helpers.hpp"
 
@@ -9,9 +13,17 @@ namespace {
 
 using namespace ftmc;
 
+/// What `ftmc dot` prints for the same arguments.
+template <class... Args>
+std::string render_dot(const Args&... args) {
+  std::ostringstream out;
+  io::write_dot(out, args...);
+  return out.str();
+}
+
 TEST(DotExport, PlainApplicationsContainClustersAndEdges) {
   const auto apps = fixtures::small_mixed_apps();
-  const std::string dot = io::to_dot(apps);
+  const std::string dot = render_dot(apps);
   EXPECT_NE(dot.find("digraph applications"), std::string::npos);
   EXPECT_NE(dot.find("subgraph cluster_0"), std::string::npos);
   EXPECT_NE(dot.find("subgraph cluster_1"), std::string::npos);
@@ -38,7 +50,7 @@ TEST(DotExport, HardenedViewShowsRolesAndPes) {
   std::vector<model::ProcessorId> mapping(apps.task_count(),
                                           model::ProcessorId{0});
   const auto system = hardening::apply_hardening(apps, plan, mapping, 3);
-  const std::string dot = io::to_dot(arch, system);
+  const std::string dot = render_dot(arch, system);
   EXPECT_NE(dot.find("digraph hardened"), std::string::npos);
   EXPECT_NE(dot.find("reexec k=2"), std::string::npos);
   EXPECT_NE(dot.find("@pe0"), std::string::npos);
@@ -51,7 +63,7 @@ TEST(DotExport, HardenedViewShowsRolesAndPes) {
 
 TEST(DotExport, CruiseBenchmarkExportsCompletely) {
   const auto cruise = benchmarks::cruise_benchmark();
-  const std::string dot = io::to_dot(cruise.apps);
+  const std::string dot = render_dot(cruise.apps);
   for (std::uint32_t g = 0; g < cruise.apps.graph_count(); ++g)
     EXPECT_NE(dot.find(cruise.apps.graph(model::GraphId{g}).name()),
               std::string::npos);

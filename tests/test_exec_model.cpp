@@ -10,8 +10,6 @@ using namespace ftmc;
 using core::critical_bounds;
 using core::critical_wcet;
 using core::nominal_bounds;
-using core::nominal_wcet;
-using core::trigger_bounds;
 using hardening::HardenedTaskInfo;
 using hardening::TaskRole;
 
@@ -19,7 +17,6 @@ const model::Task kTask{"t", 40, 100, 7, 5};
 
 TEST(ExecModel, PlainOriginal) {
   HardenedTaskInfo info;  // defaults: original, no hardening
-  EXPECT_EQ(nominal_wcet(kTask, info), 100);
   EXPECT_EQ(critical_wcet(kTask, info), 100);
   EXPECT_EQ(nominal_bounds(kTask, info).bcet, 40);
   EXPECT_EQ(nominal_bounds(kTask, info).wcet, 100);
@@ -32,27 +29,24 @@ TEST(ExecModel, ReexecutableFollowsEq1) {
   info.pays_detection = true;
   info.triggers_critical_state = true;
   // Nominal: one attempt incl. detection.
-  EXPECT_EQ(nominal_wcet(kTask, info), 105);
   EXPECT_EQ(nominal_bounds(kTask, info).bcet, 45);
   EXPECT_EQ(nominal_bounds(kTask, info).wcet, 105);
   // Eq. (1): (wcet + dt) * (k + 1).
   EXPECT_EQ(critical_wcet(kTask, info), 105 * 3);
   EXPECT_EQ(critical_bounds(kTask, info).bcet, 45);
+  // The trigger of a transition takes the same critical bounds.
   EXPECT_EQ(critical_bounds(kTask, info).wcet, 315);
-  EXPECT_EQ(trigger_bounds(kTask, info).wcet, 315);
 }
 
 TEST(ExecModel, PassiveReplicaIsZeroInNormalState) {
   HardenedTaskInfo info;
   info.role = TaskRole::kPassiveReplica;
   info.triggers_critical_state = true;
-  EXPECT_EQ(nominal_wcet(kTask, info), 0);
   EXPECT_EQ(nominal_bounds(kTask, info).bcet, 0);
   EXPECT_EQ(nominal_bounds(kTask, info).wcet, 0);
   // Critical: may or may not be activated -> [0, wcet].
   EXPECT_EQ(critical_bounds(kTask, info).bcet, 0);
   EXPECT_EQ(critical_bounds(kTask, info).wcet, 100);
-  EXPECT_EQ(trigger_bounds(kTask, info).wcet, 100);
 }
 
 TEST(ExecModel, ActiveReplicaBehavesLikePlainTask) {

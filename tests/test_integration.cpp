@@ -184,8 +184,10 @@ TEST(Integration, EvaluatorAgreesWithManualPipeline) {
     // unit on top of the raw power.
     EXPECT_GE(evaluation.power, power + 1.0e9);
   }
-  EXPECT_DOUBLE_EQ(evaluation.service,
-                   core::max_service_value(bench.apps));
+  EXPECT_DOUBLE_EQ(
+      evaluation.service,
+      core::service_value(bench.apps,
+                          std::vector<bool>(bench.apps.graph_count(), false)));
 }
 
 }  // namespace

@@ -42,16 +42,6 @@ TEST(Mapping, AssignByRefAndFlatAgree) {
   EXPECT_EQ(mapping.processor_of(apps, TaskRef{0, 0}), ProcessorId{1});
 }
 
-TEST(Mapping, TasksOn) {
-  const ApplicationSet apps = two_graphs();
-  Mapping mapping(apps);
-  mapping.assign(apps, TaskRef{0, 1}, ProcessorId{1});
-  const auto on0 = mapping.tasks_on(apps, ProcessorId{0});
-  const auto on1 = mapping.tasks_on(apps, ProcessorId{1});
-  EXPECT_EQ(on0, (std::vector<TaskRef>{TaskRef{0, 0}, TaskRef{1, 0}}));
-  EXPECT_EQ(on1, (std::vector<TaskRef>{TaskRef{0, 1}}));
-}
-
 TEST(Mapping, Within) {
   const ApplicationSet apps = two_graphs();
   Mapping mapping(apps);

@@ -117,22 +117,10 @@ TEST(Power, RejectsUnallocatedUse) {
                std::invalid_argument);
 }
 
-TEST(Power, AllocationFromMapping) {
-  const auto arch = fixtures::test_arch(3);
-  const auto apps = fixtures::small_mixed_apps(1000);
-  std::vector<ProcessorId> mapping(apps.task_count(), ProcessorId{0});
-  mapping[1] = ProcessorId{2};
-  const auto system =
-      harden(apps, HardeningPlan(apps.task_count()), mapping, 3);
-  const Allocation allocation = core::allocation_from_mapping(arch, system);
-  EXPECT_EQ(allocation, (Allocation{true, false, true}));
-}
-
 TEST(Service, SumsAliveDroppableGraphs) {
   const auto apps = fixtures::small_mixed_apps();  // drop graph sv = 2
   EXPECT_DOUBLE_EQ(core::service_value(apps, {false, false}), 2.0);
   EXPECT_DOUBLE_EQ(core::service_value(apps, {false, true}), 0.0);
-  EXPECT_DOUBLE_EQ(core::max_service_value(apps), 2.0);
 }
 
 TEST(Service, IgnoresCriticalGraphs) {

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <set>
 #include <vector>
 
@@ -90,30 +89,6 @@ TEST(Rng, ChanceFrequencyTracksProbability) {
   for (int i = 0; i < kDraws; ++i)
     if (rng.chance(0.3)) ++hits;
   EXPECT_NEAR(static_cast<double>(hits) / kDraws, 0.3, 0.01);
-}
-
-TEST(Rng, ExponentialMeanMatchesRate) {
-  Rng rng(17);
-  double sum = 0.0;
-  constexpr int kDraws = 200'000;
-  for (int i = 0; i < kDraws; ++i) sum += rng.exponential(2.0);
-  EXPECT_NEAR(sum / kDraws, 0.5, 0.01);
-  EXPECT_THROW(rng.exponential(0.0), std::invalid_argument);
-}
-
-TEST(Rng, NormalMoments) {
-  Rng rng(19);
-  double sum = 0.0, sum2 = 0.0;
-  constexpr int kDraws = 200'000;
-  for (int i = 0; i < kDraws; ++i) {
-    const double draw = rng.normal(10.0, 3.0);
-    sum += draw;
-    sum2 += draw * draw;
-  }
-  const double mean = sum / kDraws;
-  const double variance = sum2 / kDraws - mean * mean;
-  EXPECT_NEAR(mean, 10.0, 0.05);
-  EXPECT_NEAR(std::sqrt(variance), 3.0, 0.05);
 }
 
 TEST(Rng, ShuffleIsPermutation) {

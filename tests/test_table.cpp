@@ -11,7 +11,6 @@ using ftmc::util::Table;
 TEST(Table, CellFormatting) {
   EXPECT_EQ(Table::cell(3.14159, 2), "3.14");
   EXPECT_EQ(Table::cell(3.14159, 4), "3.1416");
-  EXPECT_EQ(Table::cell(std::int64_t{-12}), "-12");
   EXPECT_EQ(Table::cell(std::size_t{7}), "7");
 }
 
@@ -55,23 +54,6 @@ TEST(Table, RaggedRowsArePadded) {
   table.add_row({"1"});
   std::ostringstream out;
   EXPECT_NO_THROW(table.print(out));
-}
-
-TEST(Table, CsvBasic) {
-  Table table;
-  table.set_header({"a", "b"});
-  table.add_row({"1", "2"});
-  std::ostringstream out;
-  table.print_csv(out);
-  EXPECT_EQ(out.str(), "a,b\n1,2\n");
-}
-
-TEST(Table, CsvQuotesSpecialCells) {
-  Table table;
-  table.add_row({"with,comma", "with\"quote", "plain"});
-  std::ostringstream out;
-  table.print_csv(out);
-  EXPECT_EQ(out.str(), "\"with,comma\",\"with\"\"quote\",plain\n");
 }
 
 TEST(Table, RowCount) {

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 
+#include "helpers.hpp"
+
 namespace {
 
 using ftmc::model::kDroppableReliability;
@@ -44,11 +46,13 @@ TEST(TaskGraph, SourcesAndSinks) {
 }
 
 TEST(TaskGraph, PredecessorsAndSuccessors) {
+  using ftmc::fixtures::predecessors;
+  using ftmc::fixtures::successors;
   const TaskGraph graph = diamond();
-  EXPECT_EQ(graph.predecessors(3), (std::vector<std::uint32_t>{1, 2}));
-  EXPECT_EQ(graph.successors(0), (std::vector<std::uint32_t>{1, 2}));
-  EXPECT_TRUE(graph.predecessors(0).empty());
-  EXPECT_TRUE(graph.successors(3).empty());
+  EXPECT_EQ(predecessors(graph, 3), (std::vector<std::uint32_t>{1, 2}));
+  EXPECT_EQ(successors(graph, 0), (std::vector<std::uint32_t>{1, 2}));
+  EXPECT_TRUE(predecessors(graph, 0).empty());
+  EXPECT_TRUE(successors(graph, 3).empty());
 }
 
 TEST(TaskGraph, TopologicalOrderRespectsEdges) {
