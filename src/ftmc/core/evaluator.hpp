@@ -54,8 +54,9 @@ struct Evaluation {
   double service = 0.0;
   /// Transition scenarios analyzed by Algorithm 1.
   std::size_t scenario_count = 0;
-  /// Backend fixed-point solves run by Algorithm 1 (normal + Naive pass +
-  /// unique scenarios after dedup); deterministic for a given candidate.
+  /// Backend fixed-point solves Algorithm 1 calls for (normal + Naive pass
+  /// + unique scenarios after dedup, including those the saturation probe
+  /// skips); deterministic for a given candidate.
   std::size_t scenario_solves = 0;
   /// WCRT bound of every graph (flat over graphs of T'), for reporting.
   std::vector<model::Time> graph_wcrt;

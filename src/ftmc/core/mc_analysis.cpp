@@ -24,6 +24,9 @@ struct AnalysisCounters {
   obs::Counter scenarios{"analysis.scenarios"};
   obs::Counter dedup_hits{"analysis.scenario_dedup_hits"};
   obs::Counter solves{"analysis.scenario_solves"};
+  /// Unique scenarios left unsolved because the saturation probe already
+  /// pinned the bound at Naive everywhere.
+  obs::Counter saturation_skips{"analysis.saturation_skips"};
   /// Sparse scenario edits recorded (each is one task whose bounds differ
   /// from the all-critical template).
   obs::Counter bounds_edits{"analysis.bounds_edits"};
@@ -224,7 +227,7 @@ McAnalysisResult McAnalysis::analyze(const model::Architecture& arch,
   //
   // The Naive pass and every scenario depend only on the normal-state
   // windows computed above, never on each other, so they form independent
-  // work units.  Two optimizations, both observationally invisible:
+  // work units.  Three optimizations, all observationally invisible:
   //
   //  1. Dedup: a scenario's bounds vector is a pure function of the
   //     trigger's normal-state window (the trigger keeps critical_bounds),
@@ -232,12 +235,21 @@ McAnalysisResult McAnalysis::analyze(const model::Architecture& arch,
   //     byte-identical backend invocations.  The backend is a deterministic
   //     pure function, so each distinct bounds vector is analyzed once and
   //     its result stands in for all its triggers.
-  //  2. Parallelism + batching: the Naive pass runs first, then the
-  //     unique scenarios go to solve_many() — all of them in one batch, or
-  //     one chunk per worker when a pool is given.  Each chunk writes into
-  //     its own result slots and the merge below is a pointwise max over
-  //     integers applied in a fixed order, so chunk width and thread count
-  //     are bitwise irrelevant.
+  //  2. Saturation probe: the final bound is max(normal, min(S, Naive)),
+  //     S the pointwise max over the scenarios.  Once S >= Naive at every
+  //     task, further scenarios can only raise S and min(S, Naive) stays
+  //     Naive, so they cannot change any output.  The Naive pass runs
+  //     first, then the last scenario of the similarity order (the most
+  //     pessimistic one) alone; when it saturates, the others are never
+  //     materialized or solved.  The argument uses only this merge
+  //     algebra, nothing about the backend — unlike pruning a scenario
+  //     whose *input* bounds are dominated, which the non-monotone
+  //     operator above makes unsound.
+  //  3. Parallelism + batching: the remaining unique scenarios go to
+  //     solve_many() — all of them in one batch, or one chunk per worker
+  //     when a pool is given.  Each chunk writes into its own result slots
+  //     and the merge below is a pointwise max over integers, so chunk
+  //     width and thread count are bitwise irrelevant.
   std::vector<std::size_t> triggers;
   for (std::size_t v = 0; v < n; ++v)
     if (system.info[v].triggers_critical_state) triggers.push_back(v);
@@ -330,7 +342,9 @@ McAnalysisResult McAnalysis::analyze(const model::Architecture& arch,
 
   // Similarity sort (order is observationally free; it clusters nearby
   // scenarios into the same solve_many chunk for the batched kernel's
-  // cross-lane sharing).  The comparator merge-walks the two edit lists
+  // cross-lane sharing, and its last entry, which against every other
+  // scenario has the larger bounds at the first task where the two differ,
+  // is the saturation probe).  The comparator merge-walks the two edit lists
   // and compares *effective* values in (wcet, release_cutoff, bcet)
   // field order; positions edited in neither scenario hold the template
   // value in both, so skipping them reproduces exactly the order the
@@ -362,22 +376,6 @@ McAnalysisResult McAnalysis::analyze(const model::Architecture& arch,
               return false;
             });
 
-  // Materialize each unique scenario once into a contiguous lane buffer
-  // (template copy + sparse edits); solve_many consumes the views with
-  // no per-scenario vector ever built.
-  arena.lanes.resize(unique * n);
-  arena.lane_views.resize(unique);
-  for (std::size_t p = 0; p < unique; ++p) {
-    sched::ExecBounds* const lane = arena.lanes.data() + p * n;
-    std::copy(arena.base.begin(), arena.base.end(), lane);
-    const ScenarioArena::Slice& slice = arena.slices[arena.order[p]];
-    for (std::size_t e = 0; e < slice.count; ++e) {
-      const ScenarioEdit& edit = arena.edits[slice.begin + e];
-      lane[edit.index] = edit.bounds;
-    }
-    arena.lane_views[p] = std::span<const sched::ExecBounds>(lane, n);
-  }
-
   analysis_counters().scenarios.add(triggers.size());
   analysis_counters().dedup_hits.add(triggers.size() - unique);
   result.scenario_solves = 2 + unique;
@@ -391,47 +389,80 @@ McAnalysisResult McAnalysis::analyze(const model::Architecture& arch,
       arena.naive_part[i] = run.windows[i].max_finish;
   }
 
-  // Scenario fan-out: every unique scenario in one solve_many() batch, or
-  // one chunk per worker when a pool is given.  Each chunk solves against
-  // the shared immutable prepared problem on this worker's thread-local
-  // arenas, so the fan-out allocates nothing per scenario in the kernel;
-  // the result slots come from this arena too (the batched solver
-  // finalizes in place, so warmed slots keep their capacity).
-  const std::size_t workers =
-      pool != nullptr ? std::max<std::size_t>(1, pool->thread_count()) : 1;
-  const std::size_t width = (unique + workers - 1) / workers;
-  const std::size_t chunks = (unique + width - 1) / width;
-  arena.results.resize(unique);
-  auto run_chunk = [&](std::size_t chunk) {
-    obs::Span span("analysis.solve");
-    const std::size_t begin = chunk * width;
-    const std::size_t count = std::min(width, unique - begin);
-    analysis_counters().solves.add(count);
-    prepared->solve_many(
-        std::span<const std::span<const sched::ExecBounds>>(arena.lane_views)
-            .subspan(begin, count),
-        std::span<sched::AnalysisResult>(arena.results)
-            .subspan(begin, count));
+  // Scenario p of the similarity order is materialized into lane p of a
+  // contiguous lane buffer (template copy + sparse edits); the solvers
+  // read the views in place, with no per-scenario vector ever built.
+  arena.lanes.resize(unique * n);
+  arena.lane_views.resize(unique);
+  const auto materialize = [&](std::size_t p) {
+    sched::ExecBounds* const lane = arena.lanes.data() + p * n;
+    std::copy(arena.base.begin(), arena.base.end(), lane);
+    const ScenarioArena::Slice& slice = arena.slices[arena.order[p]];
+    for (std::size_t e = 0; e < slice.count; ++e) {
+      const ScenarioEdit& edit = arena.edits[slice.begin + e];
+      lane[edit.index] = edit.bounds;
+    }
+    arena.lane_views[p] = std::span<const sched::ExecBounds>(lane, n);
   };
-  if (pool != nullptr && chunks > 1) {
-    pool->parallel_for(chunks, run_chunk);
-  } else {
-    for (std::size_t chunk = 0; chunk < chunks; ++chunk) run_chunk(chunk);
+  arena.scenario_part.assign(n, 0);
+  const auto merge_scenario = [&](const sched::AnalysisResult& run) {
+    for (std::size_t i = 0; i < n; ++i)
+      arena.scenario_part[i] =
+          std::max(arena.scenario_part[i], run.windows[i].max_finish);
+  };
+
+  // Saturation probe: the last scenario of the order, solved alone.  Its
+  // lane index is also the number of scenarios before it (`rest`).
+  const std::size_t rest = unique - 1;
+  materialize(rest);
+  {
+    obs::Span span("analysis.solve");
+    analysis_counters().solves.add(1);
+    merge_scenario(prepared->solve(arena.lane_views[rest]));
+  }
+  bool saturated = true;
+  for (std::size_t i = 0; i < n && saturated; ++i)
+    saturated = arena.scenario_part[i] >= arena.naive_part[i];
+
+  if (saturated) {
+    analysis_counters().saturation_skips.add(rest);
+  } else if (rest > 0) {
+    // Scenario fan-out: the other unique scenarios in one solve_many()
+    // batch, or one chunk per worker when a pool is given.  Each chunk
+    // solves against the shared immutable prepared problem on this
+    // worker's thread-local arenas, so the fan-out allocates nothing per
+    // scenario in the kernel; the result slots come from this arena too
+    // (the batched solver finalizes in place, so warmed slots keep their
+    // capacity).
+    for (std::size_t p = 0; p < rest; ++p) materialize(p);
+    const std::size_t workers =
+        pool != nullptr ? std::max<std::size_t>(1, pool->thread_count()) : 1;
+    const std::size_t width = (rest + workers - 1) / workers;
+    const std::size_t chunks = (rest + width - 1) / width;
+    arena.results.resize(rest);
+    auto run_chunk = [&](std::size_t chunk) {
+      obs::Span span("analysis.solve");
+      const std::size_t begin = chunk * width;
+      const std::size_t count = std::min(width, rest - begin);
+      analysis_counters().solves.add(count);
+      prepared->solve_many(
+          std::span<const std::span<const sched::ExecBounds>>(
+              arena.lane_views)
+              .subspan(begin, count),
+          std::span<sched::AnalysisResult>(arena.results)
+              .subspan(begin, count));
+    };
+    if (pool != nullptr && chunks > 1) {
+      pool->parallel_for(chunks, run_chunk);
+    } else {
+      for (std::size_t chunk = 0; chunk < chunks; ++chunk) run_chunk(chunk);
+    }
+    for (std::size_t k = 0; k < rest; ++k) merge_scenario(arena.results[k]);
   }
 
-  {
-    arena.scenario_part.assign(n, 0);
-    for (std::size_t k = 0; k < unique; ++k) {
-      const sched::AnalysisResult& run = arena.results[k];
-      for (std::size_t i = 0; i < n; ++i)
-        arena.scenario_part[i] =
-            std::max(arena.scenario_part[i], run.windows[i].max_finish);
-    }
-    for (std::size_t i = 0; i < n; ++i)
-      result.wcrt[i] = std::max(
-          result.wcrt[i],
-          std::min(arena.scenario_part[i], arena.naive_part[i]));
-  }
+  for (std::size_t i = 0; i < n; ++i)
+    result.wcrt[i] = std::max(
+        result.wcrt[i], std::min(arena.scenario_part[i], arena.naive_part[i]));
 
   // Critical-state verdict from the combined bound: every non-dropped graph
   // must meet its deadline under the final WCRT.

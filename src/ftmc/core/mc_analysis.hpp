@@ -61,8 +61,11 @@ struct McAnalysisResult {
   bool critical_schedulable = true;
   /// Number of transition scenarios analyzed (trigger tasks).
   std::size_t scenario_count = 0;
-  /// Backend fixed-point solves actually run: the normal state, the Naive
-  /// intersection pass, and one per *unique* scenario after dedup.  A pure
+  /// Backend fixed-point solves Algorithm 1 calls for: the normal state,
+  /// the Naive intersection pass, and one per *unique* scenario after
+  /// dedup.  Scenarios the saturation probe makes unnecessary still count
+  /// here (the `analysis.saturation_skips` counter tallies them; the
+  /// `sched.solves` counter counts the solves actually run).  A pure
   /// function of the inputs (unlike wall-clock throughput), so it is safe
   /// to surface through the deterministic DSE telemetry.
   std::size_t scenario_solves = 0;
@@ -97,7 +100,10 @@ class McAnalysis {
   /// their bounds vectors (SchedulingAnalysis::prepare / solve).  Scenarios
   /// are built in a per-thread scratch arena: each is a sparse edit list
   /// over the shared all-critical template, deduplicated, and materialized
-  /// once into a contiguous lane buffer that solve_many() reads in place.
+  /// once into a contiguous lane buffer that the solvers read in place.
+  /// The last scenario of the similarity order is solved first, alone: when
+  /// its bound already reaches the Naive pass at every task, no other
+  /// scenario can change the result, and they are skipped.
   ///
   /// When `pool` is non-null the independent transition scenarios (and the
   /// Naive intersection pass) of Algorithm 1 run concurrently on it; the

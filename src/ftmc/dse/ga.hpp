@@ -51,8 +51,9 @@ struct GenerationStats {
   /// Algorithm-1 transition scenarios actually analyzed for this
   /// generation (cache hits skip their scenarios entirely).
   std::size_t scenarios_analyzed = 0;
-  /// Backend fixed-point solves run for those scenarios (normal + Naive +
-  /// unique scenarios per evaluated candidate; cache hits contribute none).
+  /// Backend fixed-point solves Algorithm 1 calls for on those scenarios
+  /// (normal + Naive + unique scenarios per evaluated candidate, including
+  /// those the saturation probe skips; cache hits contribute none).
   std::size_t scenario_solves = 0;
   /// Analysis throughput of this generation's evaluation batch.
   double scenarios_per_second = 0.0;

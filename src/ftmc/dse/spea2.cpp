@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <numeric>
 #include <stdexcept>
 
@@ -29,20 +30,6 @@ double distance2(const ObjectiveVector& a, const ObjectiveVector& b) {
   return sum;
 }
 
-/// Sorted squared distances from each point to every other point.
-std::vector<std::vector<double>> distance_matrix(
-    const std::vector<ObjectiveVector>& points) {
-  const std::size_t n = points.size();
-  std::vector<std::vector<double>> distances(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    distances[i].reserve(n - 1);
-    for (std::size_t j = 0; j < n; ++j)
-      if (j != i) distances[i].push_back(distance2(points[i], points[j]));
-    std::sort(distances[i].begin(), distances[i].end());
-  }
-  return distances;
-}
-
 }  // namespace
 
 std::vector<double> spea2_fitness(const std::vector<ObjectiveVector>& points) {
@@ -50,30 +37,37 @@ std::vector<double> spea2_fitness(const std::vector<ObjectiveVector>& points) {
   std::vector<double> fitness(n, 0.0);
   if (n == 0) return fitness;
 
-  // Strength and raw fitness.
+  // Strength and raw fitness; dom[i * n + j] is set when i dominates j.
   std::vector<std::size_t> strength(n, 0);
-  std::vector<std::vector<bool>> dom(n, std::vector<bool>(n, false));
+  std::vector<std::uint8_t> dom(n * n, 0);
   for (std::size_t i = 0; i < n; ++i)
     for (std::size_t j = 0; j < n; ++j)
       if (i != j && dominates(points[i], points[j])) {
-        dom[i][j] = true;
+        dom[i * n + j] = 1;
         ++strength[i];
       }
   for (std::size_t i = 0; i < n; ++i) {
     double raw = 0.0;
     for (std::size_t j = 0; j < n; ++j)
-      if (dom[j][i]) raw += static_cast<double>(strength[j]);
+      if (dom[j * n + i]) raw += static_cast<double>(strength[j]);
     fitness[i] = raw;
   }
 
-  // Density via k-th nearest neighbour.
+  // Density via the k-th nearest neighbour.  Only the k-th smallest
+  // distance is read, so one reused row is partitioned, never sorted.
   const auto k = static_cast<std::size_t>(std::sqrt(static_cast<double>(n)));
-  const auto distances = distance_matrix(points);
+  std::vector<double> row;
+  row.reserve(n - 1);
   for (std::size_t i = 0; i < n; ++i) {
     double sigma = 0.0;
-    if (!distances[i].empty()) {
-      const std::size_t idx = std::min(k, distances[i].size()) - 1;
-      sigma = std::sqrt(distances[i][std::max<std::size_t>(idx, 0)]);
+    if (n > 1) {
+      row.clear();
+      for (std::size_t j = 0; j < n; ++j)
+        if (j != i) row.push_back(distance2(points[i], points[j]));
+      const auto kth =
+          row.begin() + static_cast<std::ptrdiff_t>(std::min(k, n - 1) - 1);
+      std::nth_element(row.begin(), kth, row.end());
+      sigma = std::sqrt(*kth);
     }
     fitness[i] += 1.0 / (sigma + 2.0);
   }

@@ -435,8 +435,10 @@ PreparedProblem::UpdateOutcome PreparedProblem::update_node(
   } else {
     finish = offset_aware ? offset_finish(arrival) : jitter_fallback(arrival);
     // Self re-arrival: beyond one period the offset argument for the
-    // analyzed job no longer holds; use the jitter-based bound.
-    if (offset_aware && finish > period_[i])
+    // analyzed job no longer holds; use the jitter-based bound.  A finish
+    // already past the horizon diverges below whatever the fallback
+    // returns, so the fallback is not run for it.
+    if (offset_aware && finish > period_[i] && finish <= horizon)
       finish = std::max(finish, jitter_fallback(arrival));
     if (finish > horizon) {
       outcome.diverged = true;

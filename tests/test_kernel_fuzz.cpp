@@ -206,17 +206,21 @@ TEST(KernelFuzz, ThreeBackendsBitwiseIdentical) {
 }
 
 // McAnalysis (prepared problem, sparse scenario edits over the all-critical
-// template, dedup, similarity sort, batched solve_many, optional pool) must
-// be a pure transport optimization of Algorithm 1: on every random input,
-// both Proposed and Naive results — including the solve count — are
-// bitwise identical to the plain oracle (one full bounds vector and one
-// backend analyze() per trigger), on the production backend and on the
-// oracle backend (which enters McAnalysis through the rebuild-per-solve
-// adapter).
+// template, dedup, similarity sort, saturation probe, batched solve_many,
+// optional pool) must be a pure transport optimization of Algorithm 1: on
+// every random input, both Proposed and Naive results — including the
+// solve count — are bitwise identical to the plain oracle (one full bounds
+// vector and one backend analyze() per trigger), on the production backend
+// and on the oracle backend (which enters McAnalysis through the
+// rebuild-per-solve adapter).
 TEST(KernelFuzz, McAnalysisMatchesAlgorithm1Oracle) {
   const std::size_t iters = env_size("FTMC_FUZZ_ITERS", 40);
   const std::uint64_t base_seed = env_u64("FTMC_FUZZ_SEED", 2024);
   util::ThreadPool pool(4);
+  // Proposed analyses with at least two unique scenarios, by whether the
+  // saturation probe skipped the others.
+  std::size_t saturated = 0;
+  std::size_t unsaturated = 0;
   for (std::size_t iter = 0; iter < iters; ++iter) {
     const std::uint64_t seed = base_seed + iter;
     SCOPED_TRACE("iteration " + std::to_string(iter) + ", seed " +
@@ -243,11 +247,28 @@ TEST(KernelFuzz, McAnalysisMatchesAlgorithm1Oracle) {
                                                                : "naive");
         const auto reference = oracle::mc_analyze(
             backend, system.arch, input.system, input.candidate.drop, mode);
+        const std::uint64_t skips_before =
+            obs::snapshot().value_of("analysis.saturation_skips");
         const auto result =
             analysis.analyze(system.arch, input.system, input.candidate.drop,
                              mode, maybe_pool);
+        const std::uint64_t skips =
+            obs::snapshot().value_of("analysis.saturation_skips") -
+            skips_before;
         expect_same_mc_result(reference, result);
         EXPECT_EQ(reference.scenario_solves, result.scenario_solves);
+        // The probe skips all other unique scenarios or none.
+        if (result.scenario_solves >= 4) {
+          const std::size_t others = result.scenario_solves - 3;
+          if (skips == 0) {
+            ++unsaturated;
+          } else {
+            EXPECT_EQ(skips, others);
+            ++saturated;
+          }
+        } else {
+          EXPECT_EQ(skips, 0u);
+        }
       }
     };
     check(benchmark, fx, sched::HolisticAnalysis(regime),
@@ -263,8 +284,14 @@ TEST(KernelFuzz, McAnalysisMatchesAlgorithm1Oracle) {
     if (::testing::Test::HasFailure()) break;  // one seed is enough to debug
   }
 
-  // The sparse scenario construction must actually have run.
+  // The sparse scenario construction must actually have run, and the
+  // saturation probe must have taken both branches (a single-seed rerun
+  // need not reach both).
   EXPECT_GT(obs::snapshot().value_of("analysis.bounds_edits"), 0u);
+  if (iters >= 10) {
+    EXPECT_GT(saturated, 0u);
+    EXPECT_GT(unsaturated, 0u);
+  }
 }
 
 // ---- Hand-made operator edge cases -------------------------------------

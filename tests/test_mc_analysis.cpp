@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include "ftmc/obs/metrics.hpp"
 #include "ftmc/sched/holistic.hpp"
 #include "helpers.hpp"
+#include "oracle/mc_analysis_oracle.hpp"
 
 namespace {
 
@@ -191,6 +193,92 @@ TEST(McAnalysis, DroppedGraphBoundsAreNotGuaranteed) {
   // The schedulability verdict ignores the dropped graph even if its own
   // bound exceeds its deadline; the critical graph decides.
   EXPECT_TRUE(result.schedulable());
+}
+
+// ---- Saturation probe ----------------------------------------------------
+//
+// The last scenario of the similarity order is solved first, alone.  When
+// its bound reaches the Naive pass at every task, no other scenario can
+// change max(normal, min(S, Naive)), and they are skipped.  Either way the
+// result is exactly the plain Algorithm 1's, solve count included.
+
+/// One analysis with the skip and backend-solve counts it added, checked
+/// against the plain Algorithm 1.
+struct CountedRun {
+  core::McAnalysisResult result;
+  std::uint64_t skips = 0;
+  std::uint64_t solves = 0;
+};
+
+CountedRun analyze_counted(const model::Architecture& arch,
+                           const hardening::HardenedSystem& system,
+                           const DropSet& drop) {
+  const sched::HolisticAnalysis backend;
+  const McAnalysis analysis(backend);
+  const obs::MetricsSnapshot before = obs::snapshot();
+  CountedRun run{analysis.analyze(arch, system, drop)};
+  const obs::MetricsSnapshot after = obs::snapshot();
+  run.skips = after.value_of("analysis.saturation_skips") -
+              before.value_of("analysis.saturation_skips");
+  run.solves = after.value_of("sched.solves") - before.value_of("sched.solves");
+  const auto reference = oracle::mc_analyze(backend, arch, system, drop);
+  fixtures::expect_same_mc_result(reference, run.result);
+  EXPECT_EQ(reference.scenario_solves, run.result.scenario_solves);
+  return run;
+}
+
+/// A plan re-executing the first `hardened` tasks of `apps` (flat order)
+/// once.
+HardeningPlan reexecute_first(const model::ApplicationSet& apps,
+                              std::size_t hardened) {
+  HardeningPlan plan(apps.task_count());
+  for (std::size_t i = 0; i < hardened; ++i) {
+    plan[i].technique = Technique::kReexecution;
+    plan[i].reexecutions = 1;
+  }
+  return plan;
+}
+
+TEST(McAnalysisProbe, SaturatedProbeSkipsTheOtherScenarios) {
+  // A chain t0 -> t1 -> t2 on one PE, nothing dropped, so the Naive bounds
+  // are the all-critical template.  t0 always finishes before t2 can start
+  // (2 x BCET > WCET), so t2's scenario runs t0 at its nominal bounds; the
+  // scenarios of t0 and t1 edit nothing and are the template itself.  The
+  // template sorts last, and solving it repeats the Naive pass: the probe
+  // saturates and t2's scenario is never solved.
+  std::vector<model::TaskGraph> graphs;
+  graphs.push_back(
+      fixtures::chain_graph("crit", 3, 60, 100, 1000, false, 1e-6));
+  const model::ApplicationSet apps{std::move(graphs)};
+  const auto system = harden(apps, reexecute_first(apps, 3), 1);
+  const CountedRun run =
+      analyze_counted(fixtures::test_arch(1), system, {false});
+  EXPECT_EQ(run.result.scenario_count, 3u);
+  ASSERT_EQ(run.result.scenario_solves, 4u);  // normal, Naive, 2 unique
+  EXPECT_EQ(run.skips, 1u);                   // unique - 1
+  EXPECT_EQ(run.solves, 3u);                  // normal, Naive, probe
+}
+
+TEST(McAnalysisProbe, UnsaturatedProbeSolvesEveryScenario) {
+  // Critical chain c0 -> c1 (both re-executed, the only triggers) and
+  // dropped chain d0 -> d1, round-robin on two PEs.  d0 is longer than any
+  // transition window, so d1 starts only after the transition completed
+  // and is certainly dropped ([0, 0]) in both scenarios.  Its scenario
+  // bound is then below its Naive one, so the probe cannot saturate and
+  // the other scenario (the two differ in d0's release cutoff) is solved
+  // too.
+  std::vector<model::TaskGraph> graphs;
+  graphs.push_back(
+      fixtures::chain_graph("crit", 2, 60, 100, 1000, false, 1e-6));
+  graphs.push_back(fixtures::chain_graph("drop", 2, 300, 300, 1000, true, 1.0));
+  const model::ApplicationSet apps{std::move(graphs)};
+  const auto system = harden(apps, reexecute_first(apps, 2), 2);
+  const CountedRun run =
+      analyze_counted(fixtures::test_arch(2), system, {false, true});
+  EXPECT_EQ(run.result.scenario_count, 2u);
+  ASSERT_EQ(run.result.scenario_solves, 4u);  // normal, Naive, 2 unique
+  EXPECT_EQ(run.skips, 0u);
+  EXPECT_EQ(run.solves, 4u);
 }
 
 }  // namespace

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
 
 #include "ftmc/util/rng.hpp"
 
@@ -148,5 +151,164 @@ TEST_P(Spea2Property, FrontMembersPreferredOverDominated) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, Spea2Property,
                          ::testing::Range<std::uint64_t>(1, 11));
+
+// ---- Fitness against the sort-based reference ----------------------------
+//
+// spea2_fitness reads only the k-th smallest neighbour distance, and takes
+// it with nth_element on one reused row.  The reference below is the
+// sort-based computation it replaced (one n x n dominance matrix of bool
+// rows, one fully sorted distance row per point); both must give the same
+// fitness bit for bit, and so the same selection.
+
+double reference_distance2(const ObjectiveVector& a, const ObjectiveVector& b) {
+  double sum = 0.0;
+  for (std::size_t k = 0; k < a.size(); ++k) {
+    const double d = a[k] - b[k];
+    sum += d * d;
+  }
+  return sum;
+}
+
+std::vector<double> reference_fitness(
+    const std::vector<ObjectiveVector>& points) {
+  const std::size_t n = points.size();
+  std::vector<double> fitness(n, 0.0);
+  if (n == 0) return fitness;
+  std::vector<std::size_t> strength(n, 0);
+  std::vector<std::vector<bool>> dom(n, std::vector<bool>(n, false));
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = 0; j < n; ++j)
+      if (i != j && dominates(points[i], points[j])) {
+        dom[i][j] = true;
+        ++strength[i];
+      }
+  for (std::size_t i = 0; i < n; ++i) {
+    double raw = 0.0;
+    for (std::size_t j = 0; j < n; ++j)
+      if (dom[j][i]) raw += static_cast<double>(strength[j]);
+    fitness[i] = raw;
+  }
+  std::vector<std::vector<double>> distances(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j)
+      if (j != i)
+        distances[i].push_back(reference_distance2(points[i], points[j]));
+    std::sort(distances[i].begin(), distances[i].end());
+  }
+  const auto k = static_cast<std::size_t>(std::sqrt(static_cast<double>(n)));
+  for (std::size_t i = 0; i < n; ++i) {
+    double sigma = 0.0;
+    if (!distances[i].empty())
+      sigma = std::sqrt(distances[i][std::min(k, distances[i].size()) - 1]);
+    fitness[i] += 1.0 / (sigma + 2.0);
+  }
+  return fitness;
+}
+
+/// spea2_select's environmental selection over the reference fitness.
+std::vector<std::size_t> reference_select(
+    const std::vector<ObjectiveVector>& points, std::size_t capacity) {
+  const std::size_t n = points.size();
+  if (capacity == 0 || n == 0) return {};
+  const std::vector<double> fitness = reference_fitness(points);
+  std::vector<std::size_t> selected;
+  for (std::size_t i = 0; i < n; ++i)
+    if (fitness[i] < 1.0) selected.push_back(i);
+  if (selected.size() < capacity) {
+    std::vector<std::size_t> rest;
+    for (std::size_t i = 0; i < n; ++i)
+      if (fitness[i] >= 1.0) rest.push_back(i);
+    std::sort(rest.begin(), rest.end(), [&](std::size_t a, std::size_t b) {
+      return fitness[a] < fitness[b];
+    });
+    for (std::size_t i = 0; i < rest.size() && selected.size() < capacity;
+         ++i)
+      selected.push_back(rest[i]);
+    return selected;
+  }
+  std::vector<bool> alive(n, false);
+  for (std::size_t i : selected) alive[i] = true;
+  std::size_t alive_count = selected.size();
+  while (alive_count > capacity) {
+    std::size_t victim = SIZE_MAX;
+    std::vector<double> victim_key;
+    for (std::size_t i : selected) {
+      if (!alive[i]) continue;
+      std::vector<double> key;
+      for (std::size_t j : selected)
+        if (j != i && alive[j])
+          key.push_back(reference_distance2(points[i], points[j]));
+      std::sort(key.begin(), key.end());
+      if (victim == SIZE_MAX ||
+          std::lexicographical_compare(key.begin(), key.end(),
+                                       victim_key.begin(),
+                                       victim_key.end())) {
+        victim = i;
+        victim_key = std::move(key);
+      }
+    }
+    alive[victim] = false;
+    --alive_count;
+  }
+  std::vector<std::size_t> result;
+  for (std::size_t i : selected)
+    if (alive[i]) result.push_back(i);
+  return result;
+}
+
+/// `n` seeded points in `dims` objectives with duplicates and ties: about a
+/// fifth repeat an earlier point, and half the coordinates sit on a small
+/// integer grid.  `on_front` puts every point on the anti-diagonal
+/// x_0 + x_1 = 8 (two objectives), so all are non-dominated and selection
+/// truncates.
+std::vector<ObjectiveVector> seeded_points(std::size_t n, std::size_t dims,
+                                           bool on_front, std::uint64_t seed) {
+  ftmc::util::Rng rng(seed);
+  std::vector<ObjectiveVector> points;
+  while (points.size() < n) {
+    if (!points.empty() && rng.chance(0.2)) {
+      points.push_back(points[rng.index(points.size())]);
+      continue;
+    }
+    const double x = rng.chance(0.5) ? static_cast<double>(rng.index(9))
+                                     : rng.uniform_real(0.0, 8.0);
+    if (on_front) {
+      points.push_back({x, 8.0 - x});
+      continue;
+    }
+    ObjectiveVector point{x};
+    while (point.size() < dims)
+      point.push_back(rng.chance(0.5) ? static_cast<double>(rng.index(9))
+                                      : rng.uniform_real(0.0, 8.0));
+    points.push_back(point);
+  }
+  return points;
+}
+
+TEST(Spea2Fitness, MatchesSortBasedReference) {
+  for (const std::size_t n : {1, 2, 3, 40, 80, 100, 200, 250}) {
+    for (const std::size_t dims : {1, 2}) {
+      for (const bool on_front : {false, true}) {
+        if (on_front && dims != 2) continue;
+        SCOPED_TRACE("n " + std::to_string(n) + ", dims " +
+                     std::to_string(dims) + (on_front ? ", front" : ""));
+        const auto points = seeded_points(n, dims, on_front, 7 * n + dims);
+        const std::vector<double> fitness = spea2_fitness(points);
+        const std::vector<double> reference = reference_fitness(points);
+        ASSERT_EQ(fitness.size(), reference.size());
+        for (std::size_t i = 0; i < n; ++i)
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(fitness[i]),
+                    std::bit_cast<std::uint64_t>(reference[i]))
+              << "point " << i;
+        // Truncating half a front of 200+ points costs the cubic reference
+        // seconds; fronts up to 100 points cover truncation.
+        if (on_front && n > 100) continue;
+        const std::size_t capacity = std::max<std::size_t>(1, n / 2);
+        EXPECT_EQ(spea2_select(points, capacity),
+                  reference_select(points, capacity));
+      }
+    }
+  }
+}
 
 }  // namespace

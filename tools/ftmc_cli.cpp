@@ -47,6 +47,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cli_options.hpp"
@@ -74,9 +75,11 @@ using namespace ftmc;
 
 namespace {
 
-int usage() {
-  std::cerr <<
+/// The command summary.
+void print_usage(std::ostream& out) {
+  out <<
       "usage: ftmc <command> <system.ftmc> [options]\n"
+      "       ftmc [<command>] -h|--help\n"
       "       ftmc check PATH...\n"
       "commands:\n"
       "  info      print a model summary\n"
@@ -131,8 +134,15 @@ int usage() {
       "  --metrics-json=FILE   write the final counter/histogram snapshot\n"
       "  --chrome-trace=FILE   record spans, write Chrome trace-event JSON\n"
       "  --quiet               suppress progress output (results only)\n";
+}
+
+/// A malformed command line: the summary on stderr, exit 2.
+int usage() {
+  print_usage(std::cerr);
   return 2;
 }
+
+bool is_help(std::string_view arg) { return arg == "-h" || arg == "--help"; }
 
 core::Candidate require_candidate(const io::SystemSpec& spec) {
   if (!spec.candidate.has_value())
@@ -596,6 +606,13 @@ bool has_flag(int argc, char** argv, const char* name) {
 int main(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string command = argv[1];
+  // Asked-for help, as the command or as the first argument after a known
+  // one, is an answer: the summary on stdout, exit 0.
+  const auto help = [] {
+    print_usage(std::cout);
+    return 0;
+  };
+  if (is_help(command)) return help();
   const bool known = command == "info" || command == "dot" ||
                      command == "analyze" || command == "simulate" ||
                      command == "optimize" || command == "campaign" ||
@@ -604,6 +621,7 @@ int main(int argc, char** argv) {
     std::cerr << "error: unknown command '" << command << "'\n";
     return usage();
   }
+  if (argc >= 3 && is_help(argv[2])) return help();
   // A known command with no file is a targeted complaint, not a usage dump:
   // the user got the command right and only needs the missing piece.
   if (argc < 3) {
