@@ -7,6 +7,7 @@
 #include "ftmc/core/eval_store.hpp"
 #include "ftmc/core/evaluation_cache.hpp"
 #include "ftmc/util/hash.hpp"
+#include "ftmc/util/lease.hpp"
 
 namespace ftmc::core {
 
@@ -143,9 +144,14 @@ Evaluation Evaluator::evaluate_uncached(const Candidate& candidate) const {
       *arch_, *apps_, candidate.plan, candidate.base_mapping);
   evaluation.reliability_ok = reliability.all_satisfied;
 
-  const hardening::HardenedSystem system = hardening::apply_hardening(
-      *apps_, candidate.plan, candidate.base_mapping,
-      arch_->processor_count());
+  // T' as flat arrays only: nothing below reads a name.  The view is
+  // leased, not thread_local: with a scenario pool, a worker waiting in
+  // this candidate's scenario fan-out can start another evaluation on
+  // this thread.
+  util::ThreadLease<hardening::HardenedView> lease;
+  hardening::HardenedView& view = *lease;
+  hardening::build_view(view, *apps_, candidate.plan, candidate.base_mapping,
+                        arch_->processor_count());
 
   DropSet drop = candidate.drop;
   if (!options_.allow_dropping)
@@ -153,28 +159,27 @@ Evaluation Evaluator::evaluate_uncached(const Candidate& candidate) const {
 
   const McAnalysis analysis(*backend_, options_.policy);
   const McAnalysisResult verdict = analysis.analyze(
-      *arch_, system, drop, options_.mode, options_.scenario_pool);
+      *arch_, view, drop, options_.mode, options_.scenario_pool);
   evaluation.normal_schedulable = verdict.normal_schedulable;
   evaluation.critical_schedulable = verdict.critical_schedulable;
   evaluation.scenario_count = verdict.scenario_count;
   evaluation.scenario_solves = verdict.scenario_solves;
-  evaluation.graph_wcrt.reserve(system.apps.graph_count());
-  for (std::uint32_t g = 0; g < system.apps.graph_count(); ++g) {
+  evaluation.graph_wcrt.reserve(view.graph_count());
+  for (std::uint32_t g = 0; g < view.graph_count(); ++g) {
     // Dropped applications carry no critical-state guarantee; report their
     // normal-state bound (the guarantee they do have).
     evaluation.graph_wcrt.push_back(
-        drop[g] ? verdict.normal.graph_wcrt(system.apps, model::GraphId{g})
-                : verdict.graph_wcrt(system.apps, model::GraphId{g}));
+        drop[g] ? verdict.normal.graph_wcrt(view, model::GraphId{g})
+                : verdict.graph_wcrt(view, model::GraphId{g}));
   }
 
   // Power needs a consistent allocation even for mapping-invalid
   // candidates; widen to the PEs actually used so the objective stays
   // defined (the penalty dominates anyway).
   Allocation power_allocation = candidate.allocation;
-  for (const model::ProcessorId pe : system.mapping.flat())
+  for (const model::ProcessorId pe : view.pe)
     power_allocation[pe.value] = true;
-  evaluation.power =
-      expected_power(*arch_, system, power_allocation, &drop);
+  evaluation.power = expected_power(*arch_, view, power_allocation, &drop);
   evaluation.service = service_value(*apps_, drop);
 
   if (!evaluation.feasible()) {
@@ -184,30 +189,27 @@ Evaluation Evaluator::evaluate_uncached(const Candidate& candidate) const {
     // penalty makes every infeasible candidate equivalent and the search
     // blind until the first feasible point appears).
     double violation = 0.0;
-    for (std::uint32_t g = 0; g < system.apps.graph_count(); ++g) {
-      const model::GraphId id{g};
-      const model::TaskGraph& graph = system.apps.graph(id);
-      const model::Time deadline = graph.deadline();
+    for (std::uint32_t g = 0; g < view.graph_count(); ++g) {
+      const model::Time deadline = view.period[g];
       // Dropped applications only owe their deadline in the normal state.
-      const model::Time wcrt = drop[g]
-                                   ? verdict.normal.graph_wcrt(system.apps, id)
-                                   : verdict.graph_wcrt(system.apps, id);
+      const model::Time wcrt = evaluation.graph_wcrt[g];
       if (wcrt <= deadline) continue;
       // Continuous miss measure: partial overrun plus the fraction of the
       // graph's tasks already past the deadline — a mapping that fixes some
       // tasks of a still-failing graph must score better than one that
       // fixes none, or the GA sees a plateau.
+      const std::uint32_t first = view.node_offsets[g];
+      const std::uint32_t last = view.node_offsets[g + 1];
       std::size_t late = 0;
-      for (std::uint32_t v = 0; v < graph.task_count(); ++v) {
-        const std::size_t flat = system.apps.flat_index({g, v});
+      for (std::uint32_t i = first; i < last; ++i) {
         const model::Time bound = drop[g]
-                                      ? verdict.normal.windows[flat].max_finish
-                                      : verdict.wcrt[flat];
+                                      ? verdict.normal.windows[i].max_finish
+                                      : verdict.wcrt[i];
         if (bound > deadline) ++late;
       }
       violation += 0.5 +
                    static_cast<double>(late) /
-                       static_cast<double>(graph.task_count()) +
+                       static_cast<double>(last - first) +
                    std::min(2.0, static_cast<double>(wcrt - deadline) /
                                      static_cast<double>(deadline));
     }

@@ -13,20 +13,15 @@
 #pragma once
 
 #include "ftmc/hardening/hardening.hpp"
-#include "ftmc/model/task_graph.hpp"
 #include "ftmc/sched/analysis.hpp"
 
 namespace ftmc::core {
 
-/// Eq. (1): worst-case execution including all re-executions.
-model::Time critical_wcet(const model::Task& task,
-                          const hardening::HardenedTaskInfo& info) noexcept;
-
-sched::ExecBounds nominal_bounds(
-    const model::Task& task, const hardening::HardenedTaskInfo& info) noexcept;
-
-sched::ExecBounds critical_bounds(
-    const model::Task& task, const hardening::HardenedTaskInfo& info) noexcept;
+/// Bounds of node `node` of T' (read off the flat view) in the two roles.
+sched::ExecBounds nominal_bounds(const hardening::HardenedView& view,
+                                 std::size_t node) noexcept;
+sched::ExecBounds critical_bounds(const hardening::HardenedView& view,
+                                  std::size_t node) noexcept;
 
 /// Nominal bounds for every task of a hardened system, flat order.
 std::vector<sched::ExecBounds> nominal_bounds_of(

@@ -1,16 +1,17 @@
 #include "ftmc/core/mc_analysis.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 #include <memory>
 #include <numeric>
 #include <span>
 #include <stdexcept>
-#include <unordered_map>
 
 #include "ftmc/obs/metrics.hpp"
 #include "ftmc/obs/trace.hpp"
 #include "ftmc/util/hash.hpp"
+#include "ftmc/util/lease.hpp"
 #include "ftmc/util/thread_pool.hpp"
 
 namespace ftmc::core {
@@ -47,11 +48,13 @@ struct ScenarioEdit {
 /// Per-candidate scenario scratch.  Every container is cleared (never
 /// shrunk) between analyze() calls, so a warmed-up arena builds, dedupes,
 /// sorts, solves, and merges all scenarios of a candidate without touching
-/// the allocator.
+/// the allocator.  Leased per call (util::ThreadLease): a nested analyze()
+/// on this thread gets an arena of its own.
 struct ScenarioArena {
   struct Slice {
     std::size_t begin = 0;
     std::size_t count = 0;
+    std::uint64_t hash = 0;
   };
   // Per-task tables, built once per candidate; scenario classification
   // reads only these and the normal-state windows.
@@ -60,7 +63,9 @@ struct ScenarioArena {
   std::vector<std::uint8_t> dropped;       ///< task's graph is in T_d
   std::vector<ScenarioEdit> edits;       ///< slices of per-scenario edits
   std::vector<Slice> slices;             ///< one per unique scenario
-  std::unordered_map<std::uint64_t, std::vector<std::size_t>> index_by_hash;
+  /// Dedup table, open addressing with linear probing: 1 + the index of a
+  /// unique scenario's slice, or 0 for an empty slot.
+  std::vector<std::uint32_t> dedup_slots;
   std::vector<std::size_t> order;        ///< similarity-sorted slice indices
   std::vector<sched::ExecBounds> lanes;  ///< materialized unique scenarios
   std::vector<std::span<const sched::ExecBounds>> lane_views;
@@ -68,39 +73,6 @@ struct ScenarioArena {
   std::vector<sched::AnalysisResult> results;
   std::vector<model::Time> scenario_part;
   std::vector<model::Time> naive_part;
-};
-
-/// Arena checkout.  A plain thread_local would be unsafe: a pool worker
-/// waiting inside parallel_for drains the shared queue, so a *nested*
-/// analyze() can start on this thread while an outer one still has its
-/// arena live across the chunk fan-out (the serve batch path does exactly
-/// this).  Each concurrent analyze on a thread therefore leases its own
-/// arena from a per-thread freelist; the freelist depth is bounded by the
-/// nesting depth, so the reuse win is kept without the reentrancy hazard.
-std::vector<std::unique_ptr<ScenarioArena>>& arena_freelist() {
-  thread_local std::vector<std::unique_ptr<ScenarioArena>> freelist;
-  return freelist;
-}
-
-class ArenaLease {
- public:
-  ArenaLease() {
-    auto& freelist = arena_freelist();
-    if (freelist.empty()) {
-      arena_ = std::make_unique<ScenarioArena>();
-    } else {
-      arena_ = std::move(freelist.back());
-      freelist.pop_back();
-    }
-  }
-  ~ArenaLease() { arena_freelist().push_back(std::move(arena_)); }
-  ArenaLease(const ArenaLease&) = delete;
-  ArenaLease& operator=(const ArenaLease&) = delete;
-
-  ScenarioArena& operator*() noexcept { return *arena_; }
-
- private:
-  std::unique_ptr<ScenarioArena> arena_;
 };
 
 }  // namespace
@@ -117,6 +89,27 @@ void validate_drop_set(const model::ApplicationSet& apps,
   }
 }
 
+void validate_drop_set(const hardening::HardenedView& view,
+                       const DropSet& drop) {
+  if (drop.size() != view.graph_count())
+    throw std::invalid_argument("DropSet: size does not match graph count");
+  for (std::uint32_t g = 0; g < view.graph_count(); ++g) {
+    if (drop[g] && view.droppable[g] == 0)
+      throw std::invalid_argument(
+          "DropSet: graph '" + view.source->graph(model::GraphId{g}).name() +
+          "' is not droppable");
+  }
+}
+
+model::Time McAnalysisResult::graph_wcrt(const hardening::HardenedView& view,
+                                         model::GraphId graph) const {
+  model::Time result = 0;
+  for (std::uint32_t s = view.sink_offsets[graph.value];
+       s < view.sink_offsets[graph.value + 1]; ++s)
+    result = std::max(result, wcrt.at(view.sinks[s]));
+  return result;
+}
+
 model::Time McAnalysisResult::graph_wcrt(const model::ApplicationSet& apps,
                                          model::GraphId graph) const {
   const model::TaskGraph& g = apps.graph(graph);
@@ -130,13 +123,13 @@ namespace {
 
 /// Deadline verdict for one backend run, restricted to non-dropped graphs
 /// (dropped applications have no guarantee in the critical state).
-bool non_dropped_meet_deadlines(const model::ApplicationSet& apps,
+bool non_dropped_meet_deadlines(const hardening::HardenedView& view,
                                 const sched::AnalysisResult& result,
                                 const DropSet& drop) {
-  for (std::uint32_t g = 0; g < apps.graph_count(); ++g) {
+  for (std::uint32_t g = 0; g < view.graph_count(); ++g) {
     if (drop[g]) continue;
-    const model::GraphId id{g};
-    if (result.graph_wcrt(apps, id) > apps.graph(id).deadline()) return false;
+    if (result.graph_wcrt(view, model::GraphId{g}) > view.period[g])
+      return false;
   }
   return true;
 }
@@ -159,14 +152,13 @@ const std::vector<sched::ExecBounds>& naive_bounds(ScenarioArena& arena) {
 }  // namespace
 
 McAnalysisResult McAnalysis::analyze(const model::Architecture& arch,
-                                     const hardening::HardenedSystem& system,
+                                     const hardening::HardenedView& view,
                                      const DropSet& drop, Mode mode,
                                      util::ThreadPool* pool) const {
-  const model::ApplicationSet& apps = system.apps;
-  validate_drop_set(apps, drop);
-  const std::size_t n = apps.task_count();
-  const auto priorities = sched::assign_priorities(apps, policy_);
-  ArenaLease lease;
+  validate_drop_set(view, drop);
+  const std::size_t n = view.node_count();
+  const auto priorities = sched::assign_priorities(view, policy_);
+  util::ThreadLease<ScenarioArena> lease;
   ScenarioArena& arena = *lease;
 
   // Every backend run below analyzes the same candidate (mapping +
@@ -177,18 +169,16 @@ McAnalysisResult McAnalysis::analyze(const model::Architecture& arch,
   const std::unique_ptr<sched::PreparedAnalysis> prepared = [&] {
     obs::Span span("analysis.prepare");
     analysis_counters().prepares.add(1);
-    return backend_->prepare(arch, apps, system.mapping, priorities);
+    return backend_->prepare(arch, view, priorities);
   }();
 
   arena.nominal.resize(n);
   arena.base.resize(n);
   arena.dropped.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
-    const model::TaskRef ref = apps.task_ref(i);
-    const model::Task& task = apps.task(ref);
-    arena.nominal[i] = nominal_bounds(task, system.info[i]);
-    arena.base[i] = critical_bounds(task, system.info[i]);
-    arena.dropped[i] = drop[ref.graph] ? 1 : 0;
+    arena.nominal[i] = nominal_bounds(view, i);
+    arena.base[i] = critical_bounds(view, i);
+    arena.dropped[i] = drop[view.graph_of(i)] ? 1 : 0;
   }
 
   McAnalysisResult result;
@@ -198,7 +188,7 @@ McAnalysisResult McAnalysis::analyze(const model::Architecture& arch,
   result.scenario_solves = 1;
   // Divergent tasks carry kUnschedulable finishes, so the deadline check
   // subsumes the global schedulability flag per graph.
-  result.normal_schedulable = result.normal.meets_deadlines(apps);
+  result.normal_schedulable = result.normal.meets_deadlines(view);
   result.wcrt.assign(n, 0);
   merge_wcrt(result.wcrt, result.normal);
 
@@ -209,7 +199,7 @@ McAnalysisResult McAnalysis::analyze(const model::Architecture& arch,
     // reasoning — this is the estimator Table 2 calls "Naive".
     const auto run = prepared->solve(naive_bounds(arena));
     merge_wcrt(result.wcrt, run);
-    result.critical_schedulable = non_dropped_meet_deadlines(apps, run, drop);
+    result.critical_schedulable = non_dropped_meet_deadlines(view, run, drop);
     result.scenario_count = 1;
     result.scenario_solves = 2;
     return result;
@@ -252,7 +242,7 @@ McAnalysisResult McAnalysis::analyze(const model::Architecture& arch,
   //     width and thread count are bitwise irrelevant.
   std::vector<std::size_t> triggers;
   for (std::size_t v = 0; v < n; ++v)
-    if (system.info[v].triggers_critical_state) triggers.push_back(v);
+    if (view.info[v].triggers_critical_state) triggers.push_back(v);
   result.scenario_count = triggers.size();
 
   // No trigger means no critical-state transition: the normal-state bound
@@ -285,7 +275,9 @@ McAnalysisResult McAnalysis::analyze(const model::Architecture& arch,
   // bounds vector at a time.
   arena.edits.clear();
   arena.slices.clear();
-  arena.index_by_hash.clear();
+  const std::size_t table_size = std::bit_ceil(2 * triggers.size());
+  const std::size_t mask = table_size - 1;
+  arena.dedup_slots.assign(table_size, 0);
   std::uint64_t edit_count = 0;
   for (const std::size_t v : triggers) {
     const model::Time v_min_start = result.normal.windows[v].min_start;
@@ -313,12 +305,16 @@ McAnalysisResult McAnalysis::analyze(const model::Architecture& arch,
     const std::size_t count = arena.edits.size() - begin;
     // Hash-keyed dedup, first-occurrence order preserved; exact equality
     // is verified against every same-hash entry (degrade-to-miss, same
-    // contract as EvaluationCache).
-    std::vector<std::size_t>& slots = arena.index_by_hash[hasher.digest()];
+    // contract as EvaluationCache).  Nothing is ever removed from the
+    // table, so every same-hash entry lies on the probe run before the
+    // first empty slot.
+    const std::uint64_t hash = hasher.digest();
+    std::size_t slot = static_cast<std::size_t>(hash) & mask;
     bool seen = false;
-    for (const std::size_t slot : slots) {
-      const ScenarioArena::Slice& slice = arena.slices[slot];
-      if (slice.count == count &&
+    for (; arena.dedup_slots[slot] != 0; slot = (slot + 1) & mask) {
+      const ScenarioArena::Slice& slice =
+          arena.slices[arena.dedup_slots[slot] - 1];
+      if (slice.hash == hash && slice.count == count &&
           std::equal(arena.edits.begin() +
                          static_cast<std::ptrdiff_t>(slice.begin),
                      arena.edits.begin() +
@@ -333,8 +329,8 @@ McAnalysisResult McAnalysis::analyze(const model::Architecture& arch,
       arena.edits.resize(begin);
       continue;
     }
-    slots.push_back(arena.slices.size());
-    arena.slices.push_back({begin, count});
+    arena.slices.push_back({begin, count, hash});
+    arena.dedup_slots[slot] = static_cast<std::uint32_t>(arena.slices.size());
     edit_count += count;
   }
   analysis_counters().bounds_edits.add(edit_count);
@@ -467,10 +463,9 @@ McAnalysisResult McAnalysis::analyze(const model::Architecture& arch,
   // Critical-state verdict from the combined bound: every non-dropped graph
   // must meet its deadline under the final WCRT.
   result.critical_schedulable = true;
-  for (std::uint32_t g = 0; g < apps.graph_count(); ++g) {
+  for (std::uint32_t g = 0; g < view.graph_count(); ++g) {
     if (drop[g]) continue;
-    const model::GraphId id{g};
-    if (result.graph_wcrt(apps, id) > apps.graph(id).deadline())
+    if (result.graph_wcrt(view, model::GraphId{g}) > view.period[g])
       result.critical_schedulable = false;
   }
   return result;

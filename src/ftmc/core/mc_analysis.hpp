@@ -48,6 +48,9 @@ using DropSet = std::vector<bool>;
 
 /// Validates a drop set against an application set (size, droppability).
 void validate_drop_set(const model::ApplicationSet& apps, const DropSet& drop);
+/// The same against the graphs of a flat hardened view.
+void validate_drop_set(const hardening::HardenedView& view,
+                       const DropSet& drop);
 
 struct McAnalysisResult {
   /// Safe WCRT bound per task of T' (flat order): max finish over the
@@ -77,6 +80,8 @@ struct McAnalysisResult {
   /// WCRT bound of a graph: latest bound over its sink tasks.
   model::Time graph_wcrt(const model::ApplicationSet& apps,
                          model::GraphId graph) const;
+  model::Time graph_wcrt(const hardening::HardenedView& view,
+                         model::GraphId graph) const;
 };
 
 class McAnalysis {
@@ -90,9 +95,11 @@ class McAnalysis {
           sched::PriorityPolicy::kRateMonotonic)
       : backend_(&backend), policy_(policy) {}
 
-  /// Runs the analysis on a hardened system with drop set `drop` (aligned
-  /// with the graphs of `system.apps`, which the transform keeps aligned
-  /// with the original set).
+  /// Runs the analysis on a hardened T' given as a flat view, with drop
+  /// set `drop` (aligned with the graphs of T', which the transform keeps
+  /// aligned with the original set).  Nothing here reads a name: the
+  /// priorities, the backend problem and the scenarios all come from the
+  /// view's arrays.
   ///
   /// The backend problem (flat graph, interferer lists, relation matrix) is
   /// prepared once per call and shared — immutably — by the normal state,
@@ -112,9 +119,17 @@ class McAnalysis {
   /// in a fixed order.  The pool may be shared with candidate-level DSE
   /// workers (ThreadPool::parallel_for is nesting-safe).
   McAnalysisResult analyze(const model::Architecture& arch,
-                           const hardening::HardenedSystem& system,
+                           const hardening::HardenedView& view,
                            const DropSet& drop, Mode mode = Mode::kProposed,
                            util::ThreadPool* pool = nullptr) const;
+
+  /// The same on a materialized hardened system (its view).
+  McAnalysisResult analyze(const model::Architecture& arch,
+                           const hardening::HardenedSystem& system,
+                           const DropSet& drop, Mode mode = Mode::kProposed,
+                           util::ThreadPool* pool = nullptr) const {
+    return analyze(arch, system.view, drop, mode, pool);
+  }
 
  private:
   const sched::SchedulingAnalysis* backend_;

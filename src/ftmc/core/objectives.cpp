@@ -2,33 +2,28 @@
 
 #include <cmath>
 #include <stdexcept>
-#include <unordered_map>
 
 namespace ftmc::core {
 
 double critical_state_probability(const model::Architecture& arch,
-                                  const hardening::HardenedSystem& system) {
-  const model::ApplicationSet& apps = system.apps;
-  const double hyper = static_cast<double>(apps.hyperperiod());
+                                  const hardening::HardenedView& view) {
+  const double hyper = static_cast<double>(view.hyperperiod);
   double no_transition = 1.0;
-  for (std::size_t i = 0; i < apps.task_count(); ++i) {
-    const hardening::HardenedTaskInfo& info = system.info[i];
+  for (std::size_t i = 0; i < view.node_count(); ++i) {
+    const hardening::HardenedTaskInfo& info = view.info[i];
     if (!info.triggers_critical_state) continue;
-    const model::TaskRef ref = apps.task_ref(i);
-    const model::Task& task = apps.task(ref);
-    const model::Processor& pe =
-        arch.processor(system.mapping.processor_of_flat(i));
+    const model::Processor& pe = arch.processor(view.pe[i]);
     const double instances =
-        hyper / static_cast<double>(apps.graph(ref.graph_id()).period());
+        hyper / static_cast<double>(view.period[view.graph_of(i)]);
     double per_instance = 0.0;
     if (info.role == hardening::TaskRole::kPassiveReplica) {
       // Activated when a primary fails; both primaries run task.wcet.
       const double pf =
-          hardening::execution_failure_probability(pe, task.wcet);
+          hardening::execution_failure_probability(pe, view.wcet[i]);
       per_instance = hardening::standby_activation_probability(pf, pf);
     } else {
       per_instance = hardening::execution_failure_probability(
-          pe, task.wcet + task.detection_overhead);
+          pe, view.wcet[i] + view.detection[i]);
     }
     no_transition *= std::pow(1.0 - per_instance, instances);
   }
@@ -36,9 +31,8 @@ double critical_state_probability(const model::Architecture& arch,
 }
 
 std::vector<double> expected_utilization(
-    const model::Architecture& arch, const hardening::HardenedSystem& system,
+    const model::Architecture& arch, const hardening::HardenedView& view,
     const std::vector<bool>* drop) {
-  const model::ApplicationSet& apps = system.apps;
   std::vector<double> utilization(arch.processor_count(), 0.0);
 
   // Share of a dropped application's instances shed per hyperperiod: a
@@ -46,32 +40,23 @@ std::vector<double> expected_utilization(
   // hyperperiod, and detaches the remaining (on average half) instances.
   double drop_factor = 0.0;
   if (drop != nullptr) {
-    if (drop->size() != apps.graph_count())
+    if (drop->size() != view.graph_count())
       throw std::invalid_argument("expected_utilization: drop size mismatch");
-    drop_factor = 0.5 * critical_state_probability(arch, system);
+    drop_factor = 0.5 * critical_state_probability(arch, view);
   }
 
-  // Passive standbys need their primaries' failure probabilities; index
-  // replicas by origin task.
-  std::unordered_map<model::TaskRef, std::vector<std::size_t>> actives;
-  for (std::size_t i = 0; i < apps.task_count(); ++i)
-    if (system.info[i].role == hardening::TaskRole::kActiveReplica)
-      actives[system.info[i].origin].push_back(i);
-
-  for (std::size_t i = 0; i < apps.task_count(); ++i) {
-    const model::TaskRef ref = apps.task_ref(i);
-    const model::Task& task = apps.task(ref);
-    const hardening::HardenedTaskInfo& info = system.info[i];
-    const model::ProcessorId pe = system.mapping.processor_of_flat(i);
+  for (std::size_t i = 0; i < view.node_count(); ++i) {
+    const hardening::HardenedTaskInfo& info = view.info[i];
+    const model::ProcessorId pe = view.pe[i];
     const model::Processor& processor = arch.processor(pe);
-    const double period =
-        static_cast<double>(apps.graph(ref.graph_id()).period());
+    const std::uint32_t graph = view.graph_of(i);
+    const double period = static_cast<double>(view.period[graph]);
 
     double expected_exec = 0.0;
     switch (info.role) {
       case hardening::TaskRole::kOriginal: {
         const model::Time attempt =
-            task.wcet + (info.pays_detection ? task.detection_overhead : 0);
+            view.wcet[i] + (info.pays_detection ? view.detection[i] : 0);
         const double scaled = static_cast<double>(
             hardening::scaled_time(processor, attempt));
         if (info.reexecutions > 0) {
@@ -88,27 +73,30 @@ std::vector<double> expected_utilization(
       case hardening::TaskRole::kActiveReplica:
       case hardening::TaskRole::kVoter:
         expected_exec = static_cast<double>(
-            hardening::scaled_time(processor, task.wcet));
+            hardening::scaled_time(processor, view.wcet[i]));
         break;
       case hardening::TaskRole::kPassiveReplica: {
-        const auto it = actives.find(info.origin);
-        if (it == actives.end() || it->second.size() < 2)
+        // The transform emits a standby right after its two primaries
+        // (replicas r0, r1, then the standby r2).
+        const auto is_primary = [&](std::size_t j) {
+          return view.info[j].role == hardening::TaskRole::kActiveReplica &&
+                 view.info[j].origin == info.origin;
+        };
+        if (i < 2 || !is_primary(i - 2) || !is_primary(i - 1))
           throw std::logic_error(
               "expected_utilization: standby without two primaries");
-        auto pf_of = [&](std::size_t flat) {
-          const model::Processor& p =
-              arch.processor(system.mapping.processor_of_flat(flat));
+        auto pf_of = [&](std::size_t j) {
           return hardening::execution_failure_probability(
-              p, apps.task(apps.task_ref(flat)).wcet);
+              arch.processor(view.pe[j]), view.wcet[j]);
         };
         const double activation = hardening::standby_activation_probability(
-            pf_of(it->second[0]), pf_of(it->second[1]));
+            pf_of(i - 2), pf_of(i - 1));
         expected_exec = activation * static_cast<double>(hardening::scaled_time(
-                                         processor, task.wcet));
+                                         processor, view.wcet[i]));
         break;
       }
     }
-    if (drop != nullptr && (*drop)[ref.graph]) {
+    if (drop != nullptr && (*drop)[graph]) {
       expected_exec *= 1.0 - drop_factor;
     }
     utilization[pe.value] += expected_exec / period;
@@ -117,18 +105,18 @@ std::vector<double> expected_utilization(
 }
 
 double expected_power(const model::Architecture& arch,
-                      const hardening::HardenedSystem& system,
+                      const hardening::HardenedView& view,
                       const Allocation& allocation,
                       const std::vector<bool>* drop) {
   if (allocation.size() != arch.processor_count())
     throw std::invalid_argument("expected_power: allocation size mismatch");
-  for (const model::ProcessorId pe : system.mapping.flat())
+  for (const model::ProcessorId pe : view.pe)
     if (!allocation.at(pe.value))
       throw std::invalid_argument(
           "expected_power: task mapped to unallocated PE");
 
   const std::vector<double> utilization =
-      expected_utilization(arch, system, drop);
+      expected_utilization(arch, view, drop);
   double power = 0.0;
   for (std::size_t p = 0; p < allocation.size(); ++p) {
     if (!allocation[p]) continue;

@@ -24,7 +24,7 @@ using Allocation = std::vector<bool>;
 /// Probability that at least one critical-state transition (a re-execution
 /// or a passive-standby activation) happens within one hyperperiod.
 double critical_state_probability(const model::Architecture& arch,
-                                  const hardening::HardenedSystem& system);
+                                  const hardening::HardenedView& view);
 
 /// Expected utilization of every PE (indexed by processor id) under the
 /// hardened system; entries are >= 0 and may exceed 1 for overloaded PEs.
@@ -35,16 +35,36 @@ double critical_state_probability(const model::Architecture& arch,
 /// the remaining instances of dropped applications are shed — on average
 /// half of a hyperperiod's worth — which slightly lowers the expected
 /// utilization of the PEs hosting them.
+///
+/// Every sum and product runs over the nodes of T' in flat order, so the
+/// doubles are bit-identical however T' was built.
 std::vector<double> expected_utilization(
-    const model::Architecture& arch, const hardening::HardenedSystem& system,
+    const model::Architecture& arch, const hardening::HardenedView& view,
     const std::vector<bool>* drop = nullptr);
 
 /// Expected power over the allocated PEs.  Throws if a task is mapped to an
 /// unallocated PE (callers gate on mapping validity first).
 double expected_power(const model::Architecture& arch,
-                      const hardening::HardenedSystem& system,
+                      const hardening::HardenedView& view,
                       const Allocation& allocation,
                       const std::vector<bool>* drop = nullptr);
+
+/// The three above on a materialized hardened system (its view).
+inline double critical_state_probability(
+    const model::Architecture& arch, const hardening::HardenedSystem& system) {
+  return critical_state_probability(arch, system.view);
+}
+inline std::vector<double> expected_utilization(
+    const model::Architecture& arch, const hardening::HardenedSystem& system,
+    const std::vector<bool>* drop = nullptr) {
+  return expected_utilization(arch, system.view, drop);
+}
+inline double expected_power(const model::Architecture& arch,
+                             const hardening::HardenedSystem& system,
+                             const Allocation& allocation,
+                             const std::vector<bool>* drop = nullptr) {
+  return expected_power(arch, system.view, allocation, drop);
+}
 
 /// Quality of service after dropping: sum of the (finite) service values of
 /// droppable applications that are *not* in T_d.  Non-droppable graphs carry

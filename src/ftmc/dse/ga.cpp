@@ -80,31 +80,33 @@ GaResult GeneticOptimizer::run(const GaOptions& options) const {
   util::ThreadPool pool(options.threads);
   std::mutex observer_mutex;
 
-  // Run-local memoization + scenario parallelism: all workers share one
-  // cache (the run's only memo: it answers every repeated candidate) and,
-  // when enabled, fan each candidate's Algorithm-1 scenarios out over the
-  // same (nesting-safe) pool.  Caller-provided cache/pool in
-  // options.evaluator take precedence.
-  std::optional<core::EvaluationCache> cache;
-  core::Evaluator::Options evaluator_options = options.evaluator;
-  if (evaluator_options.cache == nullptr) {
-    cache.emplace();
-    evaluator_options.cache = &*cache;
-  }
-  if (options.parallel_scenarios &&
-      evaluator_options.scenario_pool == nullptr)
-    evaluator_options.scenario_pool = &pool;
-  const core::Evaluator evaluator(*arch_, *apps_, *backend_,
-                                  evaluator_options);
-
   // Evaluation backend: the caller's executor, or a run-local in-process
-  // one over the evaluator and pool built above.
+  // one.  Only the latter needs an evaluator: run-local memoization +
+  // scenario parallelism, where all workers share one cache (the run's
+  // only memo: it answers every repeated candidate) and, when enabled, fan
+  // each candidate's Algorithm-1 scenarios out over the same
+  // (nesting-safe) pool.  Caller-provided cache/pool in options.evaluator
+  // take precedence.
+  std::optional<core::EvaluationCache> cache;
+  std::optional<core::Evaluator> evaluator;
   std::optional<InProcessExecutor> local_executor;
   Executor* executor = options.executor;
   if (executor == nullptr) {
-    local_executor.emplace(evaluator, pool);
+    core::Evaluator::Options evaluator_options = options.evaluator;
+    if (evaluator_options.cache == nullptr) {
+      cache.emplace();
+      evaluator_options.cache = &*cache;
+    }
+    if (options.parallel_scenarios &&
+        evaluator_options.scenario_pool == nullptr)
+      evaluator_options.scenario_pool = &pool;
+    evaluator.emplace(*arch_, *apps_, *backend_, evaluator_options);
+    local_executor.emplace(*evaluator, pool);
     executor = &*local_executor;
   }
+  // A caller's executor answers from caches the GA cannot see (a worker's
+  // L1 and store); its outcomes say which answers were hits.
+  core::CacheStats executor_answers;
 
   GaResult result;
   result.best_feasible_power = std::numeric_limits<double>::quiet_NaN();
@@ -186,6 +188,8 @@ GaResult GeneticOptimizer::run(const GaOptions& options) const {
               : static_cast<std::uint64_t>(latencies[index]));
     }
     ga_counters().evaluations.add(batch.size());
+    executor_answers.hits += hits;
+    executor_answers.misses += batch.size() - hits;
     std::sort(latencies.begin(), latencies.end());
     last_batch.eval_us = std::move(latencies);
     last_batch.evaluations = batch.size();
@@ -269,8 +273,10 @@ GaResult GeneticOptimizer::run(const GaOptions& options) const {
       result.pareto.push_back(individual);
     }
     result.archive = std::move(archive);
-    if (evaluator.options().cache != nullptr)
-      result.cache = evaluator.options().cache->stats();
+    if (!evaluator.has_value())
+      result.cache = executor_answers;
+    else if (evaluator->options().cache != nullptr)
+      result.cache = evaluator->options().cache->stats();
   };
 
   std::size_t start_generation = 0;

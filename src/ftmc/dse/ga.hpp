@@ -92,7 +92,8 @@ struct GaOptions {
   /// offspring is decoded and handed to the executor, so the cache answers
   /// every repeated candidate.  The cached value is exactly what evaluation
   /// would have produced, so the trajectory matches an uncached executor's
-  /// (the trajectory tests in test_ga.cpp hold the two together).
+  /// (the trajectory tests in test_ga.cpp hold the two together).  Read
+  /// only when `executor` is null: a caller's executor brings its own.
   core::Evaluator::Options evaluator;
   /// Called after each generation's selection (from the driving thread).
   /// On resume it is also replayed for every restored generation, so a
@@ -153,8 +154,10 @@ struct GaResult {
   std::size_t last_generation = 0;
   std::vector<GenerationStats> history;
   /// Final counters of the evaluator's EvaluationCache (the caller's or
-  /// the run-local one).  They count only what the GA's own evaluator saw,
-  /// so they stay zero when a caller's executor evaluates elsewhere.
+  /// the run-local one).  With a caller's executor the GA builds no
+  /// evaluator; then `hits` and `misses` count the executor's answers
+  /// (EvalOutcome::cache_hit) over the batches this run evaluated, and the
+  /// other fields stay zero.
   core::CacheStats cache;
   /// The run-ending boundary snapshot, when capture_final_snapshot was
   /// set (null otherwise, and on the resume-of-finished-run fast path).

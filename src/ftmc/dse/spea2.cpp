@@ -37,36 +37,70 @@ std::vector<double> spea2_fitness(const std::vector<ObjectiveVector>& points) {
   std::vector<double> fitness(n, 0.0);
   if (n == 0) return fitness;
 
-  // Strength and raw fitness; dom[i * n + j] is set when i dominates j.
+  // The objectives once, row-major n x m.
+  const std::size_t m = points[0].size();
+  std::vector<double> objectives(n * m);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (points[i].size() != m)
+      throw std::invalid_argument("dominates: dimensionality mismatch");
+    std::copy(points[i].begin(), points[i].end(),
+              objectives.begin() + static_cast<std::ptrdiff_t>(i * m));
+  }
+
+  // One pass over the unordered pairs decides dominance both ways (a
+  // dominates b when a is nowhere worse and somewhere better; NaN compares
+  // as neither) and fills both rows of the squared-distance matrix:
+  // (a - b)^2 and (b - a)^2 are the same double, summed in the same
+  // objective order.  dominated_by[i * n + j] is set when j dominates i.
   std::vector<std::size_t> strength(n, 0);
-  std::vector<std::uint8_t> dom(n * n, 0);
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = 0; j < n; ++j)
-      if (i != j && dominates(points[i], points[j])) {
-        dom[i * n + j] = 1;
-        ++strength[i];
+  std::vector<std::uint8_t> dominated_by(n * n, 0);
+  std::vector<double> distance(n * n, 0.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double* a = objectives.data() + i * m;
+    for (std::size_t j = i + 1; j < n; ++j) {
+      const double* b = objectives.data() + j * m;
+      bool a_better = false;
+      bool b_better = false;
+      double sum = 0.0;
+      for (std::size_t k = 0; k < m; ++k) {
+        a_better = a_better || a[k] < b[k];
+        b_better = b_better || b[k] < a[k];
+        const double d = a[k] - b[k];
+        sum += d * d;
       }
+      if (a_better && !b_better) {
+        dominated_by[j * n + i] = 1;
+        ++strength[i];
+      } else if (b_better && !a_better) {
+        dominated_by[i * n + j] = 1;
+        ++strength[j];
+      }
+      distance[i * n + j] = sum;
+      distance[j * n + i] = sum;
+    }
+  }
+  // Raw fitness row by row: each i still sums its dominators' strengths in
+  // ascending j, so the doubles are bit-identical to a column scan.
   for (std::size_t i = 0; i < n; ++i) {
     double raw = 0.0;
+    const std::uint8_t* row = dominated_by.data() + i * n;
     for (std::size_t j = 0; j < n; ++j)
-      if (dom[j * n + i]) raw += static_cast<double>(strength[j]);
+      if (row[j]) raw += static_cast<double>(strength[j]);
     fitness[i] = raw;
   }
 
   // Density via the k-th nearest neighbour.  Only the k-th smallest
-  // distance is read, so one reused row is partitioned, never sorted.
+  // distance is read, so each row is partitioned in place, never sorted:
+  // its own zero moves to the end and the first n - 1 entries are the
+  // distances to the others.  No later step reads row i again.
   const auto k = static_cast<std::size_t>(std::sqrt(static_cast<double>(n)));
-  std::vector<double> row;
-  row.reserve(n - 1);
   for (std::size_t i = 0; i < n; ++i) {
     double sigma = 0.0;
     if (n > 1) {
-      row.clear();
-      for (std::size_t j = 0; j < n; ++j)
-        if (j != i) row.push_back(distance2(points[i], points[j]));
-      const auto kth =
-          row.begin() + static_cast<std::ptrdiff_t>(std::min(k, n - 1) - 1);
-      std::nth_element(row.begin(), kth, row.end());
+      double* const row = distance.data() + i * n;
+      std::swap(row[i], row[n - 1]);
+      double* const kth = row + (std::min(k, n - 1) - 1);
+      std::nth_element(row, kth, row + (n - 1));
       sigma = std::sqrt(*kth);
     }
     fitness[i] += 1.0 / (sigma + 2.0);

@@ -41,6 +41,22 @@ bool AnalysisResult::meets_deadlines(const model::ApplicationSet& apps) const {
   return true;
 }
 
+model::Time AnalysisResult::graph_wcrt(const hardening::HardenedView& view,
+                                       model::GraphId graph) const {
+  model::Time wcrt = 0;
+  for (std::uint32_t s = view.sink_offsets[graph.value];
+       s < view.sink_offsets[graph.value + 1]; ++s)
+    wcrt = std::max(wcrt, windows.at(view.sinks[s]).max_finish);
+  return wcrt;
+}
+
+bool AnalysisResult::meets_deadlines(
+    const hardening::HardenedView& view) const {
+  for (std::uint32_t g = 0; g < view.graph_count(); ++g)
+    if (graph_wcrt(view, model::GraphId{g}) > view.period[g]) return false;
+  return true;
+}
+
 namespace {
 
 /// Fallback PreparedAnalysis: no shared state, every solve() rebuilds the
@@ -77,7 +93,38 @@ class RebuildPerSolve final : public PreparedAnalysis {
   std::span<const std::uint32_t> priorities_;
 };
 
+/// Fallback for the view entry: T' materialized once, owned here, and
+/// handed to the backend's (apps, mapping) entry.
+class MaterializedT final : public PreparedAnalysis {
+ public:
+  MaterializedT(const SchedulingAnalysis& backend,
+                const model::Architecture& arch,
+                const hardening::HardenedView& view,
+                std::span<const std::uint32_t> priorities)
+      : system_(hardening::materialize(view)),
+        inner_(backend.prepare(arch, system_.apps, system_.mapping,
+                               priorities)) {}
+
+  AnalysisResult solve(std::span<const ExecBounds> bounds) const override {
+    return inner_->solve(bounds);
+  }
+  void solve_many(std::span<const std::span<const ExecBounds>> scenarios,
+                  std::span<AnalysisResult> results) const override {
+    inner_->solve_many(scenarios, results);
+  }
+
+ private:
+  hardening::HardenedSystem system_;
+  std::unique_ptr<PreparedAnalysis> inner_;
+};
+
 }  // namespace
+
+std::unique_ptr<PreparedAnalysis> SchedulingAnalysis::prepare(
+    const model::Architecture& arch, const hardening::HardenedView& view,
+    std::span<const std::uint32_t> priorities) const {
+  return std::make_unique<MaterializedT>(*this, arch, view, priorities);
+}
 
 std::unique_ptr<PreparedAnalysis> SchedulingAnalysis::prepare(
     const model::Architecture& arch, const model::ApplicationSet& apps,

@@ -15,6 +15,7 @@
 #include <span>
 #include <vector>
 
+#include "ftmc/hardening/hardening.hpp"
 #include "ftmc/model/application_set.hpp"
 #include "ftmc/model/architecture.hpp"
 #include "ftmc/model/mapping.hpp"
@@ -74,6 +75,12 @@ struct AnalysisResult {
 
   /// True if every graph meets its implicit deadline (= period).
   bool meets_deadlines(const model::ApplicationSet& apps) const;
+
+  /// The same two, over a flat hardened view (sinks and periods from the
+  /// view, no TaskGraph).
+  model::Time graph_wcrt(const hardening::HardenedView& view,
+                         model::GraphId graph) const;
+  bool meets_deadlines(const hardening::HardenedView& view) const;
 };
 
 /// A backend instantiated for one (arch, apps, mapping, priorities) tuple.
@@ -133,6 +140,16 @@ class SchedulingAnalysis {
   virtual std::unique_ptr<PreparedAnalysis> prepare(
       const model::Architecture& arch, const model::ApplicationSet& apps,
       const model::Mapping& mapping,
+      std::span<const std::uint32_t> priorities) const;
+
+  /// The same, for a hardened T' given as a flat view (the evaluation path
+  /// never builds TaskGraphs).  The default adapter materializes T' from
+  /// the view and forwards to the (apps, mapping) entry above, so a backend
+  /// that implements only analyze() still plugs in; HolisticAnalysis reads
+  /// the view directly.  `view` and `priorities` are borrowed for the
+  /// lifetime of the returned object.
+  virtual std::unique_ptr<PreparedAnalysis> prepare(
+      const model::Architecture& arch, const hardening::HardenedView& view,
       std::span<const std::uint32_t> priorities) const;
 };
 

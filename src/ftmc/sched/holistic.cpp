@@ -28,4 +28,10 @@ std::unique_ptr<PreparedAnalysis> HolisticAnalysis::prepare(
                                            options_);
 }
 
+std::unique_ptr<PreparedAnalysis> HolisticAnalysis::prepare(
+    const model::Architecture& arch, const hardening::HardenedView& view,
+    std::span<const std::uint32_t> priorities) const {
+  return std::make_unique<PreparedProblem>(arch, view, priorities, options_);
+}
+
 }  // namespace ftmc::sched

@@ -70,6 +70,10 @@ class HolisticAnalysis final : public SchedulingAnalysis {
       const model::Architecture& arch, const model::ApplicationSet& apps,
       const model::Mapping& mapping,
       std::span<const std::uint32_t> priorities) const override;
+  /// The same kernel, built straight from the flat view.
+  std::unique_ptr<PreparedAnalysis> prepare(
+      const model::Architecture& arch, const hardening::HardenedView& view,
+      std::span<const std::uint32_t> priorities) const override;
 
   const Options& options() const noexcept { return options_; }
 

@@ -78,11 +78,47 @@ PreparedProblem::PreparedProblem(const model::Architecture& arch,
                                  std::span<const std::uint32_t> priorities,
                                  const HolisticAnalysis::Options& options)
     : options_(options) {
-  n_ = apps.task_count();
+  if (mapping.task_count() != apps.task_count())
+    throw std::out_of_range("HolisticAnalysis: mapping size mismatch");
+  std::vector<model::Channel> channels;
+  for (std::uint32_t g = 0; g < apps.graph_count(); ++g)
+    for (const model::Channel& channel :
+         apps.graph(model::GraphId{g}).channels())
+      channels.push_back(
+          {static_cast<std::uint32_t>(apps.flat_index({g, channel.src})),
+           static_cast<std::uint32_t>(apps.flat_index({g, channel.dst})),
+           channel.size_bytes});
+  build(
+      arch, mapping.flat(), channels,
+      [&](std::size_t i) {
+        return apps.graph(apps.task_ref(i).graph_id()).period();
+      },
+      apps.hyperperiod(), priorities);
+}
+
+PreparedProblem::PreparedProblem(const model::Architecture& arch,
+                                 const hardening::HardenedView& view,
+                                 std::span<const std::uint32_t> priorities,
+                                 const HolisticAnalysis::Options& options)
+    : options_(options) {
+  build(
+      arch, view.pe, view.channels,
+      [&](std::size_t i) { return view.period[view.graph_of(i)]; },
+      view.hyperperiod, priorities);
+}
+
+template <class PeriodOf>
+void PreparedProblem::build(const model::Architecture& arch,
+                            std::span<const model::ProcessorId> pe,
+                            std::span<const model::Channel> channels,
+                            PeriodOf period_of, model::Time hyperperiod,
+                            std::span<const std::uint32_t> priorities) {
+  n_ = pe.size();
   if (priorities.size() != n_)
     throw std::invalid_argument("HolisticAnalysis: priorities size mismatch");
-  if (!mapping.within(arch.processor_count()))
-    throw std::invalid_argument("HolisticAnalysis: mapping out of range");
+  for (const model::ProcessorId p : pe)
+    if (p.value >= arch.processor_count())
+      throw std::invalid_argument("HolisticAnalysis: mapping out of range");
 
   // Remote channels: plain added latency by default, or explicit message
   // nodes scheduled on a shared-bus pseudo-PE when contention is modeled.
@@ -92,22 +128,14 @@ PreparedProblem::PreparedProblem(const model::Architecture& arch,
   };
   std::vector<Edge> edges;
   std::vector<Edge> messages;  // delay = transfer time on the bus
-  for (std::uint32_t g = 0; g < apps.graph_count(); ++g) {
-    const model::TaskGraph& graph = apps.graph(model::GraphId{g});
-    for (const model::Channel& channel : graph.channels()) {
-      const auto src =
-          static_cast<std::uint32_t>(apps.flat_index({g, channel.src}));
-      const auto dst =
-          static_cast<std::uint32_t>(apps.flat_index({g, channel.dst}));
-      const bool remote =
-          mapping.processor_of_flat(src) != mapping.processor_of_flat(dst);
-      const model::Time transfer =
-          remote ? arch.transfer_time(channel.size_bytes) : 0;
-      if (remote && options_.bus_contention && transfer > 0)
-        messages.push_back({src, dst, transfer});
-      else
-        edges.push_back({src, dst, transfer});
-    }
+  for (const model::Channel& channel : channels) {
+    const bool remote = pe[channel.src] != pe[channel.dst];
+    const model::Time transfer =
+        remote ? arch.transfer_time(channel.size_bytes) : 0;
+    if (remote && options_.bus_contention && transfer > 0)
+      messages.push_back({channel.src, channel.dst, transfer});
+    else
+      edges.push_back({channel.src, channel.dst, transfer});
   }
 
   total_ = n_ + messages.size();
@@ -120,10 +148,9 @@ PreparedProblem::PreparedProblem(const model::Architecture& arch,
   std::vector<std::uint64_t> rank(total_);
 
   for (std::size_t i = 0; i < n_; ++i) {
-    const model::ProcessorId pe = mapping.processor_of_flat(i);
-    pe_ref_[i] = &arch.processor(pe);
-    period_[i] = apps.graph(apps.task_ref(i).graph_id()).period();
-    pe_of[i] = pe.value;
+    pe_ref_[i] = &arch.processor(pe[i]);
+    period_[i] = period_of(i);
+    pe_of[i] = pe[i].value;
     rank[i] = priorities[i];
   }
   message_src_.resize(messages.size());
@@ -243,7 +270,7 @@ PreparedProblem::PreparedProblem(const model::Architecture& arch,
   for (std::size_t k = 0; k < related_bits_.size(); ++k)
     related_bits_[k] |= descendants[k];
 
-  horizon_ = options_.horizon_hyperperiods * apps.hyperperiod();
+  horizon_ = options_.horizon_hyperperiods * hyperperiod;
 }
 
 void PreparedProblem::load_bounds(std::span<const ExecBounds> bounds,

@@ -87,6 +87,14 @@ class PreparedProblem final : public PreparedAnalysis {
                   std::span<const std::uint32_t> priorities,
                   const HolisticAnalysis::Options& options);
 
+  /// The same problem for a hardened T' given as a flat view; bitwise
+  /// equal to building it from the materialized (apps, mapping).  Only
+  /// `arch` is borrowed past construction.
+  PreparedProblem(const model::Architecture& arch,
+                  const hardening::HardenedView& view,
+                  std::span<const std::uint32_t> priorities,
+                  const HolisticAnalysis::Options& options);
+
   /// Application tasks (result windows cover exactly these).
   std::size_t task_count() const noexcept { return n_; }
   /// Tasks plus bus message nodes (internal fixed-point width).
@@ -178,6 +186,18 @@ class PreparedProblem final : public PreparedAnalysis {
     bool sticky = false;
     bool diverged = false;
   };
+
+  /// The one construction routine both constructors feed: per task its
+  /// PE and period, and the channels with flat endpoints in T' order
+  /// (graph-major, each graph's channel order).  Remote channels become
+  /// message nodes in the order they are met, so that order is part of
+  /// the result.
+  template <class PeriodOf>
+  void build(const model::Architecture& arch,
+             std::span<const model::ProcessorId> pe,
+             std::span<const model::Channel> channels, PeriodOf period_of,
+             model::Time hyperperiod,
+             std::span<const std::uint32_t> priorities);
 
   std::span<const std::uint32_t> interferers(std::size_t i) const noexcept {
     return {pe_order_.data() + pe_ranges_[i].higher_begin,

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "ftmc/hardening/hardening.hpp"
 #include "ftmc/model/application_set.hpp"
 
 namespace ftmc::sched {
@@ -24,6 +25,13 @@ enum class PriorityPolicy {
 /// priority and ranks are unique.
 std::vector<std::uint32_t> assign_priorities(
     const model::ApplicationSet& apps,
+    PriorityPolicy policy = PriorityPolicy::kRateMonotonic);
+
+/// The same ranks for a hardened T' given as a flat view (its periods,
+/// droppable flags and topological positions): equal to assign_priorities
+/// over the materialized T'.
+std::vector<std::uint32_t> assign_priorities(
+    const hardening::HardenedView& view,
     PriorityPolicy policy = PriorityPolicy::kRateMonotonic);
 
 }  // namespace ftmc::sched

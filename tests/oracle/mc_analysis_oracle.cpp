@@ -3,19 +3,47 @@
 #include <algorithm>
 #include <vector>
 
-#include "ftmc/core/exec_model.hpp"
-
 namespace ftmc::oracle {
 
 namespace {
 
 using Bounds = std::vector<sched::ExecBounds>;
+using hardening::HardenedTaskInfo;
+using hardening::TaskRole;
+
+// The execution-time bounds of Section 3, written on a TaskGraph task
+// (production reads the same formulas off the flat hardened view).
+
+/// Eq. (1): worst-case execution including all re-executions.
+model::Time critical_wcet(const model::Task& task,
+                          const HardenedTaskInfo& info) {
+  if (info.role == TaskRole::kPassiveReplica) return task.wcet;
+  const model::Time attempt =
+      task.wcet + (info.pays_detection ? task.detection_overhead : 0);
+  return attempt * (info.reexecutions + 1);
+}
+
+/// Normal state: re-executables pay dt every run, standbys do not run.
+sched::ExecBounds nominal_bounds(const model::Task& task,
+                                 const HardenedTaskInfo& info) {
+  if (info.role == TaskRole::kPassiveReplica) return {0, 0};
+  const model::Time dt = info.pays_detection ? task.detection_overhead : 0;
+  return {task.bcet + dt, task.wcet + dt};
+}
+
+/// Critical region: Eq. (1) for re-executables, [0, wcet] for standbys.
+sched::ExecBounds critical_bounds(const model::Task& task,
+                                  const HardenedTaskInfo& info) {
+  if (info.role == TaskRole::kPassiveReplica) return {0, task.wcet};
+  const model::Time dt = info.pays_detection ? task.detection_overhead : 0;
+  return {task.bcet + dt, critical_wcet(task, info)};
+}
 
 /// The trigger v, whose first fault causes the transition, certainly
 /// re-executes or is activated: Eq. (1), its critical bounds.
 sched::ExecBounds trigger_bounds(const model::Task& task,
-                                 const hardening::HardenedTaskInfo& info) {
-  return core::critical_bounds(task, info);
+                                 const HardenedTaskInfo& info) {
+  return critical_bounds(task, info);
 }
 
 /// Graphs outside the drop set meet their deadlines under `wcrt_of`.
@@ -57,7 +85,7 @@ core::McAnalysisResult mc_analyze(const sched::SchedulingAnalysis& backend,
   // Normal state (lines 2-9): no faults, passive standbys idle.
   Bounds nominal(n);
   for (std::size_t i = 0; i < n; ++i)
-    nominal[i] = core::nominal_bounds(task(i), system.info[i]);
+    nominal[i] = nominal_bounds(task(i), system.info[i]);
   result.normal = analyze(nominal);
   result.scenario_solves = 1;
   result.normal_schedulable = result.normal.meets_deadlines(apps);
@@ -69,7 +97,7 @@ core::McAnalysisResult mc_analyze(const sched::SchedulingAnalysis& backend,
   // vanish at any point (zero BCET).
   Bounds naive(n);
   for (std::size_t i = 0; i < n; ++i) {
-    naive[i] = core::critical_bounds(task(i), system.info[i]);
+    naive[i] = critical_bounds(task(i), system.info[i]);
     if (dropped(i)) naive[i].bcet = 0;
   }
 
@@ -108,18 +136,18 @@ core::McAnalysisResult mc_analyze(const sched::SchedulingAnalysis& backend,
         bounds[w] = trigger_bounds(task(w), system.info[w]);
       } else if (window.max_finish < v_min_start) {
         // Finished before any fault can occur: normal state.
-        bounds[w] = core::nominal_bounds(task(w), system.info[w]);
+        bounds[w] = nominal_bounds(task(w), system.info[w]);
       } else if (dropped(w) && window.min_start > v_max_finish) {
         // Starts only after the transition completed: certainly dropped.
         bounds[w] = {0, 0};
       } else if (dropped(w)) {
         // Inside the transition window: runs or is dropped, and no
         // instance releases after the transition completed.
-        bounds[w] = {0, core::critical_wcet(task(w), system.info[w]),
+        bounds[w] = {0, critical_wcet(task(w), system.info[w]),
                      v_max_finish};
       } else {
         // Non-droppable task possibly in the critical state.
-        bounds[w] = core::critical_bounds(task(w), system.info[w]);
+        bounds[w] = critical_bounds(task(w), system.info[w]);
       }
     }
     const sched::AnalysisResult run = analyze(bounds);

@@ -1,6 +1,8 @@
 // Reference Algorithm 1 for the differential tests.
 //
-// The paper's Algorithm 1 written the plain way: analyze the normal state,
+// The paper's Algorithm 1 written the plain way, on the TaskGraphs of T'
+// (the execution-time bounds of Section 3 are computed here from each
+// task, not read off the flat view): analyze the normal state,
 // then build one full bounds vector per trigger task by the classification
 // rules (lines 12-27) and run backend.analyze() on each — no prepared
 // problem, no scenario dedup, no sort, no arena, no batching — and merge

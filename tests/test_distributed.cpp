@@ -172,6 +172,37 @@ TEST(Distributed, RemoteCampaignFrontIsBitwiseIdenticalToInProcess) {
   EXPECT_EQ(in_process.migrants, distributed.migrants);
 }
 
+// A remote executor answers from the workers' caches, which the GA cannot
+// see: the shard results count those answers instead of a run-local cache
+// the GA never consulted.
+TEST(Distributed, RemoteCampaignReportsTheWorkersCacheAnswers) {
+  CampaignRig rig;
+  const std::string path = write_demo_system("answers");
+  const dse::Campaign campaign(rig.arch, rig.apps, rig.backend);
+  dist::WorkerFleetOptions fleet_options;
+  fleet_options.ftmc_binary = FTMC_BINARY;
+  fleet_options.system_path = path;
+  fleet_options.spawn = 2;
+  dist::WorkerFleet fleet(std::move(fleet_options));
+  dse::CampaignOptions options = island_options();
+  options.migration_every = 0;  // plain shards: one GA run per seed
+  use_fleet(options, fleet, path);
+
+  const std::uint64_t before = obs::snapshot().value_of("dse.evaluations");
+  const dse::CampaignResult result = campaign.run(options);
+  const std::uint64_t evaluations =
+      obs::snapshot().value_of("dse.evaluations") - before;
+  std::uint64_t hits = 0;
+  std::uint64_t misses = 0;
+  for (const dse::ShardResult& shard : result.shards) {
+    hits += shard.result.cache.hits;
+    misses += shard.result.cache.misses;
+  }
+  EXPECT_GT(hits, 0u);
+  EXPECT_EQ(hits + misses, evaluations);
+  EXPECT_EQ(evaluations, result.evaluations);
+}
+
 TEST(Distributed, SurvivesWorkerSigkillMidCampaign) {
   CampaignRig rig;
   const std::string path = write_demo_system("sigkill");

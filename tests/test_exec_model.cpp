@@ -8,62 +8,77 @@ namespace {
 
 using namespace ftmc;
 using core::critical_bounds;
-using core::critical_wcet;
 using core::nominal_bounds;
-using hardening::HardenedTaskInfo;
-using hardening::TaskRole;
+using hardening::TaskHardening;
+using hardening::Technique;
+using model::ProcessorId;
 
-const model::Task kTask{"t", 40, 100, 7, 5};
+/// One task t = [40, 100] with ve = 7 and dt = 5, hardened by `decision`
+/// on three PEs.  The set is static: a hardened view borrows it.
+hardening::HardenedSystem harden(const TaskHardening& decision) {
+  static const model::ApplicationSet apps = [] {
+    model::TaskGraphBuilder builder("g");
+    builder.add_task("t", 40, 100, 7, 5);
+    builder.period(1000).reliability(1e-6);
+    std::vector<model::TaskGraph> graphs;
+    graphs.push_back(builder.build());
+    return model::ApplicationSet(std::move(graphs));
+  }();
+  return hardening::apply_hardening(apps, {decision}, {ProcessorId{0}}, 3);
+}
+
+TaskHardening replicated(Technique technique, std::size_t replicas) {
+  TaskHardening decision;
+  decision.technique = technique;
+  decision.replica_pes.assign(replicas, ProcessorId{1});
+  decision.voter_pe = ProcessorId{2};
+  return decision;
+}
 
 TEST(ExecModel, PlainOriginal) {
-  HardenedTaskInfo info;  // defaults: original, no hardening
-  EXPECT_EQ(critical_wcet(kTask, info), 100);
-  EXPECT_EQ(nominal_bounds(kTask, info).bcet, 40);
-  EXPECT_EQ(nominal_bounds(kTask, info).wcet, 100);
-  EXPECT_EQ(critical_bounds(kTask, info).wcet, 100);
+  const auto system = harden({});  // defaults: original, no hardening
+  EXPECT_EQ(nominal_bounds(system.view, 0).bcet, 40);
+  EXPECT_EQ(nominal_bounds(system.view, 0).wcet, 100);
+  EXPECT_EQ(critical_bounds(system.view, 0).wcet, 100);
 }
 
 TEST(ExecModel, ReexecutableFollowsEq1) {
-  HardenedTaskInfo info;
-  info.reexecutions = 2;
-  info.pays_detection = true;
-  info.triggers_critical_state = true;
+  const auto system = harden({Technique::kReexecution, 2, {}, {}});
   // Nominal: one attempt incl. detection.
-  EXPECT_EQ(nominal_bounds(kTask, info).bcet, 45);
-  EXPECT_EQ(nominal_bounds(kTask, info).wcet, 105);
-  // Eq. (1): (wcet + dt) * (k + 1).
-  EXPECT_EQ(critical_wcet(kTask, info), 105 * 3);
-  EXPECT_EQ(critical_bounds(kTask, info).bcet, 45);
-  // The trigger of a transition takes the same critical bounds.
-  EXPECT_EQ(critical_bounds(kTask, info).wcet, 315);
+  EXPECT_EQ(nominal_bounds(system.view, 0).bcet, 45);
+  EXPECT_EQ(nominal_bounds(system.view, 0).wcet, 105);
+  // Eq. (1): (wcet + dt) * (k + 1); the trigger of a transition takes the
+  // same critical bounds.
+  EXPECT_EQ(critical_bounds(system.view, 0).bcet, 45);
+  EXPECT_EQ(critical_bounds(system.view, 0).wcet, 105 * 3);
 }
 
 TEST(ExecModel, PassiveReplicaIsZeroInNormalState) {
-  HardenedTaskInfo info;
-  info.role = TaskRole::kPassiveReplica;
-  info.triggers_critical_state = true;
-  EXPECT_EQ(nominal_bounds(kTask, info).bcet, 0);
-  EXPECT_EQ(nominal_bounds(kTask, info).wcet, 0);
+  const auto system = harden(replicated(Technique::kPassiveReplication, 3));
+  const std::size_t standby = 2;  // r0, r1 primaries, r2 the standby
+  ASSERT_EQ(system.info[standby].role, hardening::TaskRole::kPassiveReplica);
+  EXPECT_EQ(nominal_bounds(system.view, standby).bcet, 0);
+  EXPECT_EQ(nominal_bounds(system.view, standby).wcet, 0);
   // Critical: may or may not be activated -> [0, wcet].
-  EXPECT_EQ(critical_bounds(kTask, info).bcet, 0);
-  EXPECT_EQ(critical_bounds(kTask, info).wcet, 100);
+  EXPECT_EQ(critical_bounds(system.view, standby).bcet, 0);
+  EXPECT_EQ(critical_bounds(system.view, standby).wcet, 100);
 }
 
 TEST(ExecModel, ActiveReplicaBehavesLikePlainTask) {
-  HardenedTaskInfo info;
-  info.role = TaskRole::kActiveReplica;
-  EXPECT_EQ(nominal_bounds(kTask, info).bcet, 40);
-  EXPECT_EQ(nominal_bounds(kTask, info).wcet, 100);
-  EXPECT_EQ(critical_bounds(kTask, info).wcet, 100);
+  const auto system = harden(replicated(Technique::kActiveReplication, 2));
+  ASSERT_EQ(system.info[0].role, hardening::TaskRole::kActiveReplica);
+  EXPECT_EQ(nominal_bounds(system.view, 0).bcet, 40);
+  EXPECT_EQ(nominal_bounds(system.view, 0).wcet, 100);
+  EXPECT_EQ(critical_bounds(system.view, 0).wcet, 100);
 }
 
 TEST(ExecModel, VoterBounds) {
   // The transform builds voters with bcet = wcet = ve.
-  model::Task voter{"v#vote", 7, 7, 0, 0};
-  HardenedTaskInfo info;
-  info.role = TaskRole::kVoter;
-  EXPECT_EQ(nominal_bounds(voter, info).bcet, 7);
-  EXPECT_EQ(nominal_bounds(voter, info).wcet, 7);
+  const auto system = harden(replicated(Technique::kActiveReplication, 2));
+  const std::size_t voter = 2;
+  ASSERT_EQ(system.info[voter].role, hardening::TaskRole::kVoter);
+  EXPECT_EQ(nominal_bounds(system.view, voter).bcet, 7);
+  EXPECT_EQ(nominal_bounds(system.view, voter).wcet, 7);
 }
 
 TEST(ExecModel, NominalBoundsOfWholeSystem) {

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 
+#include "ftmc/core/evaluator.hpp"
 #include "ftmc/hardening/hardening.hpp"
+#include "ftmc/sched/holistic.hpp"
 #include "helpers.hpp"
 
 namespace {
@@ -284,6 +286,43 @@ TEST(Transform, GraphAttributesSurviveTransform) {
     EXPECT_EQ(after.droppable(), before.droppable());
     EXPECT_EQ(after.service_value(), before.service_value());
   }
+}
+
+// A derived name (`x#r0`, `x#vote`) can clash with a task of the same
+// graph only in a programmatic graph: the text format strips '#'.  The
+// materialized T' needs unique names, so apply_hardening rejects such a
+// plan; evaluation builds no names, so it evaluates the candidate exactly
+// as if the clashing task had any other name.
+TEST(Transform, DerivedNameClashFailsMaterializeNotEvaluation) {
+  const auto make_apps = [](const std::string& second) {
+    model::TaskGraphBuilder builder("g");
+    const auto x = builder.add_task("x", 10, 20, 3, 2);
+    const auto y = builder.add_task(second, 10, 20, 3, 2);
+    builder.connect(x, y, 4).period(1000).reliability(1e-6);
+    std::vector<model::TaskGraph> graphs;
+    graphs.push_back(builder.build());
+    return model::ApplicationSet(std::move(graphs));
+  };
+  const auto clashing = make_apps("x#r0");
+  const auto renamed = make_apps("y");
+  const auto arch = fixtures::test_arch(2);
+  core::Candidate candidate = fixtures::plain_candidate(arch, clashing);
+  candidate.plan[0].technique = Technique::kActiveReplication;
+  candidate.plan[0].replica_pes = {ProcessorId{0}, ProcessorId{1}};
+  candidate.plan[0].voter_pe = ProcessorId{1};
+
+  EXPECT_THROW(hardening::apply_hardening(clashing, candidate.plan,
+                                          candidate.base_mapping, 2),
+               std::invalid_argument);
+  const sched::HolisticAnalysis backend;
+  const core::Evaluation evaluation =
+      core::Evaluator(arch, clashing, backend).evaluate_uncached(candidate);
+  const core::Evaluation expected =
+      core::Evaluator(arch, renamed, backend).evaluate_uncached(candidate);
+  EXPECT_EQ(evaluation.feasible(), expected.feasible());
+  EXPECT_EQ(evaluation.power, expected.power);
+  EXPECT_EQ(evaluation.scenario_count, expected.scenario_count);
+  EXPECT_EQ(evaluation.graph_wcrt, expected.graph_wcrt);
 }
 
 TEST(Transform, ToStringCoverage) {

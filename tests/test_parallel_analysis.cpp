@@ -8,7 +8,9 @@
 
 #include <vector>
 
+#include "ftmc/benchmarks/dream.hpp"
 #include "ftmc/benchmarks/synth.hpp"
+#include "ftmc/core/evaluator.hpp"
 #include "ftmc/core/mc_analysis.hpp"
 #include "ftmc/dse/decoder.hpp"
 #include "ftmc/sched/holistic.hpp"
@@ -154,6 +156,52 @@ TEST(ParallelAnalysis, NestedPoolUseIsDeadlockFreeAndIdentical) {
   for (std::size_t i = 0; i < candidates.size(); ++i) {
     SCOPED_TRACE("candidate " + std::to_string(i));
     expect_identical(sequential[i], nested[i]);
+  }
+}
+
+// The GA's shape one level up: a candidate-level parallel_for over
+// evaluate_uncached whose scenario_pool is that same pool.  A worker
+// waiting in one candidate's scenario fan-out drains the queue and starts
+// another candidate's evaluation on its own thread, while the first still
+// holds its leased hardened view and scenario arena; each nested call must
+// lease its own, so every evaluation equals the sequential pass.
+TEST(ParallelAnalysis, NestedEvaluationsMatchSequential) {
+  const benchmarks::Benchmark benchmark = benchmarks::dt_med_benchmark();
+  const dse::Decoder decoder(benchmark.arch, benchmark.apps);
+  util::Rng rng(404);
+  const sched::HolisticAnalysis backend;
+  std::vector<core::Candidate> candidates;
+  for (int i = 0; i < 48; ++i) {
+    dse::Chromosome chromosome = dse::random_chromosome(decoder.shape(), rng);
+    candidates.push_back(decoder.decode(chromosome, rng));
+  }
+
+  const core::Evaluator sequential_evaluator(benchmark.arch, benchmark.apps,
+                                             backend);
+  std::vector<core::Evaluation> sequential;
+  for (const core::Candidate& candidate : candidates)
+    sequential.push_back(sequential_evaluator.evaluate_uncached(candidate));
+
+  util::ThreadPool pool(3);
+  core::Evaluator::Options options;
+  options.scenario_pool = &pool;
+  const core::Evaluator nested_evaluator(benchmark.arch, benchmark.apps,
+                                         backend, options);
+  std::vector<core::Evaluation> nested(candidates.size());
+  pool.parallel_for(candidates.size(), [&](std::size_t i) {
+    nested[i] = nested_evaluator.evaluate_uncached(candidates[i]);
+  });
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
+    SCOPED_TRACE("candidate " + std::to_string(i));
+    EXPECT_EQ(sequential[i].feasible(), nested[i].feasible());
+    EXPECT_EQ(sequential[i].normal_schedulable, nested[i].normal_schedulable);
+    EXPECT_EQ(sequential[i].critical_schedulable,
+              nested[i].critical_schedulable);
+    EXPECT_EQ(sequential[i].power, nested[i].power);
+    EXPECT_EQ(sequential[i].service, nested[i].service);
+    EXPECT_EQ(sequential[i].scenario_count, nested[i].scenario_count);
+    EXPECT_EQ(sequential[i].scenario_solves, nested[i].scenario_solves);
+    EXPECT_EQ(sequential[i].graph_wcrt, nested[i].graph_wcrt);
   }
 }
 

@@ -47,7 +47,6 @@ struct Instance {
   model::Architecture arch;
   model::ApplicationSet apps;
   core::Candidate candidate;
-  hardening::HardenedSystem system;
 };
 
 /// About `tasks` synthetic tasks on 4 PEs (5-7 tasks per graph, total
@@ -69,11 +68,7 @@ Instance make_instance(std::size_t tasks, std::uint64_t seed) {
   util::Rng rng(tasks + 1000 * seed);
   dse::Chromosome chromosome = dse::random_chromosome(decoder.shape(), rng);
   core::Candidate candidate = decoder.decode(chromosome, rng);
-  auto system = hardening::apply_hardening(apps, candidate.plan,
-                                           candidate.base_mapping,
-                                           arch.processor_count());
-  return Instance{std::move(arch), std::move(apps), std::move(candidate),
-                  std::move(system)};
+  return Instance{std::move(arch), std::move(apps), std::move(candidate)};
 }
 
 /// One size's sums over its instances.
@@ -110,11 +105,16 @@ LedgerRow measure(std::size_t size) {
     SCOPED_TRACE("|V| " + std::to_string(size) + ", seed " +
                  std::to_string(seed));
     const Instance instance = make_instance(size, seed);
+    // T' borrows the instance's applications, so it is built from them in
+    // place (an Instance moves its set on return).
+    const hardening::HardenedSystem system = hardening::apply_hardening(
+        instance.apps, instance.candidate.plan,
+        instance.candidate.base_mapping, instance.arch.processor_count());
     const obs::MetricsSnapshot before = obs::snapshot();
     // No pool: every scenario goes to one batched solve, so every count is
     // exact.
     const core::McAnalysisResult result = analysis.analyze(
-        instance.arch, instance.system, instance.candidate.drop);
+        instance.arch, system, instance.candidate.drop);
     const obs::MetricsSnapshot after = obs::snapshot();
     const auto delta = [&](std::string_view name) {
       return after.value_of(name) - before.value_of(name);
@@ -128,7 +128,7 @@ LedgerRow measure(std::size_t size) {
     EXPECT_LE(result.scenario_solves, result.scenario_count + 2);
 
     row.tasks += instance.apps.task_count();
-    row.hardened_tasks += instance.system.apps.task_count();
+    row.hardened_tasks += system.apps.task_count();
     row.triggers += result.scenario_count;
     row.unique_scenarios +=
         delta("analysis.scenarios") - delta("analysis.scenario_dedup_hits");
