@@ -87,16 +87,16 @@ BenchmarkOutcome run_benchmark(const benchmarks::Benchmark& bench,
                            static_cast<double>(applied);
   }
 
-  // --- Rescue ratio: re-evaluate every candidate with dropping disabled ---
+  // --- Rescue ratio: re-evaluate every candidate with nothing dropped -----
   {
-    core::Evaluator::Options no_drop;
-    no_drop.allow_dropping = false;
-    const core::Evaluator evaluator(bench.arch, bench.apps, backend, no_drop);
+    const core::Evaluator evaluator(bench.arch, bench.apps, backend);
     std::atomic<std::size_t> rescued{0};
     util::ThreadPool pool;
     pool.parallel_for(evaluated.size(), [&](std::size_t index) {
       if (!feasible_with[index]) return;
-      if (!evaluator.evaluate(evaluated[index]).feasible()) ++rescued;
+      core::Candidate kept = evaluated[index];
+      kept.drop.assign(kept.drop.size(), false);
+      if (!evaluator.evaluate(kept).feasible()) ++rescued;
     });
     outcome.rescue_ratio = evaluated.empty()
                                ? 0.0
@@ -109,7 +109,6 @@ BenchmarkOutcome run_benchmark(const benchmarks::Benchmark& bench,
     dse::GeneticOptimizer optimizer(bench.arch, bench.apps, backend);
     auto options = base_options(seed);
     options.decoder.allow_dropping = false;
-    options.evaluator.allow_dropping = false;
     const auto result = optimizer.run(options);
     outcome.power_without_dropping = result.best_feasible_power;
   }

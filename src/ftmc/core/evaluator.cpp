@@ -69,8 +69,11 @@ std::uint64_t Evaluator::options_fingerprint() const {
   util::Fnv1aHasher hasher;
   hasher.feed(static_cast<std::uint8_t>(options_.mode));
   hasher.feed(static_cast<std::uint8_t>(options_.policy));
-  hasher.feed(options_.infeasibility_penalty);
-  hasher.feed(options_.allow_dropping);
+  // The penalty constant and `true` (dropping is the decoder's switch)
+  // keep the seed of every key, so stores written when both were options
+  // still answer.
+  hasher.feed(kInfeasibilityPenalty);
+  hasher.feed(true);
   return hasher.digest();
 }
 
@@ -153,10 +156,7 @@ Evaluation Evaluator::evaluate_uncached(const Candidate& candidate) const {
   hardening::build_view(view, *apps_, candidate.plan, candidate.base_mapping,
                         arch_->processor_count());
 
-  DropSet drop = candidate.drop;
-  if (!options_.allow_dropping)
-    drop.assign(apps_->graph_count(), false);
-
+  const DropSet& drop = candidate.drop;
   const McAnalysis analysis(*backend_, options_.policy);
   const McAnalysisResult verdict = analysis.analyze(
       *arch_, view, drop, options_.mode, options_.scenario_pool);
@@ -221,7 +221,7 @@ Evaluation Evaluator::evaluate_uncached(const Candidate& candidate) const {
       violation += std::min(10.0, 1.0 + std::log10(std::max(ratio, 1.0)));
     }
     if (!evaluation.mapping_valid) violation += 5.0;
-    evaluation.power += options_.infeasibility_penalty * (1.0 + violation);
+    evaluation.power += kInfeasibilityPenalty * (1.0 + violation);
   }
   return evaluation;
 }

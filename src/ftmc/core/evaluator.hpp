@@ -62,17 +62,16 @@ struct Evaluation {
   std::vector<model::Time> graph_wcrt;
 };
 
+/// Scale of the graded penalty added to the power of an infeasible
+/// candidate: it lands at least this far above any feasible power.
+inline constexpr double kInfeasibilityPenalty = 1.0e9;
+
 class Evaluator {
  public:
   struct Options {
     McAnalysis::Mode mode = McAnalysis::Mode::kProposed;
     sched::PriorityPolicy policy =
         sched::PriorityPolicy::kRateMonotonic;
-    /// Added to the power of infeasible candidates.
-    double infeasibility_penalty = 1.0e9;
-    /// When false, candidates whose drop set is non-empty are rejected
-    /// (used for the "no task dropping" ablation of Section 5.2).
-    bool allow_dropping = true;
     /// Shared memoization table for evaluate(); internally synchronized, so
     /// one cache may serve many concurrent evaluator threads.  The key mixes
     /// in a fingerprint of these options, so evaluators with different
@@ -108,7 +107,9 @@ class Evaluator {
   /// Returns an empty string when valid, else a description.
   std::string structural_error(const Candidate& candidate) const;
 
-  /// Full evaluation.  Throws std::invalid_argument on structural errors
+  /// Full evaluation of the candidate as given, its drop set included
+  /// (the no-dropping ablation decodes candidates whose drop set is
+  /// empty).  Throws std::invalid_argument on structural errors
   /// (the DSE decoder repairs candidates before calling this).  When an
   /// EvaluationCache is attached, returns the memoized result for a
   /// previously seen candidate; `cache_hit` (if non-null) reports whether
@@ -121,8 +122,8 @@ class Evaluator {
   Evaluation evaluate_uncached(const Candidate& candidate) const;
 
   /// Cache key of a candidate under this evaluator's options: the content
-  /// hash seeded with the options fingerprint (mode, policy, penalty,
-  /// dropping), so distinct configurations never alias.
+  /// hash seeded with the options fingerprint (mode and policy), so
+  /// distinct configurations never alias.
   std::uint64_t candidate_key(const Candidate& candidate) const;
 
  private:

@@ -7,7 +7,11 @@
 // seed.  The worker re-runs the same content-seeded decode + repair (a
 // pure function of genotype and seed), evaluates, and answers every
 // Evaluation field at round-trip precision — so a remote campaign's
-// trajectory is bitwise identical to an in-process one.
+// trajectory is bitwise identical to an in-process one that runs with the
+// same options.  A worker decodes and evaluates with default decoder and
+// evaluator options: the genotype it receives is the pre-repair one, so a
+// coordinator's Decoder::Options (allow_dropping, restriction) never reach
+// it, and `ftmc campaign` rejects --no-dropping with remote workers.
 //
 // Transport failures (worker died, hung up, answered a structured error)
 // throw dse::ExecutorError; the campaign's retry machinery resumes the

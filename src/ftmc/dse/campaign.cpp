@@ -127,6 +127,14 @@ CampaignResult Campaign::run(const CampaignOptions& options) const {
   std::vector<char> done(islands, 0);
   for (std::size_t island = 0; island < islands; ++island)
     results[island].seed = seeds[island];
+  // An in-process island's L1 outlives its epochs (each epoch is a fresh
+  // GA run, which would otherwise build a fresh cache); it is released
+  // when the island is done.
+  std::vector<std::unique_ptr<core::EvaluationCache>> caches(islands);
+  if (!options.executor_factory && options.ga.executor == nullptr &&
+      options.ga.evaluator.cache == nullptr)
+    for (auto& cache : caches)
+      cache = std::make_unique<core::EvaluationCache>();
 
   // User-supplied callbacks are not required to be thread-safe; one mutex
   // serializes stop_requested and on_generation across island threads.
@@ -191,8 +199,8 @@ CampaignResult Campaign::run(const CampaignOptions& options) const {
         ga.seed = seeds[island];
         ga.checkpoint_path = checkpoint_path;
         ga.checkpoint_every = options.checkpoint_every;
-        ga.checkpoint_keep = options.checkpoint_keep;
-        ga.capture_final_snapshot = migrating;
+        if (caches[island] != nullptr)
+          ga.evaluator.cache = caches[island].get();
         ga.stop_requested = [&, island] {
           return last_reported[island].load() >= target ||
                  global_should_stop();
@@ -267,8 +275,10 @@ CampaignResult Campaign::run(const CampaignOptions& options) const {
       if (results[island].result.snapshot != nullptr)
         snaps[island] = results[island].result.snapshot;
       if (!results[island].result.interrupted ||
-          results[island].result.last_generation >= generations)
+          results[island].result.last_generation >= generations) {
         done[island] = 1;
+        caches[island].reset();
+      }
     };
 
     if (migrating && options.parallel_islands) {

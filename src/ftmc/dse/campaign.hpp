@@ -16,7 +16,11 @@
 // concurrently (`parallel_islands`), and each island's evaluations can be
 // delegated to a remote worker through `executor_factory` (see
 // executor.hpp; the factory is re-invoked on retry so a lost worker is
-// replaced by a fresh one).
+// replaced by a fresh one).  An in-process island (no executor factory, no
+// caller cache in `ga.evaluator.cache`) owns one EvaluationCache for the
+// whole campaign: every epoch and every retry of it looks candidates up in
+// the same L1, so a barrier does not forget what the island has seen, and
+// its shard's GaResult::cache counts every lookup of the island.
 //
 // Determinism: every island is an ordinary GA run, so a fixed seed list
 // yields a bitwise-identical merged front; a retried island reloads its
@@ -89,9 +93,9 @@ struct CampaignOptions {
 
   /// Base snapshot path (empty = no checkpointing).  A single-seed campaign
   /// uses it verbatim; shard i of a multi-seed campaign uses `<path>.s<i>`.
+  /// Each path keeps its last kCheckpointKeep snapshots.
   std::string checkpoint_path;
   std::size_t checkpoint_every = 1;
-  std::size_t checkpoint_keep = 3;
   /// Load existing shard snapshots and continue them; missing files start
   /// fresh, defective or mismatched ones fail loudly (CheckpointError).
   bool resume = false;

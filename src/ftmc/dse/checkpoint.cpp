@@ -1,6 +1,5 @@
 #include "ftmc/dse/checkpoint.hpp"
 
-#include <bit>
 #include <cstring>
 
 #include "ftmc/core/serialize.hpp"
@@ -45,18 +44,10 @@ void put(Writer& out, const TrajectoryOptions& options) {
   out.u64(options.generations);
   out.u64(options.seed);
   out.u8(options.optimize_service);
-  out.f64(options.crossover_rate);
-  out.f64(options.allocation_flip_rate);
-  out.f64(options.keep_flip_rate);
-  out.f64(options.task_mutation_rate);
-  out.f64(options.graph_recluster_rate);
-  out.u64(options.reliability_repair_attempts);
   out.u8(options.decoder_allow_dropping);
   out.u32(options.technique_restriction);
   out.u32(options.analysis_mode);
   out.u32(options.priority_policy);
-  out.f64(options.infeasibility_penalty);
-  out.u8(options.evaluator_allow_dropping);
 }
 
 TrajectoryOptions get_options(Reader& in) {
@@ -66,18 +57,10 @@ TrajectoryOptions get_options(Reader& in) {
   options.generations = in.u64();
   options.seed = in.u64();
   options.optimize_service = in.u8();
-  options.crossover_rate = in.f64();
-  options.allocation_flip_rate = in.f64();
-  options.keep_flip_rate = in.f64();
-  options.task_mutation_rate = in.f64();
-  options.graph_recluster_rate = in.f64();
-  options.reliability_repair_attempts = in.u64();
   options.decoder_allow_dropping = in.u8();
   options.technique_restriction = in.u32();
   options.analysis_mode = in.u32();
   options.priority_policy = in.u32();
-  options.infeasibility_penalty = in.f64();
-  options.evaluator_allow_dropping = in.u8();
   return options;
 }
 
@@ -184,58 +167,26 @@ TrajectoryOptions TrajectoryOptions::of(const GaOptions& options) {
   t.generations = options.generations;
   t.seed = options.seed;
   t.optimize_service = options.optimize_service ? 1 : 0;
-  t.crossover_rate = options.variation.crossover_rate;
-  t.allocation_flip_rate = options.variation.allocation_flip_rate;
-  t.keep_flip_rate = options.variation.keep_flip_rate;
-  t.task_mutation_rate = options.variation.task_mutation_rate;
-  t.graph_recluster_rate = options.variation.graph_recluster_rate;
-  t.reliability_repair_attempts = options.decoder.reliability_repair_attempts;
   t.decoder_allow_dropping = options.decoder.allow_dropping ? 1 : 0;
   t.technique_restriction =
       static_cast<std::uint32_t>(options.decoder.restriction);
   t.analysis_mode = static_cast<std::uint32_t>(options.evaluator.mode);
   t.priority_policy = static_cast<std::uint32_t>(options.evaluator.policy);
-  t.infeasibility_penalty = options.evaluator.infeasibility_penalty;
-  t.evaluator_allow_dropping = options.evaluator.allow_dropping ? 1 : 0;
   return t;
 }
 
 std::string TrajectoryOptions::mismatch(const TrajectoryOptions& other) const {
-  const auto differs = [](auto a, auto b) { return !(a == b); };
-  // Doubles compare by bit pattern so that NaN penalties and negative zero
-  // rates cannot silently pass the gate.
-  const auto f64_differs = [](double a, double b) {
-    return std::bit_cast<std::uint64_t>(a) != std::bit_cast<std::uint64_t>(b);
-  };
-  if (differs(population, other.population)) return "population";
-  if (differs(offspring, other.offspring)) return "offspring";
-  if (differs(generations, other.generations)) return "generations";
-  if (differs(seed, other.seed)) return "seed";
-  if (differs(optimize_service, other.optimize_service))
-    return "optimize_service";
-  if (f64_differs(crossover_rate, other.crossover_rate))
-    return "variation.crossover_rate";
-  if (f64_differs(allocation_flip_rate, other.allocation_flip_rate))
-    return "variation.allocation_flip_rate";
-  if (f64_differs(keep_flip_rate, other.keep_flip_rate))
-    return "variation.keep_flip_rate";
-  if (f64_differs(task_mutation_rate, other.task_mutation_rate))
-    return "variation.task_mutation_rate";
-  if (f64_differs(graph_recluster_rate, other.graph_recluster_rate))
-    return "variation.graph_recluster_rate";
-  if (differs(reliability_repair_attempts, other.reliability_repair_attempts))
-    return "decoder.reliability_repair_attempts";
-  if (differs(decoder_allow_dropping, other.decoder_allow_dropping))
+  if (population != other.population) return "population";
+  if (offspring != other.offspring) return "offspring";
+  if (generations != other.generations) return "generations";
+  if (seed != other.seed) return "seed";
+  if (optimize_service != other.optimize_service) return "optimize_service";
+  if (decoder_allow_dropping != other.decoder_allow_dropping)
     return "decoder.allow_dropping";
-  if (differs(technique_restriction, other.technique_restriction))
+  if (technique_restriction != other.technique_restriction)
     return "decoder.restriction";
-  if (differs(analysis_mode, other.analysis_mode)) return "evaluator.mode";
-  if (differs(priority_policy, other.priority_policy))
-    return "evaluator.policy";
-  if (f64_differs(infeasibility_penalty, other.infeasibility_penalty))
-    return "evaluator.infeasibility_penalty";
-  if (differs(evaluator_allow_dropping, other.evaluator_allow_dropping))
-    return "evaluator.allow_dropping";
+  if (analysis_mode != other.analysis_mode) return "evaluator.mode";
+  if (priority_policy != other.priority_policy) return "evaluator.policy";
   return {};
 }
 
@@ -323,10 +274,9 @@ Checkpoint decode_checkpoint(std::span<const std::uint8_t> bytes) {
   }
 }
 
-void save_checkpoint(const std::string& path, const Checkpoint& checkpoint,
-                     std::size_t keep) {
+void save_checkpoint(const std::string& path, const Checkpoint& checkpoint) {
   const std::vector<std::uint8_t> bytes = encode_checkpoint(checkpoint);
-  util::rotate_files(path, keep);
+  util::rotate_files(path, kCheckpointKeep);
   util::write_file_atomic(path, bytes);
   counters().writes.add(1);
   counters().bytes.add(bytes.size());

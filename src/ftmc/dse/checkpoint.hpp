@@ -20,7 +20,7 @@
 //
 //   offset  size  field
 //   0       8     magic "FTMCCKPT"
-//   8       4     format version (4)
+//   8       4     format version (5)
 //   12      4     reserved (0)
 //   16      8     payload size in bytes
 //   24      8     FNV-1a-64 digest of the payload (util::Fnv1aHasher)
@@ -48,7 +48,9 @@ namespace ftmc::dse {
 
 inline constexpr char kCheckpointMagic[8] = {'F', 'T', 'M', 'C',
                                              'C', 'K', 'P', 'T'};
-inline constexpr std::uint32_t kCheckpointVersion = 4;
+inline constexpr std::uint32_t kCheckpointVersion = 5;
+/// Keep-last-K rotation of a snapshot file: `path`, `path.1`, `path.2`.
+inline constexpr std::size_t kCheckpointKeep = 3;
 
 /// Any checkpoint defect a caller must not retry around: bad magic,
 /// unsupported version, truncation, checksum mismatch, or a trajectory
@@ -63,25 +65,19 @@ class CheckpointError : public std::runtime_error {
 /// into named scalar fields so a resume mismatch can be reported by field
 /// name.  Threads, scenario parallelism, the executor and checkpoint
 /// cadence are excluded: they change wall-clock and cache-hit telemetry,
-/// never the trajectory.
+/// never the trajectory.  So are the constants every run shares (the
+/// variation rates, Decoder::kReliabilityRepairAttempts,
+/// core::kInfeasibilityPenalty).
 struct TrajectoryOptions {
   std::uint64_t population = 0;
   std::uint64_t offspring = 0;
   std::uint64_t generations = 0;
   std::uint64_t seed = 0;
   std::uint8_t optimize_service = 0;
-  double crossover_rate = 0.0;
-  double allocation_flip_rate = 0.0;
-  double keep_flip_rate = 0.0;
-  double task_mutation_rate = 0.0;
-  double graph_recluster_rate = 0.0;
-  std::uint64_t reliability_repair_attempts = 0;
   std::uint8_t decoder_allow_dropping = 0;
   std::uint32_t technique_restriction = 0;
   std::uint32_t analysis_mode = 0;
   std::uint32_t priority_policy = 0;
-  double infeasibility_penalty = 0.0;
-  std::uint8_t evaluator_allow_dropping = 0;
 
   bool operator==(const TrajectoryOptions&) const = default;
 
@@ -115,11 +111,11 @@ std::vector<std::uint8_t> encode_checkpoint(const Checkpoint& checkpoint);
 /// or digest mismatch.
 Checkpoint decode_checkpoint(std::span<const std::uint8_t> bytes);
 
-/// Rotates existing snapshots (`path` -> `path.1` -> ...; see
-/// util::rotate_files) and durably replaces `path` via write-to-temp +
-/// fsync + atomic rename.  Bumps dse.checkpoint.writes / .bytes.
-void save_checkpoint(const std::string& path, const Checkpoint& checkpoint,
-                     std::size_t keep = 1);
+/// Rotates existing snapshots (`path` -> `path.1` -> ..., the last
+/// kCheckpointKeep kept; see util::rotate_files) and durably replaces
+/// `path` via write-to-temp + fsync + atomic rename.  Bumps
+/// dse.checkpoint.writes / .bytes.
+void save_checkpoint(const std::string& path, const Checkpoint& checkpoint);
 
 /// Reads and decodes `path`.  Bumps dse.resume.loads on success and
 /// dse.resume.rejected before rethrowing any validation failure.

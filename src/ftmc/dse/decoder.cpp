@@ -158,8 +158,8 @@ core::Candidate Decoder::translate(const Chromosome& chromosome) const {
 void Decoder::repair_reliability(Chromosome& chromosome,
                                  util::Rng& rng) const {
   const std::vector<std::uint16_t> pes = allocated_pes(chromosome);
-  for (std::size_t attempt = 0;
-       attempt < options_.reliability_repair_attempts; ++attempt) {
+  for (std::size_t attempt = 0; attempt < kReliabilityRepairAttempts;
+       ++attempt) {
     const core::Candidate candidate = translate(chromosome);
     const hardening::ReliabilityReport report = hardening::check_reliability(
         *arch_, *apps_, candidate.plan, candidate.base_mapping);

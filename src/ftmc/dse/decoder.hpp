@@ -8,9 +8,9 @@
 //                                    where enough exist,
 //  - violated reliability constraint f_t -> apply random hardening
 //    (re-execution degree bumps, active/passive replication) to random
-//    tasks of the violating application until the constraint holds (bounded
-//    number of attempts; unrepairable candidates stay infeasible and are
-//    penalized by the evaluator).
+//    tasks of the violating application until the constraint holds
+//    (kReliabilityRepairAttempts rounds; unrepairable candidates stay
+//    infeasible and are penalized by the evaluator).
 //
 // Repair is Lamarckian: the chromosome is rewritten in place, so repaired
 // genes re-enter the gene pool.
@@ -33,10 +33,13 @@ enum class TechniqueRestriction {
 
 class Decoder {
  public:
+  /// Maximum random-hardening rounds of the reliability repair.
+  static constexpr std::size_t kReliabilityRepairAttempts = 64;
+
   struct Options {
-    /// Maximum random-hardening attempts per violating application.
-    std::size_t reliability_repair_attempts = 64;
-    /// When false, keep bits are forced to 1 (the no-dropping ablation).
+    /// When false, keep bits are forced to 1 and every candidate's drop
+    /// set is empty: the no-dropping ablation of Section 5.2, and its only
+    /// switch (the evaluator evaluates the drop set it is given).
     bool allow_dropping = true;
     /// Hardening-space restriction (ablation).
     TechniqueRestriction restriction = TechniqueRestriction::kNone;

@@ -9,6 +9,7 @@
 
 #include "ftmc/dse/checkpoint.hpp"
 #include "ftmc/dse/executor.hpp"
+#include "ftmc/dse/variation.hpp"
 #include "ftmc/obs/metrics.hpp"
 #include "ftmc/obs/trace.hpp"
 #include "ftmc/util/stats.hpp"
@@ -29,10 +30,6 @@ void GaOptions::validate() const {
   if (!checkpoint_path.empty() && checkpoint_every == 0)
     throw std::invalid_argument(
         "GaOptions: checkpoint_every must be >= 1 when checkpoint_path is "
-        "set");
-  if (!checkpoint_path.empty() && checkpoint_keep == 0)
-    throw std::invalid_argument(
-        "GaOptions: checkpoint_keep must be >= 1 when checkpoint_path is "
         "set");
 }
 
@@ -207,10 +204,12 @@ GaResult GeneticOptimizer::run(const GaOptions& options) const {
   std::vector<Individual> population;
   std::vector<Individual> archive;
 
-  // Binary tournament mating + variation over the current archive; all
-  // randomness comes from the master stream, so the checkpoint boundary
-  // (right before this runs) pins the offspring exactly.
+  // Binary tournament mating + variation (the VariationOptions defaults)
+  // over the current archive; all randomness comes from the master stream,
+  // so the checkpoint boundary (right before this runs) pins the offspring
+  // exactly.
   auto breed = [&]() {
+    const VariationOptions variation{};
     std::vector<ObjectiveVector> archive_points;
     archive_points.reserve(archive.size());
     for (const Individual& individual : archive)
@@ -224,10 +223,10 @@ GaResult GeneticOptimizer::run(const GaOptions& options) const {
           archive[tournament(fitness, master)].chromosome;
       const Chromosome& parent_b =
           archive[tournament(fitness, master)].chromosome;
-      Chromosome child = master.chance(options.variation.crossover_rate)
+      Chromosome child = master.chance(variation.crossover_rate)
                              ? crossover(parent_a, parent_b, shape, master)
                              : parent_a;
-      mutate(child, shape, options.variation, master);
+      mutate(child, shape, variation, master);
       offspring.push_back(std::move(child));
     }
     return offspring;
@@ -249,8 +248,7 @@ GaResult GeneticOptimizer::run(const GaOptions& options) const {
   auto write_snapshot = [&](std::size_t generation, bool finished) {
     if (options.checkpoint_path.empty()) return;
     save_checkpoint(options.checkpoint_path,
-                    make_snapshot(generation, finished),
-                    options.checkpoint_keep);
+                    make_snapshot(generation, finished));
   };
 
   // Extracts the feasible Pareto front (one representative per objective
@@ -382,7 +380,7 @@ GaResult GeneticOptimizer::run(const GaOptions& options) const {
     const bool cadence = !options.checkpoint_path.empty() &&
                          generation % options.checkpoint_every == 0;
     if (finished || stop || cadence) write_snapshot(generation, finished);
-    if (options.capture_final_snapshot && (finished || stop))
+    if (finished || stop)
       result.snapshot =
           std::make_shared<Checkpoint>(make_snapshot(generation, finished));
     if (stop) {

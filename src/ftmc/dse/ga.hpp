@@ -19,7 +19,6 @@
 #include "ftmc/dse/chromosome.hpp"
 #include "ftmc/dse/decoder.hpp"
 #include "ftmc/dse/spea2.hpp"
-#include "ftmc/dse/variation.hpp"
 
 namespace ftmc::dse {
 
@@ -84,7 +83,6 @@ struct GaOptions {
   /// over its own pool.  parallel_scenarios=false plus a caller pool is a
   /// contradiction and validate() rejects it.
   bool parallel_scenarios = true;
-  VariationOptions variation;
   Decoder::Options decoder;
   /// Evaluations are memoized in one EvaluationCache shared by all GA
   /// workers: a caller-provided `evaluator.cache` is used as-is, otherwise
@@ -105,10 +103,9 @@ struct GaOptions {
   /// checkpoint_every-th generation boundary, on graceful stop, and at the
   /// end of the run.
   std::string checkpoint_path;
-  /// Snapshot cadence in generations (>= 1).
+  /// Snapshot cadence in generations (>= 1).  The file rotates through
+  /// the last kCheckpointKeep snapshots (checkpoint.hpp).
   std::size_t checkpoint_every = 1;
-  /// Keep-last-K rotation of the snapshot file (1 = overwrite in place).
-  std::size_t checkpoint_keep = 3;
   /// Resume from this snapshot instead of a fresh start.  The snapshot's
   /// recorded options must match this struct's trajectory options field by
   /// field (CheckpointError names the first mismatch).  Must outlive run().
@@ -126,11 +123,6 @@ struct GaOptions {
   /// TrajectoryOptions: snapshots resume under any backend.  Must outlive
   /// run().
   Executor* executor = nullptr;
-  /// Also return the boundary snapshot in GaResult::snapshot when the run
-  /// ends (finished or stopped), independent of checkpoint_path.  The
-  /// island-model campaign uses this to chunk a run into migration epochs
-  /// without a disk round-trip per epoch.
-  bool capture_final_snapshot = false;
 
   /// Validates field ranges and resolves the overlapping pool knobs with
   /// the precedence documented above.  Throws std::invalid_argument naming
@@ -159,10 +151,11 @@ struct GaResult {
   /// (EvalOutcome::cache_hit) over the batches this run evaluated, and the
   /// other fields stay zero.
   core::CacheStats cache;
-  /// The run-ending boundary snapshot, when capture_final_snapshot was
-  /// set (null otherwise, and on the resume-of-finished-run fast path).
-  /// Resuming from it continues the trajectory exactly as a disk
-  /// checkpoint would.
+  /// The run-ending boundary snapshot (finished or stopped), independent
+  /// of checkpoint_path; null only on the resume-of-finished-run fast
+  /// path.  Resuming from it continues the trajectory exactly as a disk
+  /// checkpoint would: the island-model campaign chunks a run into
+  /// migration epochs with it, without a disk round-trip per epoch.
   std::shared_ptr<Checkpoint> snapshot;
 };
 

@@ -30,13 +30,14 @@ namespace ftmc::sched {
 
 class HolisticAnalysis final : public SchedulingAnalysis {
  public:
+  /// Global fixed-point sweep limit.
+  static constexpr std::size_t kMaxOuterIterations = 512;
+  /// Busy-window / response-time inner fixed-point limit.
+  static constexpr std::size_t kMaxInnerIterations = 65536;
+  /// Divergence horizon as a multiple of the hyperperiod.
+  static constexpr model::Time kHorizonHyperperiods = 4;
+
   struct Options {
-    /// Global fixed-point sweep limit.
-    std::size_t max_outer_iterations = 512;
-    /// Busy-window / response-time inner fixed-point limit.
-    std::size_t max_inner_iterations = 65536;
-    /// Divergence horizon as a multiple of the hyperperiod.
-    model::Time horizon_hyperperiods = 4;
     /// Offset-aware interference (default): exploits the synchronous
     /// in-phase releases of all graphs to place interferer jobs in absolute
     /// windows [k*T + minStart, k*T + maxFinish] and to exclude same-graph

@@ -270,7 +270,7 @@ void PreparedProblem::build(const model::Architecture& arch,
   for (std::size_t k = 0; k < related_bits_.size(); ++k)
     related_bits_[k] |= descendants[k];
 
-  horizon_ = options_.horizon_hyperperiods * hyperperiod;
+  horizon_ = HolisticAnalysis::kHorizonHyperperiods * hyperperiod;
 }
 
 void PreparedProblem::load_bounds(std::span<const ExecBounds> bounds,
@@ -370,7 +370,8 @@ PreparedProblem::UpdateOutcome PreparedProblem::update_node(
 
   const auto solve_jitter_window = [&](model::Time base) {
     model::Time w = base;
-    for (std::size_t iter = 0; iter < options_.max_inner_iterations; ++iter) {
+    for (std::size_t iter = 0; iter < HolisticAnalysis::kMaxInnerIterations;
+         ++iter) {
       const model::Time next = base + jitter_interference(w);
       if (next == w) return w;
       w = next;
@@ -425,7 +426,8 @@ PreparedProblem::UpdateOutcome PreparedProblem::update_node(
 
   const auto solve_offset_window = [&](model::Time start) {
     model::Time w = c_i;
-    for (std::size_t iter = 0; iter < options_.max_inner_iterations; ++iter) {
+    for (std::size_t iter = 0; iter < HolisticAnalysis::kMaxInnerIterations;
+         ++iter) {
       const model::Time next = c_i + offset_interference(start, w);
       if (next == w) return w;
       w = next;
@@ -516,7 +518,7 @@ void PreparedProblem::worst_case_worklist(Scratch& s) const {
   std::uint64_t evals = 0, skips = 0, sticky_hits = 0;
   bool stable = false;
   for (std::size_t outer = 0;
-       outer < options_.max_outer_iterations && !stable; ++outer) {
+       outer < HolisticAnalysis::kMaxOuterIterations && !stable; ++outer) {
     stable = true;
     for (std::size_t i = 0; i < total_; ++i) {
       if (!s.dirty[i]) {
@@ -761,7 +763,8 @@ void PreparedProblem::solve_batch(
   // the reference lane's pre-visit window is kept aside for the compare.
   std::uint64_t evals = 0, skips = 0, sticky_hits = 0, shared = 0;
   for (std::size_t outer = 0;
-       outer < options_.max_outer_iterations && active_count > 0; ++outer) {
+       outer < HolisticAnalysis::kMaxOuterIterations && active_count > 0;
+       ++outer) {
     for (std::size_t lane = 0; lane < lanes; ++lane)
       if (b.lane_active[lane]) b.lane_round_stable[lane] = 1;
     for (std::size_t i = 0; i < total_; ++i) {
@@ -859,7 +862,7 @@ void PreparedProblem::solve_batch(
       // break); without, the next round is the cheap all-skip confirmation
       // — certifying iff it still fits the budget.
       if (b.sticky_count[lane] != 0 ||
-          outer + 1 >= options_.max_outer_iterations)
+          outer + 1 >= HolisticAnalysis::kMaxOuterIterations)
         b.lane_exhausted[lane] = 1;
       retire(lane);
     }

@@ -483,28 +483,42 @@ core::Candidate Server::request_candidate(ResidentSystem& sys,
   return *sys.candidate;
 }
 
+struct Server::Evaluated {
+  core::Candidate candidate;
+  core::Evaluation evaluation;
+  bool cache_hit = false;
+};
+
+Server::Evaluated Server::evaluate_request(ResidentSystem& sys,
+                                           const JsonValue& params,
+                                           RequestInfo* info) {
+  Evaluated evaluated;
+  evaluated.candidate = request_candidate(sys, params);
+  if (const auto error = sys.evaluator->structural_error(evaluated.candidate);
+      !error.empty())
+    throw std::runtime_error("candidate invalid: " + error);
+  evaluated.evaluation =
+      sys.evaluator->evaluate(evaluated.candidate, &evaluated.cache_hit);
+  if (info != nullptr) {
+    info->cache_known = true;
+    info->cache_hit = evaluated.cache_hit;
+  }
+  return evaluated;
+}
+
 obs::Json Server::handle_analyze(ResidentSystem& sys,
                                  const JsonValue& params,
                                  RequestInfo* info) {
-  const core::Candidate candidate = request_candidate(sys, params);
-  if (const auto error = sys.evaluator->structural_error(candidate);
-      !error.empty())
-    throw std::runtime_error("candidate invalid: " + error);
-  bool cache_hit = false;
-  const core::Evaluation evaluation =
-      sys.evaluator->evaluate(candidate, &cache_hit);
-  if (info != nullptr) {
-    info->cache_known = true;
-    info->cache_hit = cache_hit;
-  }
+  const Evaluated evaluated = evaluate_request(sys, params, info);
+  const core::Evaluation& evaluation = evaluated.evaluation;
   std::ostringstream out;
-  write_analyze_report(out, sys.spec, candidate, evaluation);
+  write_analyze_report(out, sys.spec, evaluated.candidate, evaluation);
   obs::Json result = obs::Json::object();
   result.set("feasible", evaluation.feasible())
       .set("power", evaluation.power)
       .set("service", evaluation.service)
       .set("scenario_count", evaluation.scenario_count)
-      .set("cache_hit", cache_hit)
+      .set("cache_hit", evaluated.cache_hit)
       .set("exit_code", evaluation.feasible() ? 0 : 1)
       .set("output", out.str());
   return result;
@@ -513,17 +527,8 @@ obs::Json Server::handle_analyze(ResidentSystem& sys,
 obs::Json Server::handle_evaluate(ResidentSystem& sys,
                                   const JsonValue& params,
                                   RequestInfo* info) {
-  const core::Candidate candidate = request_candidate(sys, params);
-  if (const auto error = sys.evaluator->structural_error(candidate);
-      !error.empty())
-    throw std::runtime_error("candidate invalid: " + error);
-  bool cache_hit = false;
-  const core::Evaluation evaluation =
-      sys.evaluator->evaluate(candidate, &cache_hit);
-  if (info != nullptr) {
-    info->cache_known = true;
-    info->cache_hit = cache_hit;
-  }
+  const Evaluated evaluated = evaluate_request(sys, params, info);
+  const core::Evaluation& evaluation = evaluated.evaluation;
   obs::Json wcrt = obs::Json::array();
   for (const model::Time bound : evaluation.graph_wcrt)
     wcrt.push(obs::Json::integer(bound));
@@ -538,7 +543,7 @@ obs::Json Server::handle_evaluate(ResidentSystem& sys,
       .set("scenario_count", evaluation.scenario_count)
       .set("scenario_solves", evaluation.scenario_solves)
       .set("graph_wcrt", std::move(wcrt))
-      .set("cache_hit", cache_hit);
+      .set("cache_hit", evaluated.cache_hit);
   return result;
 }
 

@@ -177,6 +177,13 @@ class Server {
                      RequestInfo* info, const std::string& request_id);
   obs::Json handle_batch(const JsonValue& params,
                          const std::string& request_id);
+  /// What analyze and evaluate share: the request's candidate
+  /// (request_candidate), refused when structurally invalid, evaluated on
+  /// the resident evaluator; `info` receives the cache outcome.  Evaluated
+  /// (server.cpp) holds the candidate, its evaluation and the cache hit.
+  struct Evaluated;
+  Evaluated evaluate_request(ResidentSystem& sys, const JsonValue& params,
+                             RequestInfo* info);
   obs::Json handle_analyze(ResidentSystem& sys, const JsonValue& params,
                            RequestInfo* info);
   obs::Json handle_evaluate(ResidentSystem& sys, const JsonValue& params,

@@ -91,15 +91,23 @@ void write_file_atomic(const std::string& path,
 
 void rotate_files(const std::string& path, std::size_t keep) {
   if (keep <= 1 || !file_exists(path)) return;
-  // Oldest first: path.(keep-2) -> path.(keep-1), ..., path -> path.1.
-  for (std::size_t slot = keep - 1; slot >= 1; --slot) {
-    const std::string from =
-        slot == 1 ? path : path + "." + std::to_string(slot - 1);
+  // Oldest first: path.(keep-2) -> path.(keep-1), ..., path.1 -> path.2.
+  for (std::size_t slot = keep - 1; slot >= 2; --slot) {
+    const std::string from = path + "." + std::to_string(slot - 1);
     if (!file_exists(from)) continue;
     const std::string to = path + "." + std::to_string(slot);
     if (::rename(from.c_str(), to.c_str()) != 0)
       fail(to, "cannot rotate checkpoint into");
   }
+  // path.1 becomes a second name of path, which keeps its own until the
+  // next write_file_atomic renames over it: a crash in between still finds
+  // a complete snapshot at path.  Renaming path away, as a filesystem
+  // without hard links still does, leaves none there until that rename.
+  const std::string newest = path + ".1";
+  ::unlink(newest.c_str());
+  if (::link(path.c_str(), newest.c_str()) != 0 &&
+      ::rename(path.c_str(), newest.c_str()) != 0)
+    fail(newest, "cannot rotate checkpoint into");
   fsync_directory(directory_of(path));
 }
 

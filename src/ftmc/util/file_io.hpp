@@ -34,7 +34,9 @@ void write_file_atomic(const std::string& path,
 /// `path.1`, `path.1` into `path.2`, ... discarding `path.(keep-1)`.  With
 /// keep <= 1 (or when `path` does not exist) this is a no-op — the next
 /// atomic write simply replaces the file.  Renames within one directory, so
-/// every rotated slot is always a complete snapshot.
+/// every rotated slot is always a complete snapshot; `path.1` is a hard
+/// link to `path`, so `path` itself stays in place until the next atomic
+/// write replaces it.
 void rotate_files(const std::string& path, std::size_t keep);
 
 }  // namespace ftmc::util

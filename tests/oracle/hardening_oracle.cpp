@@ -300,8 +300,7 @@ core::Evaluation evaluate(const model::Architecture& arch,
   const hardening::HardenedSystem system = oracle::apply_hardening(
       apps, candidate.plan, candidate.base_mapping, arch.processor_count());
 
-  core::DropSet drop = candidate.drop;
-  if (!options.allow_dropping) drop.assign(apps.graph_count(), false);
+  const core::DropSet& drop = candidate.drop;
 
   const core::McAnalysisResult verdict =
       mc_analyze(backend, arch, system, drop, options.mode, options.policy);
@@ -353,7 +352,7 @@ core::Evaluation evaluate(const model::Architecture& arch,
       violation += std::min(10.0, 1.0 + std::log10(std::max(ratio, 1.0)));
     }
     if (!evaluation.mapping_valid) violation += 5.0;
-    evaluation.power += options.infeasibility_penalty * (1.0 + violation);
+    evaluation.power += core::kInfeasibilityPenalty * (1.0 + violation);
   }
   return evaluation;
 }

@@ -30,8 +30,8 @@ double expected_power(const model::Architecture& arch,
                       const core::Allocation& allocation,
                       const std::vector<bool>* drop);
 
-/// The evaluation of `candidate` on the oracle T' (no cache, no store, no
-/// scenario pool).
+/// The evaluation of `candidate`, its drop set as given, on the oracle T'
+/// (mode and policy from `options`; no cache, no store, no scenario pool).
 core::Evaluation evaluate(const model::Architecture& arch,
                           const model::ApplicationSet& apps,
                           const sched::SchedulingAnalysis& backend,

@@ -49,8 +49,8 @@ struct Problem {
     };
     const auto solve_jitter_window = [&](Time base) {
       Time w = base;
-      for (std::size_t iter = 0; iter < options.max_inner_iterations;
-           ++iter) {
+      for (std::size_t iter = 0;
+           iter < sched::HolisticAnalysis::kMaxInnerIterations; ++iter) {
         const Time next = base + jitter_interference(w);
         if (next == w) return w;
         w = next;
@@ -90,8 +90,8 @@ struct Problem {
     };
     const auto solve_offset_window = [&](Time start) {
       Time w = c_max[i];
-      for (std::size_t iter = 0; iter < options.max_inner_iterations;
-           ++iter) {
+      for (std::size_t iter = 0;
+           iter < sched::HolisticAnalysis::kMaxInnerIterations; ++iter) {
         const Time next = c_max[i] + offset_interference(start, w);
         if (next == w) return w;
         w = next;
@@ -149,7 +149,8 @@ sched::AnalysisResult HolisticOracle::analyze(
 
   Problem p;
   p.options = options_;
-  p.horizon = options_.horizon_hyperperiods * apps.hyperperiod();
+  p.horizon =
+      sched::HolisticAnalysis::kHorizonHyperperiods * apps.hyperperiod();
 
   struct Message {
     std::size_t src, dst;
@@ -261,7 +262,8 @@ sched::AnalysisResult HolisticOracle::analyze(
   p.max_finish = p.min_finish;
   bool stable = false;
   for (std::size_t outer = 0;
-       outer < options_.max_outer_iterations && !stable; ++outer) {
+       outer < sched::HolisticAnalysis::kMaxOuterIterations && !stable;
+       ++outer) {
     stable = true;
     for (std::size_t i = 0; i < total; ++i)
       if (p.update(i)) stable = false;

@@ -22,8 +22,9 @@ namespace ftmc::oracle {
 
 class HolisticOracle final : public sched::SchedulingAnalysis {
  public:
-  /// Honors every field of `options`: iteration limits, horizon,
-  /// precedence_aware, and bus_contention.
+  /// Honors every field of `options` (precedence_aware and
+  /// bus_contention) and the kernel's iteration limits and horizon
+  /// (HolisticAnalysis::kMaxOuterIterations and its siblings).
   explicit HolisticOracle(sched::HolisticAnalysis::Options options = {})
       : options_(options) {}
 

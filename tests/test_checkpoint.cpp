@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "ftmc/dse/campaign.hpp"
+#include "ftmc/dse/executor.hpp"
 #include "ftmc/sched/holistic.hpp"
 #include "ftmc/util/file_io.hpp"
 #include "ftmc/util/thread_pool.hpp"
@@ -113,7 +114,6 @@ TEST(CheckpointFormat, EncodeDecodeRoundTripOver20Seeds) {
     options.generations = 1;
     options.seed = seed;
     options.checkpoint_path = path;
-    options.checkpoint_keep = 1;
     (void)rig.optimizer.run(options);
 
     const Checkpoint loaded = dse::load_checkpoint(path);
@@ -148,7 +148,6 @@ TEST(CheckpointResume, KillAtEveryBoundaryResumesBitwiseIdentical) {
     remove_rotation(path);
     auto killed = options;
     killed.checkpoint_path = path;
-    killed.checkpoint_keep = 1;
     bool past_boundary = false;
     killed.on_generation = [&](const GenerationStats& stats) {
       past_boundary = stats.generation >= boundary;
@@ -190,7 +189,6 @@ TEST(CheckpointResume, ResumeWithKernelModeFlippedIsIdentical) {
   remove_rotation(path);
   auto killed = options;
   killed.checkpoint_path = path;
-  killed.checkpoint_keep = 1;
   bool past_boundary = false;
   killed.on_generation = [&](const GenerationStats& stats) {
     past_boundary = stats.generation >= 3;
@@ -299,7 +297,8 @@ TEST(CheckpointFormat, RejectsUnknownVersion) {
   expect_rejects(std::move(bytes), "version");
 
   // Version 2 carried a cache fingerprint and an always-empty population
-  // in its payload, version 3 a Box-Muller cache after the RNG words; this
+  // in its payload, version 3 a Box-Muller cache after the RNG words,
+  // version 4 seventeen trajectory options where v5 records nine; this
   // build names them rather than misreading them.
   auto v2 = valid_bytes();
   v2[8] = 2;
@@ -307,6 +306,10 @@ TEST(CheckpointFormat, RejectsUnknownVersion) {
   auto v3 = valid_bytes();
   v3[8] = 3;
   expect_rejects(std::move(v3), "unsupported checkpoint version 3");
+  auto v4 = valid_bytes();
+  v4[8] = 4;
+  expect_rejects(std::move(v4),
+                 "unsupported checkpoint version 4 (this build reads v5)");
 }
 
 TEST(CheckpointFormat, RejectsNonZeroReservedField) {
@@ -382,8 +385,13 @@ TEST(CheckpointFormat, TrajectoryMismatchReportsFirstDifferingField) {
   const TrajectoryOptions a = TrajectoryOptions::of(tiny_options());
   TrajectoryOptions b = a;
   EXPECT_EQ(a.mismatch(b), "");
-  b.crossover_rate = a.crossover_rate + 0.125;
-  EXPECT_EQ(a.mismatch(b), "variation.crossover_rate");
+  b.decoder_allow_dropping = a.decoder_allow_dropping == 0 ? 1 : 0;
+  EXPECT_EQ(a.mismatch(b), "decoder.allow_dropping");
+  // The first differing field in recording order is the one named.
+  b.priority_policy = a.priority_policy + 1;
+  EXPECT_EQ(a.mismatch(b), "decoder.allow_dropping");
+  b.decoder_allow_dropping = a.decoder_allow_dropping;
+  EXPECT_EQ(a.mismatch(b), "evaluator.policy");
 }
 
 // --- Options validation -----------------------------------------------------
@@ -400,9 +408,6 @@ TEST(GaOptionsValidate, RejectsContradictoryKnobs) {
   options.checkpoint_path = temp_path("validate");
   options.checkpoint_every = 0;
   EXPECT_THROW(rig.optimizer.run(options), std::invalid_argument);
-  options.checkpoint_every = 1;
-  options.checkpoint_keep = 0;
-  EXPECT_THROW(rig.optimizer.run(options), std::invalid_argument);
 }
 
 // --- Rotation ---------------------------------------------------------------
@@ -412,7 +417,6 @@ TEST(CheckpointPersistence, KeepLastKRotation) {
   auto options = tiny_options();
   options.generations = 4;
   options.checkpoint_path = temp_path("rotate");
-  options.checkpoint_keep = 3;
   remove_rotation(options.checkpoint_path);
   (void)rig.optimizer.run(options);
 
@@ -421,7 +425,7 @@ TEST(CheckpointPersistence, KeepLastKRotation) {
   std::uint64_t previous = dse::load_checkpoint(options.checkpoint_path)
                                .generation;
   EXPECT_EQ(previous, options.generations);
-  for (std::size_t slot = 1; slot < options.checkpoint_keep; ++slot) {
+  for (std::size_t slot = 1; slot < dse::kCheckpointKeep; ++slot) {
     const std::string path =
         options.checkpoint_path + "." + std::to_string(slot);
     ASSERT_TRUE(util::file_exists(path));
@@ -430,7 +434,7 @@ TEST(CheckpointPersistence, KeepLastKRotation) {
     previous = older.generation;
   }
   EXPECT_FALSE(util::file_exists(options.checkpoint_path + "." +
-                                 std::to_string(options.checkpoint_keep)));
+                                 std::to_string(dse::kCheckpointKeep)));
   remove_rotation(options.checkpoint_path);
 }
 
@@ -656,6 +660,44 @@ TEST(Campaign, ResumeContinuesInterruptedShards) {
     remove_rotation(
         dse::shard_checkpoint_path(first_leg.checkpoint_path, i,
                                    shard_count));
+}
+
+// An in-process island keeps one L1 across its migration epochs: every
+// evaluation of the island is one lookup in it, and the front is the one
+// the same campaign reaches through uncached executors.  Islands run one
+// after another and on one thread each.
+TEST(Campaign, InProcessIslandKeepsItsCacheAcrossEpochs) {
+  GaRig rig;
+  const Campaign campaign(rig.arch, rig.apps, rig.backend);
+  auto options = campaign_options();
+  options.seeds = {11, 22};
+  options.ga.generations = 6;
+  options.migration_every = 2;
+
+  const core::Evaluator evaluator(rig.arch, rig.apps, rig.backend);
+  util::ThreadPool pool(2);
+  auto uncached = options;
+  uncached.executor_factory = [&](std::size_t) {
+    return std::unique_ptr<dse::Executor>(
+        std::make_unique<dse::InProcessExecutor>(evaluator, pool));
+  };
+  const auto reference = campaign.run(uncached);
+  EXPECT_GT(reference.migration_epochs, 0u);
+
+  for (const bool parallel : {false, true}) {
+    SCOPED_TRACE(parallel ? "parallel islands" : "sequential islands");
+    options.parallel_islands = parallel;
+    const auto cached = campaign.run(options);
+    ASSERT_EQ(cached.shards.size(), options.seeds.size());
+    for (const dse::ShardResult& shard : cached.shards) {
+      EXPECT_EQ(shard.result.cache.lookups(), shard.result.evaluations)
+          << "seed " << shard.seed;
+      EXPECT_GT(shard.result.cache.hits, 0u) << "seed " << shard.seed;
+    }
+    EXPECT_EQ(reference.migration_epochs, cached.migration_epochs);
+    expect_same_front(reference.front, cached.front);
+    EXPECT_EQ(reference.evaluations, cached.evaluations);
+  }
 }
 
 TEST(Campaign, ShardCheckpointPaths) {

@@ -81,18 +81,6 @@ TEST(Evaluator, ReliabilityViolationFlagged) {
   EXPECT_TRUE(evaluation.feasible());
 }
 
-TEST(Evaluator, DisallowDroppingIgnoresDropSet) {
-  EvalRig rig;
-  Evaluator::Options options;
-  options.allow_dropping = false;
-  const Evaluator evaluator(rig.arch, rig.apps, rig.backend, options);
-  Candidate candidate = fixtures::plain_candidate(rig.arch, rig.apps);
-  candidate.drop[1] = true;
-  const auto evaluation = evaluator.evaluate(candidate);
-  // Service is computed for the effective (empty) drop set.
-  EXPECT_DOUBLE_EQ(evaluation.service, 2.0);
-}
-
 TEST(Evaluator, StructuralErrorsThrow) {
   EvalRig rig;
   Candidate candidate = fixtures::plain_candidate(rig.arch, rig.apps);

@@ -88,7 +88,6 @@ TEST(Ga, NoDroppingModeNeverDrops) {
   GaRig rig;
   auto options = tiny_options();
   options.decoder.allow_dropping = false;
-  options.evaluator.allow_dropping = false;
   std::atomic<std::size_t> drops{0};
   rig.optimizer.set_observer(
       [&](const core::Candidate& candidate, const core::Evaluation&) {

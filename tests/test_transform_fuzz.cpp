@@ -234,7 +234,6 @@ core::Evaluator::Options random_options(util::Rng& rng) {
       sched::PriorityPolicy::kCriticalityRateMonotonic,
       sched::PriorityPolicy::kFlatIndex};
   options.policy = kPolicies[rng.index(3)];
-  options.allow_dropping = rng.chance(0.9);
   return options;
 }
 
@@ -293,12 +292,17 @@ TEST(TransformFuzz, FlatBuildAndEvaluationMatchOracleTransform) {
     }
 
     const core::Evaluator::Options options = random_options(rng);
+    // One input in ten is evaluated without dropping: the no-dropping
+    // ablation's candidates carry an empty drop set.
+    core::Candidate evaluated = candidate;
+    if (!rng.chance(0.9))
+      evaluated.drop.assign(evaluated.drop.size(), false);
     const core::Evaluator evaluator(system.arch, system.apps, backend,
                                     options);
-    const core::Evaluation evaluation = evaluator.evaluate_uncached(candidate);
+    const core::Evaluation evaluation = evaluator.evaluate_uncached(evaluated);
     expect_same_evaluation(
         oracle::evaluate(system.arch, system.apps, backend, options,
-                         candidate),
+                         evaluated),
         evaluation);
     ++(evaluation.feasible() ? feasible : infeasible);
     if (::testing::Test::HasFailure()) break;  // one seed is enough to debug

@@ -21,6 +21,8 @@
 //   ftmc campaign <system.ftmc> [options]    distributed island campaign
 //       everything optimize takes, plus --workers=N --worker-hosts=H:P,...
 //       --worker-threads=N --migration-every=N (10) --migration-size=N (4)
+//       (workers use default decoder and evaluator options: --no-dropping
+//       is rejected with --workers/--worker-hosts)
 //   ftmc check PATH...                       validate checkpoints (files)
 //                                            and evaluation stores (a store
 //                                            directory or a --cache-dir root)
@@ -115,6 +117,8 @@ void print_usage(std::ostream& out) {
       "            optimize, one island per --seeds entry, plus:)\n"
       "            [--workers=N]  (spawn N local `ftmc serve` workers)\n"
       "            [--worker-hosts=H:P,...]  (connect to external workers)\n"
+      "            (workers decode and evaluate with default options, so\n"
+      "            --no-dropping runs in-process only)\n"
       "            [--worker-threads=N]  (per spawned worker)\n"
       "            [--migration-every=N]  (island epoch length, default 10;\n"
       "            0 = independent shards, run in seed order)\n"
@@ -291,10 +295,7 @@ int run_campaign(const io::SystemSpec& spec, int argc, char** argv,
   options.threads = common.threads;
   options.parallel_scenarios = !cli_options.sequential_scenarios;
   options.optimize_service = !cli_options.power_only;
-  if (cli_options.no_dropping) {
-    options.decoder.allow_dropping = false;
-    options.evaluator.allow_dropping = false;
-  }
+  options.decoder.allow_dropping = !cli_options.no_dropping;
   campaign_options.seeds = cli_options.seeds;
   campaign_options.max_seconds = cli_options.max_seconds;
   campaign_options.max_evaluations = cli_options.max_evaluations;
@@ -312,10 +313,17 @@ int run_campaign(const io::SystemSpec& spec, int argc, char** argv,
   // Worker fleet: spawn local `ftmc serve` processes and/or connect to
   // external ones, then evaluate every offspring remotely.  Workers re-run
   // the same content-seeded decode, so the campaign trajectory — and the
-  // final front — is bitwise identical to the in-process run.
+  // final front — is bitwise identical to the in-process run.  They decode
+  // and evaluate with default options, dropping allowed, so the
+  // no-dropping ablation runs in-process only.
   std::optional<dist::WorkerFleet> fleet;
   if (distributed &&
       (cli_options.workers > 0 || !cli_options.worker_hosts.empty())) {
+    if (cli_options.no_dropping)
+      throw std::runtime_error(
+          "campaign: --no-dropping cannot be combined with --workers or "
+          "--worker-hosts: workers decode and evaluate with default options "
+          "(dropping allowed); run the no-dropping campaign in-process");
     dist::WorkerFleetOptions fleet_options;
     fleet_options.system_path = argv[2];
     fleet_options.spawn = cli_options.workers;
